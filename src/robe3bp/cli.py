@@ -4,6 +4,8 @@ Output contracts: CSV uses RFC-4180-style quoting, LF line endings, and fixed
 17-significant-digit float formatting so identical runs are byte-identical;
 JSON is one top-level object per run with lower_snake_case keys.  Exit codes:
 0 success, 2 no equilibrium, 64 usage error, 1 runtime/integration failure.
+One flag table per command builds its parser and reads its config file;
+``main`` alone writes what a command returns and maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,6 +23,7 @@ from .errors import ConvergenceError, NoGrowthError, SingularityError
 from .model import Params, grad_omega, hessian_omega
 from .equilibria import existence_report, triangular_points
 from .stability import (
+    DEFAULT_CLASSIFY_TOL,
     char_coeffs,
     char_coeffs_from_hessian,
     classify,
@@ -31,7 +35,6 @@ from .dynamics import (
     equilibrium_state,
     growth_rate,
     integrate,
-    jacobi_constant,
     unstable_direction,
     unstable_seed,
 )
@@ -58,6 +61,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _NoEquilibrium(Exception):
+    """The command needs a triangular point and the parameters admit none."""
+
+
 def _fmt(value) -> str:
     """Fixed CSV field formatting: 17 significant digits, lowercase booleans."""
     if value is None:
@@ -71,243 +78,68 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(stream, header, rows) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", newline="") as fh:
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _report_text(report: dict, fmt: str) -> str:
+    if fmt == "json":
+        return _json_text(report)
+    return _csv_text(report.keys(), [report.values()])
+
+
+def _emit(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _report_text(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    buf = io.StringIO()
-    _write_csv(buf, list(report.keys()), [list(report.values())])
-    return buf.getvalue()
-
-
-def _fail_usage(message: str) -> int:
-    print(f"robe3bp: error: {message}", file=sys.stderr)
-    return EX_USAGE
-
-
-def _fail_runtime(message: str) -> int:
-    print(f"robe3bp: error: {message}", file=sys.stderr)
-    return EX_RUNTIME
-
-
 # ---------------------------------------------------------------------------
-# argument handling
+# flag types
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="robe3bp", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--mu", type=float, default=None, help="mass ratio in (0, 1)")
-        p.add_argument("--k", type=float, default=None, help="buoyancy parameter")
-        p.add_argument("--a1", type=float, default=None, help="oblateness coefficient (default 0)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance (classification / integration)")
-        p.add_argument("--output", default=None, help="output file path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="report format (default json)")
-        p.add_argument("--config", default=None, help="key=value config file; flags win on conflict")
-        p.add_argument("--svg-region", default=None, help="write an existence-region SVG scatter to this path")
-
-    p_locate = sub.add_parser("locate", help="triangular points and existence region")
-    common(p_locate)
-
-    p_stab = sub.add_parser("stability", help="characteristic coefficients, roots and verdict")
-    common(p_stab)
-
-    p_int = sub.add_parser("integrate", help="nonlinear trajectory from the triangular point")
-    common(p_int)
-    p_int.add_argument("--from-equilibrium", action="store_true", default=None,
-                       help="start at the triangular point (+z branch)")
-    p_int.add_argument("--offset", type=float, default=None,
-                       help="displacement along the unstable eigendirection")
-    p_int.add_argument("--t-end", type=float, default=None, help="integration span (default 60)")
-
-    p_sweep = sub.add_parser("sweep", help="stability map over a parameter grid")
-    common(p_sweep)
-    p_sweep.add_argument("--grid-mu", default=None, help="MIN:MAX:N")
-    p_sweep.add_argument("--grid-k", default=None, help="MIN:MAX:N")
-    p_sweep.add_argument("--grid-a1", default=None, help="MIN:MAX:N (default: single --a1 cell)")
-
-    return parser
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
-def _join_grid_values(argv: list[str]) -> list[str]:
-    """Merge '--grid-k -0.3:-0.001:10' into '--grid-k=-0.3:...' so argparse
-    does not mistake the negative lower bound for an option."""
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _GRID_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-") \
-                and ":" in argv[i + 1]:
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
-_CONFIG_PARSERS = {
-    "mu": float, "k": float, "a1": float, "tol": float,
-    "t_end": float, "offset": float,
-    "output": str, "format": str, "svg_region": str,
-    "grid_mu": str, "grid_k": str, "grid_a1": str,
-    "from_equilibrium": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-}
-
-
-def _apply_config(ns: argparse.Namespace) -> str | None:
-    """Fill unset options from the config file; explicit flags win."""
-    if not ns.config:
-        return None
+def _grid(spec: str) -> list[float]:
+    """MIN:MAX:N as N evenly spaced values (just MIN when N is 1)."""
     try:
-        with open(ns.config) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        return f"cannot read config file: {exc}"
-    for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            return f"{ns.config}:{lineno}: expected key=value, got {line!r}"
-        key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in _CONFIG_PARSERS:
-            return f"{ns.config}:{lineno}: unknown key {key!r}"
-        if not hasattr(ns, dest):
-            continue  # key applies to another command
-        if getattr(ns, dest) is None:
-            try:
-                setattr(ns, dest, _CONFIG_PARSERS[dest](value))
-            except ValueError:
-                return f"{ns.config}:{lineno}: bad value for {key}: {value!r}"
-    return None
-
-
-def _parse_grid(spec: str, name: str) -> list[float]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"{name} must look like MIN:MAX:N, got {spec!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must look like MIN:MAX:N, got {spec!r}") from None
     if count < 1:
-        raise ValueError(f"{name}: count must be >= 1, got {count}")
+        raise argparse.ArgumentTypeError(f"count must be >= 1, got {count}")
     if hi < lo:
-        raise ValueError(f"{name}: range must be ordered (MIN <= MAX), got {spec!r}")
+        raise argparse.ArgumentTypeError(f"range must be ordered (MIN <= MAX), got {spec!r}")
     if count == 1:
         return [lo]
     return list(np.linspace(lo, hi, count))
 
 
-def _params_from(ns: argparse.Namespace) -> Params | str:
-    if ns.mu is None or ns.k is None:
-        return "both --mu and --k are required"
-    try:
-        return Params(mu=ns.mu, k=ns.k, a1_oblate=ns.a1 if ns.a1 is not None else 0.0)
-    except ValueError as exc:
-        return str(exc)
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-def _locate_report(params: Params) -> dict:
-    rep = existence_report(params)
-    pts = triangular_points(params)
-    out = {
-        "command": "locate",
-        "mu": params.mu,
-        "k": params.k,
-        "a1": params.a1_oblate,
-        "n_sq": params.n_sq,
-        "k_negative": rep.k_negative,
-        "region_ok": rep.region_ok,
-        "radicand_ok": rep.radicand_ok,
-        "verdict": rep.verdict,
-        "exists": pts.exists,
-        "a1_aux": pts.a1_aux,
-        "b1_aux": pts.b1_aux,
-        "x": pts.x_eq,
-        "z_plus": pts.z_plus,
-        "z_minus": pts.z_minus,
-        "grad_residual_plus": None,
-        "grad_residual_minus": None,
-    }
-    if pts.exists:
-        for key, branch in (("grad_residual_plus", +1), ("grad_residual_minus", -1)):
-            out[key] = float(np.max(np.abs(grad_omega(pts.point(branch), params))))
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """Merge '--grid-k -0.3:-0.001:10' into '--grid-k=-0.3:...' so argparse
+    does not mistake the negative lower bound for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _GRID_FLAGS and tok.startswith("-") and ":" in tok:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
-
-
-def _stability_report(params: Params, tol: float) -> dict:
-    pts = triangular_points(params)
-    closed = char_coeffs(params)
-    hess = hessian_omega(pts.point(+1), params)
-    oracle = char_coeffs_from_hessian(hess, params.n_sq)
-    rel_diff = max(
-        abs(c - o) / max(abs(c), abs(o), 1e-300)
-        for c, o in zip(closed, oracle)
-    )
-    roots = solve_characteristic(closed)
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
-    changes = sign_change_count(closed)
-    verdict = classify(roots, tol=tol, sign_changes=changes)
-    out = {
-        "command": "stability",
-        "mu": params.mu,
-        "k": params.k,
-        "a1": params.a1_oblate,
-        "n_sq": params.n_sq,
-        "p": closed.p,
-        "q": closed.q,
-        "r": closed.r,
-        "p_hessian": oracle.p,
-        "q_hessian": oracle.q,
-        "r_hessian": oracle.r,
-        "coeff_rel_diff": rel_diff,
-    }
-    for i, root in enumerate(roots, 1):
-        out[f"root{i}_re"] = float(root.real)
-        out[f"root{i}_im"] = float(root.imag)
-    out["sign_changes"] = changes
-    out["max_real_part"] = verdict.max_real_part
-    out["positive_real_root_count"] = verdict.positive_real_root_count
-    out["classification"] = verdict.classification.value
-    return out
-
-
-def _sweep_rows(grid_mu, grid_k, grid_a1, tol: float):
-    rows = []
-    for mu in grid_mu:
-        for k in grid_k:
-            for a1 in grid_a1:
-                params = Params(mu=mu, k=k, a1_oblate=a1)
-                pts = triangular_points(params)
-                if not pts.exists:
-                    rows.append([mu, k, a1, False] + [None] * 6 + [""])
-                    continue
-                coeffs = char_coeffs(params)
-                verdict = classify(solve_characteristic(coeffs), tol=tol)
-                rows.append([
-                    mu, k, a1, True, pts.x_eq, pts.z_plus,
-                    coeffs.p, coeffs.q, coeffs.r,
-                    verdict.max_real_part, verdict.classification.value,
-                ])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -356,85 +188,101 @@ def _region_svg(cells: list[tuple[float, float, bool]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _write_svg(path: str, cells) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_region_svg(cells))
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: (ns, params) -> (exit code, [(text, path or None for stdout)], SVG cells)
 
-def _cmd_locate(ns: argparse.Namespace) -> int:
-    params = _params_from(ns)
-    if isinstance(params, str):
-        return _fail_usage(params)
-    report = _locate_report(params)
-    _emit(_report_text(report, ns.format or "json"), ns.output)
-    if ns.svg_region:
-        _write_svg(ns.svg_region,
-                   [(params.mu, 2 * params.k / params.n_sq, report["exists"])])
-    return EX_OK if report["exists"] else EX_NO_EQUILIBRIUM
+def _existing_points(params: Params):
+    pts = triangular_points(params)
+    if not pts.exists:
+        raise _NoEquilibrium
+    return pts
 
 
-def _cmd_stability(ns: argparse.Namespace) -> int:
-    params = _params_from(ns)
-    if isinstance(params, str):
-        return _fail_usage(params)
-    if ns.tol is not None and ns.tol <= 0.0:
-        return _fail_usage(f"tolerance must be positive, got {ns.tol}")
-    if not triangular_points(params).exists:
-        print("robe3bp: no triangular equilibrium for these parameters", file=sys.stderr)
-        return EX_NO_EQUILIBRIUM
-    report = _stability_report(params, tol=ns.tol if ns.tol is not None else 1e-9)
-    _emit(_report_text(report, ns.format or "json"), ns.output)
-    if ns.svg_region:
-        _write_svg(ns.svg_region, [(params.mu, 2 * params.k / params.n_sq, True)])
-    return EX_OK
+def _cell(params: Params, exists: bool) -> tuple[float, float, bool]:
+    """Position of a parameter cell in the (mu, 2k/n^2) plane of the SVG."""
+    return params.mu, 2 * params.k / params.n_sq, exists
 
 
-def _cmd_integrate(ns: argparse.Namespace) -> int:
-    params = _params_from(ns)
-    if isinstance(params, str):
-        return _fail_usage(params)
-    if not ns.from_equilibrium:
-        return _fail_usage("integrate requires --from-equilibrium")
-    t_end = ns.t_end if ns.t_end is not None else 60.0
-    tol = ns.tol if ns.tol is not None else 1e-12
-    try:
-        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol, t_end=t_end)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    if not triangular_points(params).exists:
-        print("robe3bp: no triangular equilibrium for these parameters", file=sys.stderr)
-        return EX_NO_EQUILIBRIUM
-    if ns.offset is not None and ns.offset <= 0.0:
-        return _fail_usage(f"offset must be positive, got {ns.offset}")
+def _locate(ns, params):
+    """triangular points and existence region"""
+    rep = existence_report(params)
+    pts = triangular_points(params)
+    out = {
+        "command": "locate",
+        "mu": params.mu,
+        "k": params.k,
+        "a1": params.a1_oblate,
+        "n_sq": params.n_sq,
+        "k_negative": rep.k_negative,
+        "region_ok": rep.region_ok,
+        "radicand_ok": rep.radicand_ok,
+        "verdict": rep.verdict,
+        "exists": pts.exists,
+        "a1_aux": pts.a1_aux,
+        "b1_aux": pts.b1_aux,
+        "x": pts.x_eq,
+        "z_plus": pts.z_plus,
+        "z_minus": pts.z_minus,
+        "grad_residual_plus": None,
+        "grad_residual_minus": None,
+    }
+    if pts.exists:
+        for key, branch in (("grad_residual_plus", +1), ("grad_residual_minus", -1)):
+            out[key] = float(np.max(np.abs(grad_omega(pts.point(branch), params))))
+    code = EX_OK if pts.exists else EX_NO_EQUILIBRIUM
+    return code, [(_report_text(out, ns.format), ns.output)], [_cell(params, pts.exists)]
 
-    try:
-        if ns.offset is None:
-            state0 = equilibrium_state(params)
-            linear_rate = None
-        else:
-            state0 = unstable_seed(params, ns.offset)
-            linear_rate = unstable_direction(params)[0]
-        traj = integrate(state0, params, cfg)
-    except (ConvergenceError, SingularityError) as exc:
-        return _fail_runtime(str(exc))
 
-    out_path = ns.output or "trajectory.csv"
-    with open(out_path, "w", newline="") as fh:
-        _write_csv(
-            fh,
-            TRAJECTORY_COLUMNS,
-            ([t, *state, c] for t, state, c in zip(traj.times, traj.states, traj.jacobi)),
-        )
+def _stability(ns, params):
+    """characteristic coefficients, roots and verdict"""
+    pts = _existing_points(params)
+    closed = char_coeffs(params)
+    hess = hessian_omega(pts.point(+1), params)
+    oracle = char_coeffs_from_hessian(hess, params.n_sq)
+    rel_diff = max(abs(c - o) / max(abs(c), abs(o), 1e-300) for c, o in zip(closed, oracle))
+    roots = solve_characteristic(closed)
+    roots = roots[np.lexsort((roots.imag, roots.real))]
+    changes = sign_change_count(closed)
+    verdict = classify(roots, tol=ns.tol, sign_changes=changes)
+    out = {
+        "command": "stability",
+        "mu": params.mu,
+        "k": params.k,
+        "a1": params.a1_oblate,
+        "n_sq": params.n_sq,
+        "p": closed.p,
+        "q": closed.q,
+        "r": closed.r,
+        "p_hessian": oracle.p,
+        "q_hessian": oracle.q,
+        "r_hessian": oracle.r,
+        "coeff_rel_diff": rel_diff,
+    }
+    for i, root in enumerate(roots, 1):
+        out[f"root{i}_re"] = float(root.real)
+        out[f"root{i}_im"] = float(root.imag)
+    out["sign_changes"] = changes
+    out["max_real_part"] = verdict.max_real_part
+    out["positive_real_root_count"] = verdict.positive_real_root_count
+    out["classification"] = verdict.classification.value
+    return EX_OK, [(_report_text(out, ns.format), ns.output)], [_cell(params, True)]
 
+
+def _integrate(ns, params):
+    """nonlinear trajectory from the triangular point"""
+    _existing_points(params)
+    if ns.offset is None:
+        state0, linear_rate = equilibrium_state(params), None
+    else:
+        state0, linear_rate = unstable_seed(params, ns.offset), unstable_direction(params)[0]
+    traj = integrate(state0, params, IntegratorConfig(rel_tol=ns.tol, abs_tol=ns.tol,
+                                                      t_end=ns.t_end))
     summary = {
         "command": "integrate",
         "mu": params.mu,
         "k": params.k,
         "a1": params.a1_oblate,
-        "t_end": t_end,
+        "t_end": ns.t_end,
         "offset": ns.offset,
         "rows": len(traj),
         "steps": traj.steps,
@@ -444,87 +292,178 @@ def _cmd_integrate(ns: argparse.Namespace) -> int:
         "jacobi_drift": float(np.max(np.abs(traj.jacobi - traj.jacobi[0]))),
         "linear_rate": linear_rate,
         "growth_rate": None,
-        "trajectory_file": out_path,
+        "trajectory_file": ns.output,
     }
     if ns.offset is not None:
         try:
             summary["growth_rate"] = growth_rate(traj, equilibrium_state(params).pos)
         except NoGrowthError as exc:
             summary["growth_fit_error"] = str(exc)
-    print(json.dumps(summary, indent=2))
-    if ns.svg_region:
-        _write_svg(ns.svg_region, [(params.mu, 2 * params.k / params.n_sq, True)])
-    return EX_OK
+    rows = ([t, *state, c] for t, state, c in zip(traj.times, traj.states, traj.jacobi))
+    outputs = [(_csv_text(TRAJECTORY_COLUMNS, rows), ns.output), (_json_text(summary), None)]
+    return EX_OK, outputs, [_cell(params, True)]
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
-    if ns.grid_mu is None or ns.grid_k is None:
-        return _fail_usage("sweep requires --grid-mu and --grid-k")
-    if ns.tol is not None and ns.tol <= 0.0:
-        return _fail_usage(f"tolerance must be positive, got {ns.tol}")
-    try:
-        grid_mu = _parse_grid(ns.grid_mu, "--grid-mu")
-        grid_k = _parse_grid(ns.grid_k, "--grid-k")
-        if ns.grid_a1 is not None:
-            grid_a1 = _parse_grid(ns.grid_a1, "--grid-a1")
-        else:
-            grid_a1 = [ns.a1 if ns.a1 is not None else 0.0]
-        for mu in (grid_mu[0], grid_mu[-1]):
-            if not 0.0 < mu < 1.0:
-                raise ValueError(f"--grid-mu values must lie in (0, 1), got {mu}")
-        for a1 in (grid_a1[0], grid_a1[-1]):
-            if a1 < 0.0:
-                raise ValueError(f"--grid-a1 values must be >= 0, got {a1}")
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-
-    rows = _sweep_rows(grid_mu, grid_k, grid_a1, tol=ns.tol if ns.tol is not None else 1e-9)
-    if (ns.format or "csv") == "json":
-        payload = {
-            "command": "sweep",
-            "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", ns.output)
+def _sweep(ns, _):
+    """stability map over a parameter grid"""
+    rows, cells = [], []
+    grid_a1 = ns.grid_a1 or [ns.a1]
+    for mu in ns.grid_mu:
+        for k in ns.grid_k:
+            for a1 in grid_a1:
+                params = Params(mu=mu, k=k, a1_oblate=a1)
+                pts = triangular_points(params)
+                cells.append(_cell(params, pts.exists))
+                if not pts.exists:
+                    rows.append([mu, k, a1, False] + [None] * 6 + [""])
+                    continue
+                coeffs = char_coeffs(params)
+                verdict = classify(solve_characteristic(coeffs), tol=ns.tol)
+                rows.append([
+                    mu, k, a1, True, pts.x_eq, pts.z_plus,
+                    coeffs.p, coeffs.q, coeffs.r,
+                    verdict.max_real_part, verdict.classification.value,
+                ])
+    if ns.format == "json":
+        text = _json_text({"command": "sweep",
+                           "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]})
     else:
-        buf = io.StringIO()
-        _write_csv(buf, SWEEP_COLUMNS, rows)
-        _emit(buf.getvalue(), ns.output)
-    if ns.svg_region:
-        cells = []
-        for row in rows:
-            mu, k, a1, exists = row[0], row[1], row[2], row[3]
-            n_sq = 1.0 + 1.5 * a1
-            cells.append((mu, 2 * k / n_sq, bool(exists)))
-        _write_svg(ns.svg_region, cells)
-    return EX_OK
+        text = _csv_text(SWEEP_COLUMNS, rows)
+    return EX_OK, [(text, ns.output)], cells
+
+
+# ---------------------------------------------------------------------------
+# flag tables: dest -> add_argument keywords, one table per command
+
+_POINT = {
+    "mu": {"type": float, "required": True, "help": "mass ratio in (0, 1)"},
+    "k": {"type": float, "required": True, "help": "buoyancy parameter"},
+}
+_A1 = {"type": float, "default": 0.0, "help": "oblateness coefficient A1 (default 0)"}
+_OUTPUT = {"help": "report file (default stdout)"}
+_SVG = {"help": "also write an existence-region SVG scatter to this path"}
+
+
+def _format(default: str) -> dict:
+    return {"choices": ("csv", "json"), "default": default,
+            "help": "report format (default %(default)s)"}
+
+
+def _tol(default: float, meaning: str) -> dict:
+    return {"type": _positive, "default": default, "help": f"{meaning} (default %(default)g)"}
 
 
 _COMMANDS = {
-    "locate": _cmd_locate,
-    "stability": _cmd_stability,
-    "integrate": _cmd_integrate,
-    "sweep": _cmd_sweep,
+    "locate": (_locate, {
+        **_POINT, "a1": _A1,
+        "format": _format("json"), "output": _OUTPUT, "svg_region": _SVG,
+    }),
+    "stability": (_stability, {
+        **_POINT, "a1": _A1, "tol": _tol(DEFAULT_CLASSIFY_TOL, "classification tolerance"),
+        "format": _format("json"), "output": _OUTPUT, "svg_region": _SVG,
+    }),
+    "integrate": (_integrate, {
+        **_POINT, "a1": _A1,
+        "from_equilibrium": {"action": "store_true", "required": True,
+                             "help": "start at the triangular point (+z branch)"},
+        "offset": {"type": _positive,
+                   "help": "displacement along the unstable eigendirection"},
+        "t_end": {"type": _positive, "default": 60.0,
+                  "help": "integration span (default %(default)g)"},
+        "tol": _tol(1e-12, "relative and absolute integration tolerance"),
+        "output": {"default": "trajectory.csv", "help": "trajectory CSV (default %(default)s)"},
+        "svg_region": _SVG,
+    }),
+    "sweep": (_sweep, {
+        "grid_mu": {"type": _grid, "required": True, "help": "MIN:MAX:N"},
+        "grid_k": {"type": _grid, "required": True, "help": "MIN:MAX:N"},
+        "grid_a1": {"type": _grid, "help": "MIN:MAX:N (default: the single --a1 value)"},
+        "a1": _A1, "tol": _tol(DEFAULT_CLASSIFY_TOL, "classification tolerance"),
+        "format": _format("csv"), "output": _OUTPUT, "svg_region": _SVG,
+    }),
 }
+
+_CONFIG_KEYS = {dest for _, flags in _COMMANDS.values() for dest in flags}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="robe3bp", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (command, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        for dest, spec in flags.items():
+            p.add_argument("--" + dest.replace("_", "-"), **spec)
+        p.add_argument("--config", help="key=value file of flags; command-line flags win")
+    return parser
+
+
+def _config_tokens(path: str, flags: dict) -> list[str]:
+    """The config file's ``key = value`` lines as ``--key=value`` tokens.
+
+    Keys of another command's flags are skipped; a key no command takes is an
+    error.  A switch is set by a true value (1, true, yes, on).
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
+    tokens = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        dest = key.replace("-", "_")
+        if dest not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if dest not in flags:
+            continue  # key applies to another command
+        flag = "--" + dest.replace("_", "-")
+        if flags[dest].get("action") != "store_true":
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+    return tokens
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse the command line with the --config file's flags ahead of it."""
+    if argv and argv[0] in _COMMANDS:
+        pre = _Parser(prog=f"robe3bp {argv[0]}", add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv[1:])[0].config
+        if path:
+            argv = [argv[0], *_config_tokens(path, _COMMANDS[argv[0]][1]), *argv[1:]]
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    argv = _join_grid_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        ns = parser.parse_args(_join_grid_values(argv))
+        ns = _parse(argv)
+        params = Params(mu=ns.mu, k=ns.k, a1_oblate=ns.a1) if hasattr(ns, "mu") else None
+        code, outputs, cells = _COMMANDS[ns.command][0](ns, params)
+        for text, path in outputs:
+            _emit(text, path)
+        if ns.svg_region:
+            _emit(_region_svg(cells), ns.svg_region)
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
-    config_error = _apply_config(ns)
-    if config_error is not None:
-        return _fail_usage(config_error)
-    try:
-        return _COMMANDS[ns.command](ns)
+    except _NoEquilibrium:
+        print("robe3bp: no triangular equilibrium for these parameters", file=sys.stderr)
+        return EX_NO_EQUILIBRIUM
     except (ConvergenceError, SingularityError) as exc:
-        return _fail_runtime(str(exc))
+        message, code = str(exc), EX_RUNTIME
     except ValueError as exc:
-        return _fail_usage(str(exc))
+        message, code = str(exc), EX_USAGE
     except OSError as exc:
-        return _fail_runtime(f"i/o failure: {exc}")
+        message, code = f"i/o failure: {exc}", EX_RUNTIME
+    print(f"robe3bp: error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ pair (FSAL, adaptive step control, the fifth-order solution propagated).  The
 system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its drift
 along a trajectory is the accuracy audit for the integrator.  Trajectories
 terminate early with a flagged status on close approach to the second primary
-(r2 < 1e-6) or escape (|pos| > 1e3).  Escape is the generic fate for k < 0,
-where the buoyancy term repels from the first primary.  Sampling density is
-one row per accepted step; cap ``max_step`` for denser output.
+(r2 < ``model.COLLISION_R2``) or escape (|pos| > 1e3).  Escape is the generic
+fate for k < 0, where the buoyancy term repels from the first primary.
+Sampling density is one row per accepted step; cap ``max_step`` for denser
+output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NoGrowthError
-from .model import Params, _grad_s, _omega_s
+from .model import COLLISION_R2, Params, _grad_s, _omega_s
 from .equilibria import triangular_points
 from .stability import unstable_direction
 
@@ -40,7 +41,6 @@ __all__ = [
     "unstable_seed",
 ]
 
-COLLISION_R2 = 1e-6
 ESCAPE_RADIUS = 1e3
 
 
@@ -93,7 +93,7 @@ class IntegratorConfig:
 class Trajectory:
     """Time-sampled integration output (one sample per accepted step).
 
-    ``status`` is "completed", "collision" (r2 fell below 1e-6) or
+    ``status`` is "completed", "collision" (r2 fell below ``COLLISION_R2``) or
     "escape" (|pos| exceeded 1e3).
     """
 
@@ -120,10 +120,11 @@ def eom_rhs(state: PhaseState, params: Params) -> np.ndarray:
 
 def jacobi_constant(state: PhaseState, params: Params) -> float:
     """First integral C = 2 Omega(pos) - |vel|^2."""
-    x, y, z = state.pos
-    vx, vy, vz = state.vel
-    om = _omega_s(x, y, z, params.mu, params.k, params.n_sq)
-    return 2.0 * om - (vx * vx + vy * vy + vz * vz)
+    return _jacobi_s(*state.pos, *state.vel, params.mu, params.k, params.n_sq)
+
+
+def _jacobi_s(x, y, z, vx, vy, vz, mu, k, n_sq):
+    return 2.0 * _omega_s(x, y, z, mu, k, n_sq) - (vx * vx + vy * vy + vz * vz)
 
 
 def _rhs(x, y, z, vx, vy, vz, mu, k, n_sq, n):
@@ -153,10 +154,6 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     def rhs(s):
         return _rhs(*s, mu, k, n_sq, n)
 
-    def jac(s):
-        om = _omega_s(s[0], s[1], s[2], mu, k, n_sq)
-        return 2.0 * om - (s[3] * s[3] + s[4] * s[4] + s[5] * s[5])
-
     def flagged(s):
         x, y, z = s[0], s[1], s[2]
         dx2 = x + mu - 1.0
@@ -168,7 +165,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
 
     t = 0.0
     s = tuple(state0.vector())
-    times, states, jacobi = [t], [s], [jac(s)]
+    times, states, jacobi = [t], [s], [_jacobi_s(*s, mu, k, n_sq)]
     status = flagged(s)
     steps = rejections = 0
 
@@ -214,7 +211,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                 steps += 1
                 times.append(t)
                 states.append(s)
-                jacobi.append(jac(s))
+                jacobi.append(_jacobi_s(*s, mu, k, n_sq))
                 status = flagged(s)
                 if status is not None:
                     break
@@ -268,11 +265,11 @@ def growth_rate(
 
 
 def equilibrium_state(params: Params, branch: int = +1) -> PhaseState:
-    """The triangular equilibrium (zero velocity) on the chosen z-branch."""
-    pts = triangular_points(params)
-    if not pts.exists:
-        raise ValueError("triangular points do not exist for these parameters")
-    return PhaseState(pos=pts.point(branch), vel=np.zeros(3))
+    """The triangular equilibrium (zero velocity) on the chosen z-branch.
+
+    Raises ``ValueError`` if the triangular points do not exist.
+    """
+    return PhaseState(pos=triangular_points(params).point(branch), vel=np.zeros(3))
 
 
 def unstable_seed(params: Params, offset: float, branch: int = +1) -> PhaseState:

@@ -11,12 +11,13 @@ b1^2 = a1^2 (z = 0) is reported as non-existence, as is the line k = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
-from .model import Params, grad_omega, hessian_omega, radii
+from .model import COLLISION_R2, Params, grad_omega, hessian_omega, radii
 
 __all__ = [
     "TriangularPoints",
@@ -26,8 +27,6 @@ __all__ = [
     "existence_report",
     "refine_equilibrium",
 ]
-
-_R2_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,8 @@ class ExistenceReport:
 def aux_quantities(params: Params) -> tuple[float, float]:
     """Auxiliary quantities a1 = 2k/n^2 + mu - 1 and b1 = (-mu/2k)^(1/3).
 
-    Requires k < 0 so the cube-root argument is positive.
+    Requires k < 0 so the cube-root argument is positive, and |k| large
+    enough that -mu/2k does not overflow.
     """
     if params.k >= 0.0:
         raise ValueError(
@@ -74,6 +74,8 @@ def aux_quantities(params: Params) -> tuple[float, float]:
         )
     a1 = 2.0 * params.k / params.n_sq + params.mu - 1.0
     b1 = (-params.mu / (2.0 * params.k)) ** (1.0 / 3.0)
+    if b1 == math.inf:
+        raise ValueError(f"b1 = (-mu/2k)^(1/3) overflows for k={params.k}")
     return a1, b1
 
 
@@ -97,24 +99,24 @@ def triangular_points(params: Params) -> TriangularPoints:
 
 
 def existence_report(params: Params) -> ExistenceReport:
-    """Evaluate the three existence conditions independently.
+    """Report the three existence conditions; the verdict is ``triangular_points``'s.
 
-    The constraints are k < 0, 2k/n^2 + mu > 0 (the admissible triangular
+    The conditions are k < 0, 2k/n^2 + mu > 0 (the admissible triangular
     region in the (mu, 2k/n^2) plane), and b1^2 - a1^2 > 0.  The radicand
-    condition is reported false when k >= 0, where b1 is undefined.
+    condition is the predicate of :func:`triangular_points` (false when
+    k >= 0, where b1 is undefined), and it implies the region condition, so
+    ``region_ok`` is a diagnostic only.  Proof: if 2k/n^2 + mu <= 0 then
+    a1 = (2k/n^2 + mu) - 1 <= -1, and 2|k| >= mu n^2 >= mu (n^2 >= 1) gives
+    b1 = (mu/2|k|)^(1/3) <= 1, so b1^2 <= 1 <= a1^2.  Each step survives
+    rounding: a1 is rounded from the very sum that ``region_ok`` tests, and
+    rounding is monotone.
     """
-    k_negative = params.k < 0.0
-    region_ok = 2.0 * params.k / params.n_sq + params.mu > 0.0
-    if k_negative:
-        a1, b1 = aux_quantities(params)
-        radicand_ok = b1 * b1 - a1 * a1 > 0.0
-    else:
-        radicand_ok = False
+    exists = triangular_points(params).exists
     return ExistenceReport(
-        k_negative=k_negative,
-        region_ok=region_ok,
-        radicand_ok=radicand_ok,
-        verdict=k_negative and region_ok and radicand_ok,
+        k_negative=params.k < 0.0,
+        region_ok=2.0 * params.k / params.n_sq + params.mu > 0.0,
+        radicand_ok=exists,
+        verdict=exists,
     )
 
 
@@ -134,7 +136,7 @@ def refine_equilibrium(
     Parameters
     ----------
     guess : array-like of 3 floats
-        Starting position; must satisfy r2 > 1e-6.
+        Starting position; must satisfy r2 >= ``COLLISION_R2``.
     tol : float
         Convergence threshold on the max-norm of the gradient.
     max_iter : int
@@ -151,8 +153,10 @@ def refine_equilibrium(
     pos = np.asarray(guess, dtype=float).copy()
 
     def _check_r2(p):
-        if radii(p, params.mu)[1] < _R2_FLOOR:
-            raise SingularityError("iterate approached the second primary (r2 < 1e-6)")
+        if radii(p, params.mu)[1] < COLLISION_R2:
+            raise SingularityError(
+                f"iterate approached the second primary (r2 < {COLLISION_R2:g})"
+            )
 
     _check_r2(pos)
     g = grad_omega(pos, params)

@@ -5,7 +5,8 @@ length and the unit of time is chosen so the gravitational parameter of the
 system is 1.  The primaries sit at (-mu, 0, 0) and (1 - mu, 0, 0); the frame
 rotates with mean motion n, where n^2 = 1 + (3/2) A1 accounts for the
 oblateness of the first primary.  The buoyancy term -k r1^2 is smooth at
-r1 = 0, so only the second primary (r2 = 0) is a singularity.
+r1 = 0, so only the second primary (r2 = 0) is a singularity; iterations and
+trajectories stop once r2 falls below ``COLLISION_R2``.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ __all__ = [
     "hessian_omega",
 ]
 
+COLLISION_R2 = 1e-6
+
 
 def mean_motion_sq(a1_oblate: float) -> float:
-    """Mean-motion squared n^2 = 1 + (3/2) A1 for oblateness coefficient A1 >= 0."""
-    if a1_oblate < 0.0:
-        raise ValueError(f"oblateness coefficient must be >= 0, got {a1_oblate}")
+    """Mean-motion squared n^2 = 1 + (3/2) A1 for a finite oblateness coefficient A1 >= 0."""
+    if not 0.0 <= a1_oblate < math.inf:
+        raise ValueError(f"oblateness coefficient must be finite and >= 0, got {a1_oblate}")
     return 1.0 + 1.5 * a1_oblate
 
 
@@ -46,9 +49,9 @@ class Params:
         Mass ratio m2 / (m1 + m2), required to lie in (0, 1).
     k : float
         Buoyancy parameter, the coefficient of the -k r1^2 potential term.
-        Sign-free as an input; triangular equilibria require k < 0.
+        Finite and sign-free as an input; triangular equilibria require k < 0.
     a1_oblate : float
-        Oblateness coefficient A1 of the first primary, >= 0.
+        Oblateness coefficient A1 of the first primary, finite and >= 0.
     n_sq : float
         Derived mean-motion squared, 1 + 1.5 * a1_oblate.
     """
@@ -61,6 +64,8 @@ class Params:
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mass ratio must satisfy 0 < mu < 1, got {self.mu}")
+        if not math.isfinite(self.k):
+            raise ValueError(f"buoyancy parameter k must be finite, got {self.k}")
         object.__setattr__(self, "n_sq", mean_motion_sq(self.a1_oblate))
 
     @property

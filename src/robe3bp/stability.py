@@ -217,11 +217,9 @@ def unstable_direction(params: Params, branch: int = +1) -> tuple[float, np.ndar
     Returns the largest-real-part eigenvalue of the linearization matrix and
     its unit eigenvector (phase-rotated real).  Used to seed nonlinear
     integrations along the direction the linear analysis predicts will grow.
+    Raises ``ValueError`` if the triangular points do not exist.
     """
-    pts = triangular_points(params)
-    if not pts.exists:
-        raise ValueError("triangular points do not exist for these parameters")
-    hess = hessian_omega(pts.point(branch), params)
+    hess = hessian_omega(triangular_points(params).point(branch), params)
     m = linearization_matrix(hess, params.n_sq)
     eigvals, eigvecs = np.linalg.eig(m)
     i = int(np.argmax(eigvals.real))

@@ -267,3 +267,85 @@ def test_locate_svg_single_point(tmp_path, capsys):
     assert main(["locate", *CANONICAL_ARGS, "--svg-region", str(svg),
                  "--output", str(tmp_path / "l.json")]) == 0
     assert svg.read_text().count("<circle") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["locate", "--mu", "0.1", "--k", "nan"], "k must be finite"),
+    (["locate", "--mu", "0.1", "--k", "-0.01", "--a1", "nan"], "must be finite"),
+    (["locate", "--mu", "0.1", "--k", "-0.01", "--a1", "inf"], "must be finite"),
+    (["locate", "--mu", "0.1", "--k=-1e-320"], "overflows"),
+    (["stability", "--mu", "0.1", "--k=-1e-320"], "overflows"),
+    (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.3:nan:2"], "k must be finite"),
+])
+def test_non_finite_inputs_exit_64(argv, message, capsys):
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("robe3bp: error:") and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["locate", *CANONICAL_ARGS, "--tol", "1e-9"],
+    ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--format", "json"],
+    ["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.05:-0.01:2", "--mu", "0.1"],
+    ["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.05:-0.01:2", "--k", "-0.01"],
+])
+def test_flag_without_meaning_for_command_exits_64(argv, tmp_path, capsys):
+    assert main([*argv, "--output", str(tmp_path / "out")]) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("stability", "mu = 0.1\nk = -0.01\ntol = 0\n"),
+    ("locate", "mu = abc\nk = -0.01\n"),
+])
+def test_config_values_are_validated_like_flags(command, text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+def test_config_key_of_another_command_is_skipped(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_mu = 0.1:0.2:2\nt_end = 5\ntol = 0\nmu = 0.1\nk = -0.01\n")
+    code, rep = _run_json(capsys, ["locate", "--config", str(cfg)])
+    assert code == 0
+    assert rep["mu"] == 0.1 and rep["k"] == -0.01 and rep["a1"] == 0.0
+
+
+def _as_config(flags):
+    """`--key value`, `--key=value` and `--switch` tokens as config lines."""
+    lines, i = [], 0
+    while i < len(flags):
+        key, sep, value = flags[i][2:].partition("=")
+        if not sep:
+            if i + 1 < len(flags) and not flags[i + 1].startswith("--"):
+                value, i = flags[i + 1], i + 1
+            else:
+                value = "true"
+        lines.append(f"{key} = {value}\n")
+        i += 1
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", *CANONICAL_ARGS, "--tol", "1e-6", "--format", "csv"],
+    ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8",
+     "--t-end", "20"],
+    ["sweep", "--grid-mu", "0.1:0.3:2", "--grid-k=-0.05:-0.01:2", "--grid-a1", "0:0.1:2",
+     "--format", "json"],
+])
+def test_config_file_and_flags_give_identical_bytes(argv, tmp_path, capsys):
+    command, *flags = argv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_as_config(flags))
+    out, svg = tmp_path / "out", tmp_path / "region.svg"
+    results = []
+    for run in ([command, *flags], [command, "--config", str(cfg)]):
+        code = main([*run, "--output", str(out), "--svg-region", str(svg)])
+        results.append((code, capsys.readouterr().out, out.read_bytes(), svg.read_bytes()))
+    assert results[0][0] == 0
+    assert results[0] == results[1]

@@ -81,6 +81,12 @@ def test_jacobi_reflection_invariance(canonical):
         assert jacobi_constant(flipped, canonical) == c
 
 
+def test_integrate_jacobi_column_is_jacobi_constant(canonical):
+    traj = integrate(unstable_seed(canonical, 1e-6), canonical, IntegratorConfig(t_end=5.0))
+    expected = [jacobi_constant(PhaseState.from_vector(s), canonical) for s in traj.states]
+    npt.assert_array_equal(traj.jacobi, expected)
+
+
 def test_integrate_fixed_point(canonical):
     state0 = equilibrium_state(canonical)
     traj = integrate(state0, canonical, IntegratorConfig(t_end=50.0))

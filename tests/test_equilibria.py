@@ -9,6 +9,7 @@ from robe3bp import (
     aux_quantities,
     existence_report,
     grad_omega,
+    mean_motion_sq,
     radii,
     refine_equilibrium,
     triangular_points,
@@ -38,6 +39,15 @@ def test_aux_rejects_nonnegative_k():
         aux_quantities(Params(mu=0.1, k=0.01))
     with pytest.raises(ValueError):
         aux_quantities(Params(mu=0.1, k=0.0))
+
+
+def test_aux_rejects_overflowing_b1():
+    # -mu/2k = 5e318 overflows to inf, which once gave exists=True with z = inf
+    params = Params(mu=0.1, k=-1e-320)
+    with pytest.raises(ValueError, match="overflows"):
+        aux_quantities(params)
+    with pytest.raises(ValueError, match="overflows"):
+        triangular_points(params)
 
 
 def test_triangular_points_canonical(canonical):
@@ -91,12 +101,36 @@ def test_existence_report_region_failure():
         (True, False, False, False)
 
 
+def _region_boundary_cells():
+    """Cells just inside, on and just outside the line 2k/n^2 + mu = 0."""
+    cells = []
+    for mu in (0.05, 0.3, 0.5, 0.95):
+        for a1 in (0.0, 0.05, 0.2):
+            k0 = -mu * mean_motion_sq(a1) / 2.0
+            for k in (0.999 * k0, np.nextafter(k0, 0.0), k0, np.nextafter(k0, -1.0),
+                      1.001 * k0):
+                cells.append((mu, float(k), a1))
+    return cells
+
+
 def test_existence_verdict_matches_exists_for_negative_k():
     # for k < 0 the radicand condition implies the region condition, so the
     # three-way verdict and `exists` agree on that branch
-    for mu, k, a1 in acceptance_grid():
+    for mu, k, a1 in acceptance_grid() + _region_boundary_cells():
         params = Params(mu=mu, k=k, a1_oblate=a1)
         assert existence_report(params).verdict == triangular_points(params).exists
+
+
+def test_existence_implies_region_ok():
+    cells = acceptance_grid() + _region_boundary_cells()
+    seen = set()
+    for mu, k, a1 in cells:
+        params = Params(mu=mu, k=k, a1_oblate=a1)
+        rep = existence_report(params)
+        seen.add((rep.region_ok, rep.verdict))
+        assert rep.region_ok or not triangular_points(params).exists
+    # the cells reach every combination the implication allows
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_mirror_and_r2_properties():

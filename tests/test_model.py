@@ -34,6 +34,17 @@ def test_params_validation():
         Params(mu=0.1, k=-0.01, a1_oblate=-0.1)
 
 
+def test_params_rejects_non_finite():
+    for k in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Params(mu=0.1, k=k)
+    for a1 in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mean_motion_sq(a1)
+        with pytest.raises(ValueError, match="finite"):
+            Params(mu=0.1, k=-0.01, a1_oblate=a1)
+
+
 def test_params_n_sq_derived_exactly():
     rng = np.random.default_rng(7)
     for a1 in rng.uniform(0.0, 0.5, 20):
