@@ -318,7 +318,8 @@ def _sweep(ns, _):
                     rows.append([mu, k, a1, False] + [None] * 6 + [""])
                     continue
                 coeffs = char_coeffs(params)
-                verdict = classify(solve_characteristic(coeffs), tol=ns.tol)
+                verdict = classify(solve_characteristic(coeffs), tol=ns.tol,
+                                   sign_changes=sign_change_count(coeffs))
                 rows.append([
                     mu, k, a1, True, pts.x_eq, pts.z_plus,
                     coeffs.p, coeffs.q, coeffs.r,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -81,12 +82,12 @@ class IntegratorConfig:
     t_end: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.max_step <= 0.0 or self.initial_step <= 0.0:
-            raise ValueError("step sizes must be positive")
+        for name in ("rel_tol", "abs_tol", "initial_step", "t_end"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not self.max_step > 0.0:  # inf means no cap
+            raise ValueError(f"max_step must be positive, got {self.max_step}")
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,7 @@ class Trajectory:
 
 def eom_rhs(state: PhaseState, params: Params) -> np.ndarray:
     """Time derivative of the 6-vector state: (vel, acc) with Coriolis coupling."""
-    x, y, z = state.pos
-    vx, vy, vz = state.vel
-    return np.array(_rhs(x, y, z, vx, vy, vz, params.mu, params.k, params.n_sq, params.n))
+    return np.array(_rhs(*state.pos, *state.vel, params.mu, params.k, params.n_sq, params.n))
 
 
 def jacobi_constant(state: PhaseState, params: Params) -> float:
@@ -132,13 +131,15 @@ def _rhs(x, y, z, vx, vy, vz, mu, k, n_sq, n):
     return (vx, vy, vz, gx + 2.0 * n * vy, gy - 2.0 * n * vx, gz)
 
 
-# Dormand-Prince 5(4) tableau (FSAL: the last stage is the next step's first).
+# Dormand-Prince 5(4) tableau.  Each _STAGES row weighs the stages so far into
+# the next point; the last gives the solution, whose derivative is the next k1 (FSAL).
 _A2 = (1 / 5,)
 _A3 = (3 / 40, 9 / 40)
 _A4 = (44 / 45, -56 / 15, 32 / 9)
 _A5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
 _A6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_STAGES = (_A2, _A3, _A4, _A5, _A6, _B5)
 _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
@@ -150,9 +151,6 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     :class:`ConvergenceError` on step-size underflow.
     """
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
-
-    def rhs(s):
-        return _rhs(*s, mu, k, n_sq, n)
 
     def flagged(s):
         x, y, z = s[0], s[1], s[2]
@@ -171,7 +169,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
 
     if status is None:
         h = min(cfg.initial_step, cfg.max_step, cfg.t_end)
-        k1 = rhs(s)
+        k1 = _rhs(*s, mu, k, n_sq, n)
         while t < cfg.t_end:
             if h > cfg.t_end - t:
                 h = cfg.t_end - t
@@ -183,31 +181,20 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     "requested tolerances"
                 )
 
-            def stage(coeffs, *kk):
-                return tuple(
-                    si + h * sum(c * ki[j] for c, ki in zip(coeffs, kk))
-                    for j, si in enumerate(s)
-                )
-
-            k2 = rhs(stage(_A2, k1))
-            k3 = rhs(stage(_A3, k1, k2))
-            k4 = rhs(stage(_A4, k1, k2, k3))
-            k5 = rhs(stage(_A5, k1, k2, k3, k4))
-            k6 = rhs(stage(_A6, k1, k2, k3, k4, k5))
-            s_new = stage(_B5, k1, k2, k3, k4, k5, k6)
-            k7 = rhs(s_new)
+            ks = [k1]
+            for row in _STAGES:
+                s_new = tuple(si + h * sum(map(mul, row, kj)) for si, kj in zip(s, zip(*ks)))
+                ks.append(_rhs(*s_new, mu, k, n_sq, n))
 
             err_sq = 0.0
-            kk = (k1, k2, k3, k4, k5, k6, k7)
-            for j in range(6):
-                e_j = h * sum(c * ki[j] for c, ki in zip(_ERR, kk))
-                scale = cfg.abs_tol + cfg.rel_tol * max(abs(s[j]), abs(s_new[j]))
-                err_sq += (e_j / scale) ** 2
+            for si, ni, kj in zip(s, s_new, zip(*ks)):
+                scale = cfg.abs_tol + cfg.rel_tol * max(abs(si), abs(ni))
+                err_sq += (h * sum(map(mul, _ERR, kj)) / scale) ** 2
             err = math.sqrt(err_sq / 6.0)
 
             if err <= 1.0:
                 t += h
-                s, k1 = s_new, k7
+                s, k1 = s_new, ks[-1]
                 steps += 1
                 times.append(t)
                 states.append(s)

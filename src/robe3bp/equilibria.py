@@ -148,8 +148,8 @@ def refine_equilibrium(
         Position with |grad_omega|_inf < tol.  A guess that already satisfies
         the tolerance is returned unchanged.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     pos = np.asarray(guess, dtype=float).copy()
 
     def _check_r2(p):
@@ -171,19 +171,16 @@ def refine_equilibrium(
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular Hessian in Newton refinement") from exc
 
-        # damping: halve until the residual norm decreases, at most 20 times
+        # damping: halve until the residual norm decreases, at most 20 times;
+        # the last candidate (scale 2^-20) is taken whether or not it decreases
         scale = 1.0
-        for _ in range(20):
+        for _ in range(21):
             cand = pos + scale * step
             _check_r2(cand)
             g_cand = grad_omega(cand, params)
             if np.linalg.norm(g_cand) < res:
                 break
             scale *= 0.5
-        else:
-            cand = pos + scale * step
-            _check_r2(cand)
-            g_cand = grad_omega(cand, params)
 
         pos, g = cand, g_cand
         res = np.linalg.norm(g)

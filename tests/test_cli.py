@@ -98,6 +98,21 @@ def test_stability_bad_tol_exits_64(capsys):
     assert main(["stability", *CANONICAL_ARGS, "--tol", "0"]) == 64
 
 
+@pytest.mark.parametrize("k", ["-1e-300", "-1e-20"])
+def test_verdict_follows_sign_certificate_at_tiny_k(k, tmp_path, capsys):
+    # the positive root (~1e-150, ~1e-10) lies below --tol, but r < 0 certifies it
+    code, rep = _run_json(capsys, ["stability", "--mu", "0.1", f"--k={k}"])
+    assert code == 0
+    assert rep["r"] < 0 and rep["sign_changes"] == 1
+    assert rep["max_real_part"] < 1e-9
+    assert rep["classification"] == "unstable"
+    out = tmp_path / "cell.csv"
+    assert main(["sweep", "--grid-mu", "0.1:0.1:1", f"--grid-k={k}:{k}:1",
+                 "--output", str(out)]) == 0
+    header, row = _read_csv(out)
+    assert dict(zip(header, row))["classification"] == "unstable"
+
+
 def test_stability_csv_matches_json(tmp_path, capsys):
     code, rep = _run_json(capsys, ["stability", *CANONICAL_ARGS])
     out = tmp_path / "stab.csv"

@@ -42,6 +42,14 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(initial_step=-1e-3)
+    for name in ("rel_tol", "abs_tol", "initial_step", "t_end"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                IntegratorConfig(**{name: value})
+    for value in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="max_step"):
+            IntegratorConfig(max_step=value)
+    assert IntegratorConfig(max_step=np.inf).max_step == np.inf
 
 
 def test_rhs_at_rest_equilibrium(canonical):
@@ -162,6 +170,20 @@ def test_jacobi_drift_against_tightened_tolerance():
     npt.assert_allclose(loose.states[-1], tight.states[-1], atol=1e-8)
     assert np.max(np.abs(loose.jacobi - loose.jacobi[0])) < 1e-9
     assert np.max(np.abs(tight.jacobi - tight.jacobi[0])) < 1e-9
+
+
+def test_integrate_matches_dop853_oracle():
+    # an independent integrator (scipy's 8th-order Dormand-Prince) on the same
+    # right-hand side, evaluated at this integrator's sample times
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
+    traj = integrate(state0, CONFINING, IntegratorConfig(t_end=20.0))
+    assert traj.status == "completed"
+    ref = solve_ivp(lambda t, y: eom_rhs(PhaseState.from_vector(y), CONFINING),
+                    (0.0, 20.0), state0.vector(), method="DOP853",
+                    t_eval=traj.times, rtol=1e-13, atol=1e-13)
+    assert ref.success
+    npt.assert_allclose(traj.states, ref.y.T, rtol=0.0, atol=1e-8)
 
 
 def test_reversibility():

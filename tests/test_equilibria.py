@@ -192,6 +192,12 @@ def test_refine_rejects_bad_tolerance(canonical):
         refine_equilibrium((0.0, 0.0, 1.0), canonical, tol=0.0)
 
 
+def test_refine_rejects_nan_tolerance(canonical):
+    # refused up front, not after the whole iteration budget
+    with pytest.raises(ValueError, match="finite"):
+        refine_equilibrium((0.0, 0.0, 1.0), canonical, tol=np.nan)
+
+
 def test_refine_agreement_property(canonical):
     # random perturbations of norm <= 1e-2 all converge back to the analytic point
     target = triangular_points(canonical).point(+1)

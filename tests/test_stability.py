@@ -152,8 +152,22 @@ def test_classify_unit_root():
 
 
 def test_classify_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        classify(np.array([1j, -1j]), tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            classify(np.array([1j, -1j]), tol=tol)
+
+
+def test_classify_odd_sign_changes_is_unstable_below_tol():
+    # (u + 1)(u + 4)(u - 1e-30): r < 0 certifies lambda+ = 1e-15, far below tol
+    coeffs = CharCoeffs(5.0, 4.0, -4e-30)
+    roots = solve_characteristic(coeffs)
+    assert np.max(roots.real) < 1e-9
+    assert classify(roots).classification is Classification.MARGINALLY_STABLE
+    verdict = classify(roots, sign_changes=sign_change_count(coeffs))
+    assert verdict.classification is Classification.UNSTABLE
+    assert verdict.sign_changes == 1
+    even = classify(roots, sign_changes=2)
+    assert even.classification is Classification.MARGINALLY_STABLE
 
 
 def test_sign_change_count():
@@ -162,6 +176,8 @@ def test_sign_change_count():
     assert sign_change_count(CharCoeffs(-1.0, 1.0, -1.0)) == 3
     assert sign_change_count(CharCoeffs(0.0, 1.0, -1.0)) == 1
     assert sign_change_count(CharCoeffs(0.0, -1.0, 0.0)) == 1
+    numpy_count = sign_change_count(CharCoeffs(*np.array([2.0, 0.990899, -0.045252])))
+    assert numpy_count == 1 and type(numpy_count) is int
 
 
 def test_linearization_pure_coriolis():
