@@ -67,6 +67,8 @@ class _NoEquilibrium(Exception):
 
 def _fmt(value) -> str:
     """Fixed CSV field formatting: 17 significant digits, lowercase booleans."""
+    if type(value) is float:  # nearly every field, so tested first
+        return format(value, ".17g")
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -114,7 +116,7 @@ def _positive(text: str) -> float:
     return value
 
 
-def _grid(spec: str) -> list[float]:
+def _grid(spec: str) -> np.ndarray:
     """MIN:MAX:N as N evenly spaced values (just MIN when N is 1)."""
     try:
         lo, hi, count = spec.split(":")
@@ -125,9 +127,7 @@ def _grid(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"count must be >= 1, got {count}")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"range must be ordered (MIN <= MAX), got {spec!r}")
-    if count == 1:
-        return [lo]
-    return list(np.linspace(lo, hi, count))
+    return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
 
 
 def _join_grid_values(argv: list[str]) -> list[str]:
@@ -198,9 +198,10 @@ def _existing_points(params: Params):
     return pts
 
 
-def _cell(params: Params, exists: bool) -> tuple[float, float, bool]:
-    """Position of a parameter cell in the (mu, 2k/n^2) plane of the SVG."""
-    return params.mu, 2 * params.k / params.n_sq, exists
+def _cells(params: Params, exists) -> list[tuple[float, float, bool]]:
+    """Positions of the parameter cells in the (mu, 2k/n^2) plane of the SVG."""
+    columns = (params.mu, 2 * params.k / params.n_sq, exists)
+    return list(zip(*(np.atleast_1d(c).tolist() for c in columns)))
 
 
 def _locate(ns, params):
@@ -230,7 +231,7 @@ def _locate(ns, params):
         for key, branch in (("grad_residual_plus", +1), ("grad_residual_minus", -1)):
             out[key] = float(np.max(np.abs(grad_omega(pts.point(branch), params))))
     code = EX_OK if pts.exists else EX_NO_EQUILIBRIUM
-    return code, [(_report_text(out, ns.format), ns.output)], [_cell(params, pts.exists)]
+    return code, [(_report_text(out, ns.format), ns.output)], _cells(params, pts.exists)
 
 
 def _stability(ns, params):
@@ -265,7 +266,7 @@ def _stability(ns, params):
     out["max_real_part"] = verdict.max_real_part
     out["positive_real_root_count"] = verdict.positive_real_root_count
     out["classification"] = verdict.classification.value
-    return EX_OK, [(_report_text(out, ns.format), ns.output)], [_cell(params, True)]
+    return EX_OK, [(_report_text(out, ns.format), ns.output)], _cells(params, True)
 
 
 def _integrate(ns, params):
@@ -301,36 +302,37 @@ def _integrate(ns, params):
             summary["growth_fit_error"] = str(exc)
     rows = ([t, *state, c] for t, state, c in zip(traj.times, traj.states, traj.jacobi))
     outputs = [(_csv_text(TRAJECTORY_COLUMNS, rows), ns.output), (_json_text(summary), None)]
-    return EX_OK, outputs, [_cell(params, True)]
+    return EX_OK, outputs, _cells(params, True)
 
 
 def _sweep(ns, _):
     """stability map over a parameter grid"""
-    rows, cells = [], []
-    grid_a1 = ns.grid_a1 or [ns.a1]
-    for mu in ns.grid_mu:
-        for k in ns.grid_k:
-            for a1 in grid_a1:
-                params = Params(mu=mu, k=k, a1_oblate=a1)
-                pts = triangular_points(params)
-                cells.append(_cell(params, pts.exists))
-                if not pts.exists:
-                    rows.append([mu, k, a1, False] + [None] * 6 + [""])
-                    continue
-                coeffs = char_coeffs(params)
-                verdict = classify(solve_characteristic(coeffs), tol=ns.tol,
-                                   sign_changes=sign_change_count(coeffs))
-                rows.append([
-                    mu, k, a1, True, pts.x_eq, pts.z_plus,
-                    coeffs.p, coeffs.q, coeffs.r,
-                    verdict.max_real_part, verdict.classification.value,
-                ])
+    grid_a1 = np.array([ns.a1]) if ns.grid_a1 is None else ns.grid_a1
+    mu, k, a1 = (g.ravel() for g in np.meshgrid(ns.grid_mu, ns.grid_k, grid_a1, indexing="ij"))
+    params = Params(mu=mu, k=k, a1_oblate=a1)
+    pts = triangular_points(params)
+    ok = pts.exists
+    coeffs = char_coeffs(Params(mu=mu[ok], k=k[ok], a1_oblate=a1[ok]))
+    verdict = classify(solve_characteristic(coeffs), tol=ns.tol,
+                       sign_changes=sign_change_count(coeffs))
+
+    def column(values, missing=None):
+        """One value per cell from the values of the cells with a point."""
+        out = np.full(ok.shape, missing, dtype=object)
+        out[ok] = values
+        return out.tolist()
+
+    rows = list(zip(
+        mu.tolist(), k.tolist(), a1.tolist(), ok.tolist(),
+        column(pts.x_eq[ok]), column(pts.z_plus[ok]), *map(column, coeffs),
+        column(verdict.max_real_part), column(verdict.classification, ""),
+    ))
     if ns.format == "json":
         text = _json_text({"command": "sweep",
                            "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]})
     else:
         text = _csv_text(SWEEP_COLUMNS, rows)
-    return EX_OK, [(text, ns.output)], cells
+    return EX_OK, [(text, ns.output)], _cells(params, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
-from .model import COLLISION_R2, Params, grad_omega, hessian_omega, radii
+from .model import COLLISION_R2, Params, _require, grad_omega, hessian_omega, radii
 
 __all__ = [
     "TriangularPoints",
@@ -34,7 +34,9 @@ class TriangularPoints:
     """Closed-form triangular equilibrium pair with existence diagnostics.
 
     Coordinate fields are ``None`` unless ``exists`` is true; the auxiliary
-    quantities are ``None`` when k >= 0 (b1 undefined there).
+    quantities are ``None`` when k >= 0 (b1 undefined there).  For array
+    ``Params`` every field is an array of their shape, with NaN in place of
+    ``None``.
     """
 
     exists: bool
@@ -45,7 +47,7 @@ class TriangularPoints:
     z_minus: float | None = None
 
     def point(self, branch: int = +1) -> np.ndarray:
-        """Position of the +z (branch=+1) or -z (branch=-1) point."""
+        """Position of the +z (branch=+1) or -z (branch=-1) point of a scalar cell."""
         if not self.exists:
             raise ValueError("triangular points do not exist for these parameters")
         z = self.z_plus if branch >= 0 else self.z_minus
@@ -62,40 +64,75 @@ class ExistenceReport:
     verdict: bool
 
 
-def aux_quantities(params: Params) -> tuple[float, float]:
+# The kernels below run on a scalar cell and on arrays of cells alike:
+# arithmetic and comparisons broadcast, and these two helpers do the two steps
+# that do not.
+
+def _where(cond, value):
+    """``value`` where ``cond`` holds and NaN elsewhere."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, value, np.nan)
+    return value if cond else math.nan
+
+
+def _cube_root(values):
+    """values^(1/3) by the C library's ``pow``, which Python's ``**`` calls.
+
+    Arrays go through it element by element: numpy's vectorized power differs
+    from it by an ulp on a few percent of inputs, and near the fold
+    b1^2 = a1^2 cancellation magnifies that ulp in z and r.
+    """
+    if isinstance(values, np.ndarray):
+        roots = [v ** (1.0 / 3.0) for v in values.ravel().tolist()]
+        return np.array(roots).reshape(values.shape)
+    return values ** (1.0 / 3.0)
+
+
+def _points(params: Params):
+    """exists, a1, b1, x and z of one cell, or of every cell of array ``Params``.
+
+    a1 = 2k/n^2 + mu - 1 and b1 = (-mu/2k)^(1/3) are NaN where k >= 0 (b1 is
+    undefined there); x = 2k/n^2 and z = (b1^2 - a1^2)^(1/2) are NaN where no
+    point exists.  An overflowing b1 is an input error, never a cell without
+    points.
+    """
+    mu, k, n_sq = params.mu, params.k, params.n_sq
+    negative = k < 0.0
+    with np.errstate(all="ignore"):  # as with Python floats: inf on overflow
+        x = 2.0 * k / n_sq
+        a1 = _where(negative, x + mu - 1.0)
+        b1 = _cube_root(-mu / (2.0 * _where(negative, k)))
+        _require(b1 != math.inf, k, "b1 = (-mu/2k)^(1/3) overflows for k={}")
+        radicand = b1 * b1 - a1 * a1
+        exists = radicand > 0.0
+        z = np.sqrt(_where(exists, radicand))
+    return exists, a1, b1, _where(exists, x), z
+
+
+def aux_quantities(params: Params):
     """Auxiliary quantities a1 = 2k/n^2 + mu - 1 and b1 = (-mu/2k)^(1/3).
 
     Requires k < 0 so the cube-root argument is positive, and |k| large
-    enough that -mu/2k does not overflow.
+    enough that -mu/2k does not overflow.  Numbers for scalar ``Params``,
+    arrays of their shape otherwise.
     """
-    if params.k >= 0.0:
-        raise ValueError(
-            f"auxiliary quantities need k < 0 (cube-root argument -mu/2k > 0), got k={params.k}"
-        )
-    a1 = 2.0 * params.k / params.n_sq + params.mu - 1.0
-    b1 = (-params.mu / (2.0 * params.k)) ** (1.0 / 3.0)
-    if b1 == math.inf:
-        raise ValueError(f"b1 = (-mu/2k)^(1/3) overflows for k={params.k}")
+    _require(params.k < 0.0, params.k,
+             "auxiliary quantities need k < 0 (cube-root argument -mu/2k > 0), got k={}")
+    _, a1, b1, _, _ = _points(params)
     return a1, b1
 
 
 def triangular_points(params: Params) -> TriangularPoints:
-    """Compute the triangular equilibrium pair; non-existence is a value, not an error."""
-    if params.k >= 0.0:
-        return TriangularPoints(exists=False)
-    a1, b1 = aux_quantities(params)
-    radicand = b1 * b1 - a1 * a1
-    if radicand <= 0.0:
-        return TriangularPoints(exists=False, a1_aux=a1, b1_aux=b1)
-    z = np.sqrt(radicand)
-    return TriangularPoints(
-        exists=True,
-        a1_aux=a1,
-        b1_aux=b1,
-        x_eq=2.0 * params.k / params.n_sq,
-        z_plus=float(z),
-        z_minus=float(-z),
-    )
+    """Compute the triangular equilibrium pair; non-existence is a value, not an error.
+
+    One pass over every cell of array ``Params``; a scalar ``Params`` is the
+    one-cell case and gets floats, or ``None``, back.
+    """
+    exists, a1, b1, x, z = _points(params)
+    if isinstance(exists, np.ndarray):
+        return TriangularPoints(exists, a1, b1, x, z, -z)
+    coords = (a1, b1, x, z, -z)
+    return TriangularPoints(bool(exists), *(None if v != v else float(v) for v in coords))
 
 
 def existence_report(params: Params) -> ExistenceReport:

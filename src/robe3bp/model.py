@@ -32,16 +32,34 @@ __all__ = [
 COLLISION_R2 = 1e-6
 
 
-def mean_motion_sq(a1_oblate: float) -> float:
-    """Mean-motion squared n^2 = 1 + (3/2) A1 for a finite oblateness coefficient A1 >= 0."""
-    if not 0.0 <= a1_oblate < math.inf:
-        raise ValueError(f"oblateness coefficient must be finite and >= 0, got {a1_oblate}")
+def _require(ok, value, message: str) -> None:
+    """Raise ``ValueError(message.format(v))`` for the first ``v`` of ``value`` where ``ok`` fails.
+
+    ``ok`` and ``value`` are a bool and a number, or arrays of one shape.
+    """
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise ValueError(message.format(np.asarray(value)[np.logical_not(ok)][0].item()))
+
+
+def mean_motion_sq(a1_oblate):
+    """Mean-motion squared n^2 = 1 + (3/2) A1 for a finite oblateness coefficient A1 >= 0.
+
+    Elementwise for an array of coefficients.
+    """
+    _require((0.0 <= a1_oblate) & (a1_oblate < math.inf), a1_oblate,
+             "oblateness coefficient must be finite and >= 0, got {}")
     return 1.0 + 1.5 * a1_oblate
 
 
 @dataclass(frozen=True)
 class Params:
     """Nondimensional model parameters.
+
+    The fields are numbers, or numpy arrays for a grid of parameter cells:
+    ``triangular_points``, ``char_coeffs`` and the rest of the linear layer
+    then work on every cell at once.  Given one array, all fields are
+    broadcast against each other and stored as float64 arrays; numbers are
+    kept as given, so a scalar ``Params`` has plain ``float`` fields.
 
     Attributes
     ----------
@@ -62,16 +80,20 @@ class Params:
     n_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError(f"mass ratio must satisfy 0 < mu < 1, got {self.mu}")
-        if not math.isfinite(self.k):
-            raise ValueError(f"buoyancy parameter k must be finite, got {self.k}")
+        fields = ("mu", "k", "a1_oblate")
+        values = [getattr(self, name) for name in fields]
+        if any(isinstance(v, np.ndarray) for v in values):
+            for name, value in zip(fields, np.broadcast_arrays(*values)):
+                object.__setattr__(self, name, np.array(value, dtype=float))
+        _require((0.0 < self.mu) & (self.mu < 1.0), self.mu,
+                 "mass ratio must satisfy 0 < mu < 1, got {}")
+        _require(np.isfinite(self.k), self.k, "buoyancy parameter k must be finite, got {}")
         object.__setattr__(self, "n_sq", mean_motion_sq(self.a1_oblate))
 
     @property
     def n(self) -> float:
         """Mean motion n = sqrt(n_sq)."""
-        return math.sqrt(self.n_sq)
+        return np.sqrt(self.n_sq) if np.ndim(self.n_sq) else math.sqrt(self.n_sq)
 
 
 class PotentialHessian(NamedTuple):

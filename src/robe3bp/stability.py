@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructureError
-from .model import Params, PotentialHessian, hessian_omega
+from .model import Params, PotentialHessian, _require, hessian_omega
 from .equilibria import triangular_points
 
 __all__ = [
@@ -86,20 +86,22 @@ class StabilityVerdict:
 def char_coeffs(params: Params) -> CharCoeffs:
     """Closed-form characteristic coefficients at the triangular points.
 
+    Floats for scalar ``Params``, arrays of their shape otherwise.
+
     Raises
     ------
     ValueError
-        If the triangular points do not exist for ``params``.
+        If the triangular points do not exist for ``params`` (for any cell).
     """
     pts = triangular_points(params)
-    if not pts.exists:
-        raise ValueError("triangular points do not exist for these parameters")
+    _require(pts.exists, params.k, "triangular points do not exist for these parameters")
     a1, b1 = pts.a1_aux, pts.b1_aux
     n_sq, k = params.n_sq, params.k
-    a1_sq, b1_sq = a1 * a1, b1 * b1
-    p = 2.0 * (n_sq + 3.0 * k)
-    q = n_sq * (n_sq - 6.0 * k * (3.0 * a1_sq - 2.0 * b1_sq) / b1_sq)
-    r = 6.0 * n_sq * n_sq * k * (b1_sq - a1_sq) / b1_sq
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        a1_sq, b1_sq = a1 * a1, b1 * b1
+        p = 2.0 * (n_sq + 3.0 * k)
+        q = n_sq * (n_sq - 6.0 * k * (3.0 * a1_sq - 2.0 * b1_sq) / b1_sq)
+        r = 6.0 * n_sq * n_sq * k * (b1_sq - a1_sq) / b1_sq
     return CharCoeffs(p, q, r)
 
 
@@ -132,33 +134,33 @@ def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
     """Six roots of lambda^6 + p lambda^4 + q lambda^2 + r.
 
     Solves the cubic u^3 + p u^2 + q u + r = 0 (u = lambda^2) by the companion
-    method, polishes each u-root with Newton on the cubic, and emits the pair
+    method (Edelman & Murakami 1995), polishes each u-root with three Newton
+    steps on the cubic (a root stops at a zero derivative), and emits the pair
     lambda = +/- sqrt(u) per root (principal branch plus its negation, which
     keeps the set closed under negation regardless of the branch cut).
+
+    Coefficients of shape S give roots of shape S + (6,): scalars give six,
+    arrays one stacked eigenvalue call for every cell.
     """
-    p, q, r = coeffs
-    u_roots = np.roots([1.0, p, q, r]).astype(complex)
-
-    def cubic(u):
-        return ((u + p) * u + q) * u + r
-
-    def dcubic(u):
-        return (3.0 * u + 2.0 * p) * u + q
-
-    polished = []
-    for u in u_roots:
+    p, q, r = (np.asarray(c, dtype=float) for c in coeffs)
+    companion = np.zeros(p.shape + (3, 3))
+    companion[..., 0, 0], companion[..., 0, 1], companion[..., 0, 2] = -p, -q, -r
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    # transposed, the three roots of a cell lie on the first axis and the
+    # coefficients broadcast over them; complex coefficients give the same
+    # sums as real ones, without numpy's slower mixed-type loops
+    u = np.linalg.eigvals(companion).T.astype(complex)
+    p, q, r = (c.T.astype(complex) for c in (p, q, r))
+    p2 = 2.0 * p
+    active = np.ones(u.shape, dtype=bool)
+    with np.errstate(all="ignore"):  # stopped roots divide by zero, then are masked
         for _ in range(3):
-            d = dcubic(u)
-            if d == 0:
-                break
-            u = u - cubic(u) / d
-        polished.append(u)
-
-    roots = np.empty(6, dtype=complex)
-    for i, u in enumerate(polished):
-        s = np.sqrt(u)
-        roots[2 * i] = s
-        roots[2 * i + 1] = -s
+            d = (3.0 * u + p2) * u + q
+            active &= d != 0
+            u = np.where(active, u - (((u + p) * u + q) * u + r) / d, u)
+    s = np.sqrt(u).T
+    roots = np.empty(s.shape[:-1] + (6,), dtype=complex)
+    roots[..., 0::2], roots[..., 1::2] = s, -s
     return roots
 
 
@@ -172,34 +174,38 @@ def classify(
     ``sign_changes`` is :func:`sign_change_count` of the coefficients the
     roots solve, when the caller has them at hand.  By Descartes' rule an odd
     count guarantees a positive real root u = lambda^2, so the verdict is
-    unstable however small that root is next to ``tol``.  Also counts the real
-    roots exceeding ``tol`` (imaginary part below ``tol`` in magnitude).
+    unstable however small that root is next to ``tol``.  Also counts the
+    positive real roots: real part above zero, imaginary part within ``tol``.
+
+    ``roots`` of shape S + (6,) with S nonempty (and ``sign_changes`` None,
+    an int, or of shape S) give a verdict whose fields are arrays of shape S;
+    ``classification`` then holds the ``Classification`` values as strings.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"classification tolerance must be positive and finite, got {tol}")
     roots = np.asarray(roots, dtype=complex)
-    max_real = float(np.max(roots.real))
-    n_pos_real = int(np.sum((np.abs(roots.imag) <= tol) & (roots.real > tol)))
-    certified = sign_changes is not None and sign_changes % 2 == 1
-    verdict = (
-        Classification.UNSTABLE if certified or max_real > tol
-        else Classification.MARGINALLY_STABLE
-    )
-    return StabilityVerdict(
-        classification=verdict,
-        max_real_part=max_real,
-        positive_real_root_count=n_pos_real,
-        sign_changes=sign_changes,
-    )
+    max_real = roots.real.max(axis=-1)
+    n_pos_real = np.sum((np.abs(roots.imag) <= tol) & (roots.real > 0.0), axis=-1)
+    certified = sign_changes is not None and np.asarray(sign_changes) % 2 == 1
+    unstable = certified | (max_real > tol)
+    if roots.ndim > 1:
+        labels = np.where(unstable, Classification.UNSTABLE.value,
+                          Classification.MARGINALLY_STABLE.value)
+        return StabilityVerdict(labels, max_real, n_pos_real, sign_changes)
+    verdict = Classification.UNSTABLE if unstable else Classification.MARGINALLY_STABLE
+    return StabilityVerdict(verdict, float(max_real), int(n_pos_real), sign_changes)
 
 
 def sign_change_count(coeffs: CharCoeffs) -> int:
-    """Descartes sign changes over the coefficient sequence (1, p, q, r), zeros skipped."""
+    """Descartes sign changes over the coefficient sequence (1, p, q, r), zeros skipped.
+
+    An ``int`` for scalar coefficients, an integer array of their shape otherwise.
+    """
     changes, positive = 0, True  # the leading coefficient 1 is positive
-    for c in map(float, coeffs):  # sweep grids give numpy scalars, ~10x slower to compare
-        if c != 0.0 and (c > 0.0) != positive:
-            changes, positive = changes + 1, not positive
-    return changes
+    for c in coeffs:
+        flip = (c != 0.0) & ((c > 0.0) != positive)
+        changes, positive = changes + flip, positive ^ flip
+    return changes if getattr(changes, "ndim", 0) else int(changes)
 
 
 def linearization_matrix(hess: PotentialHessian, n_sq: float) -> np.ndarray:

@@ -106,6 +106,7 @@ def test_verdict_follows_sign_certificate_at_tiny_k(k, tmp_path, capsys):
     assert rep["r"] < 0 and rep["sign_changes"] == 1
     assert rep["max_real_part"] < 1e-9
     assert rep["classification"] == "unstable"
+    assert rep["positive_real_root_count"] >= 1
     out = tmp_path / "cell.csv"
     assert main(["sweep", "--grid-mu", "0.1:0.1:1", f"--grid-k={k}:{k}:1",
                  "--output", str(out)]) == 0
@@ -291,7 +292,9 @@ def test_locate_svg_single_point(tmp_path, capsys):
     (["locate", "--mu", "0.1", "--k=-1e-320"], "overflows"),
     (["stability", "--mu", "0.1", "--k=-1e-320"], "overflows"),
     (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.3:nan:2"], "k must be finite"),
+    (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.01:-1e-320:2"], "overflows"),
 ])
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
 def test_non_finite_inputs_exit_64(argv, message, capsys):
     assert main(argv) == 64
     captured = capsys.readouterr()
