@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -73,11 +74,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    return str(value)  # str or int
 
 
 def _csv_text(header, rows) -> str:
@@ -189,19 +186,13 @@ def _region_svg(cells: list[tuple[float, float, bool]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands: (ns, params) -> (exit code, [(text, path or None for stdout)], SVG cells)
+# commands: (ns, params) -> (exit code, [(text, path or None for stdout)])
 
 def _existing_points(params: Params):
     pts = triangular_points(params)
     if not pts.exists:
         raise _NoEquilibrium
     return pts
-
-
-def _cells(params: Params, exists) -> list[tuple[float, float, bool]]:
-    """Positions of the parameter cells in the (mu, 2k/n^2) plane of the SVG."""
-    columns = (params.mu, 2 * params.k / params.n_sq, exists)
-    return list(zip(*(np.atleast_1d(c).tolist() for c in columns)))
 
 
 def _locate(ns, params):
@@ -231,7 +222,7 @@ def _locate(ns, params):
         for key, branch in (("grad_residual_plus", +1), ("grad_residual_minus", -1)):
             out[key] = float(np.max(np.abs(grad_omega(pts.point(branch), params))))
     code = EX_OK if pts.exists else EX_NO_EQUILIBRIUM
-    return code, [(_report_text(out, ns.format), ns.output)], _cells(params, pts.exists)
+    return code, [(_report_text(out, ns.format), ns.output)]
 
 
 def _stability(ns, params):
@@ -266,7 +257,7 @@ def _stability(ns, params):
     out["max_real_part"] = verdict.max_real_part
     out["positive_real_root_count"] = verdict.positive_real_root_count
     out["classification"] = verdict.classification.value
-    return EX_OK, [(_report_text(out, ns.format), ns.output)], _cells(params, True)
+    return EX_OK, [(_report_text(out, ns.format), ns.output)]
 
 
 def _integrate(ns, params):
@@ -300,9 +291,8 @@ def _integrate(ns, params):
             summary["growth_rate"] = growth_rate(traj, equilibrium_state(params).pos)
         except NoGrowthError as exc:
             summary["growth_fit_error"] = str(exc)
-    rows = ([t, *state, c] for t, state, c in zip(traj.times, traj.states, traj.jacobi))
-    outputs = [(_csv_text(TRAJECTORY_COLUMNS, rows), ns.output), (_json_text(summary), None)]
-    return EX_OK, outputs, _cells(params, True)
+    rows = np.column_stack((traj.times, traj.states, traj.jacobi)).tolist()
+    return EX_OK, [(_csv_text(TRAJECTORY_COLUMNS, rows), ns.output), (_json_text(summary), None)]
 
 
 def _sweep(ns, _):
@@ -313,8 +303,7 @@ def _sweep(ns, _):
     pts = triangular_points(params)
     ok = pts.exists
     coeffs = char_coeffs(Params(mu=mu[ok], k=k[ok], a1_oblate=a1[ok]))
-    verdict = classify(solve_characteristic(coeffs), tol=ns.tol,
-                       sign_changes=sign_change_count(coeffs))
+    verdict = classify(solve_characteristic(coeffs), sign_changes=sign_change_count(coeffs))
 
     def column(values, missing=None):
         """One value per cell from the values of the cells with a point."""
@@ -332,7 +321,11 @@ def _sweep(ns, _):
                            "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]})
     else:
         text = _csv_text(SWEEP_COLUMNS, rows)
-    return EX_OK, [(text, ns.output)], _cells(params, ok)
+    outputs = [(text, ns.output)]
+    if ns.svg_region:
+        cells = list(zip(mu.tolist(), (2 * k / params.n_sq).tolist(), ok.tolist()))
+        outputs.append((_region_svg(cells), ns.svg_region))
+    return EX_OK, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +337,6 @@ _POINT = {
 }
 _A1 = {"type": float, "default": 0.0, "help": "oblateness coefficient A1 (default 0)"}
 _OUTPUT = {"help": "report file (default stdout)"}
-_SVG = {"help": "also write an existence-region SVG scatter to this path"}
 
 
 def _format(default: str) -> dict:
@@ -358,12 +350,11 @@ def _tol(default: float, meaning: str) -> dict:
 
 _COMMANDS = {
     "locate": (_locate, {
-        **_POINT, "a1": _A1,
-        "format": _format("json"), "output": _OUTPUT, "svg_region": _SVG,
+        **_POINT, "a1": _A1, "format": _format("json"), "output": _OUTPUT,
     }),
     "stability": (_stability, {
         **_POINT, "a1": _A1, "tol": _tol(DEFAULT_CLASSIFY_TOL, "classification tolerance"),
-        "format": _format("json"), "output": _OUTPUT, "svg_region": _SVG,
+        "format": _format("json"), "output": _OUTPUT,
     }),
     "integrate": (_integrate, {
         **_POINT, "a1": _A1,
@@ -375,20 +366,20 @@ _COMMANDS = {
                   "help": "integration span (default %(default)g)"},
         "tol": _tol(1e-12, "relative and absolute integration tolerance"),
         "output": {"default": "trajectory.csv", "help": "trajectory CSV (default %(default)s)"},
-        "svg_region": _SVG,
     }),
     "sweep": (_sweep, {
         "grid_mu": {"type": _grid, "required": True, "help": "MIN:MAX:N"},
         "grid_k": {"type": _grid, "required": True, "help": "MIN:MAX:N"},
         "grid_a1": {"type": _grid, "help": "MIN:MAX:N (default: the single --a1 value)"},
-        "a1": _A1, "tol": _tol(DEFAULT_CLASSIFY_TOL, "classification tolerance"),
-        "format": _format("csv"), "output": _OUTPUT, "svg_region": _SVG,
+        "a1": _A1, "format": _format("csv"), "output": _OUTPUT,
+        "svg_region": {"help": "also write an existence-region SVG scatter to this path"},
     }),
 }
 
 _CONFIG_KEYS = {dest for _, flags in _COMMANDS.values() for dest in flags}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="robe3bp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -448,11 +439,9 @@ def main(argv=None) -> int:
     try:
         ns = _parse(argv)
         params = Params(mu=ns.mu, k=ns.k, a1_oblate=ns.a1) if hasattr(ns, "mu") else None
-        code, outputs, cells = _COMMANDS[ns.command][0](ns, params)
+        code, outputs = _COMMANDS[ns.command][0](ns, params)
         for text, path in outputs:
             _emit(text, path)
-        if ns.svg_region:
-            _emit(_region_svg(cells), ns.svg_region)
         return code
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -43,15 +43,16 @@ __all__ = [
 ]
 
 ESCAPE_RADIUS = 1e3
+GROWTH_FIT_LOWER_FACTOR = 10.0
+GROWTH_FIT_UPPER_BOUND = 1e-3
 
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Rotating-frame state: position, velocity, and time."""
+    """Rotating-frame state: position and velocity."""
 
     pos: np.ndarray
     vel: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pos", np.asarray(self.pos, dtype=float))
@@ -66,9 +67,9 @@ class PhaseState:
         return np.concatenate([self.pos, self.vel])
 
     @classmethod
-    def from_vector(cls, vec, t: float = 0.0) -> "PhaseState":
+    def from_vector(cls, vec) -> "PhaseState":
         vec = np.asarray(vec, dtype=float)
-        return cls(pos=vec[:3], vel=vec[3:], t=t)
+        return cls(pos=vec[:3], vel=vec[3:])
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def final_state(self) -> PhaseState:
-        return PhaseState.from_vector(self.states[-1], t=float(self.times[-1]))
 
 
 def eom_rhs(state: PhaseState, params: Params) -> np.ndarray:
@@ -218,19 +216,14 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     )
 
 
-def growth_rate(
-    traj: Trajectory,
-    eq_point,
-    lower_factor: float = 10.0,
-    upper_bound: float = 1e-3,
-) -> float:
+def growth_rate(traj: Trajectory, eq_point) -> float:
     """Exponential growth rate of the displacement from an equilibrium.
 
     Fits the least-squares slope of log ||state - equilibrium|| (6-dimensional
     displacement, the equilibrium having zero velocity) against time over the
-    window where the displacement lies in [lower_factor x initial,
-    upper_bound].  The lower edge skips transient mode mixing; the upper edge
-    stops before nonlinear saturation.
+    window where the displacement lies in [GROWTH_FIT_LOWER_FACTOR x initial,
+    GROWTH_FIT_UPPER_BOUND].  The lower edge skips transient mode mixing; the
+    upper edge stops before nonlinear saturation.
 
     Raises
     ------
@@ -241,33 +234,33 @@ def growth_rate(
     eq = np.concatenate([np.asarray(eq_point, dtype=float), np.zeros(3)])
     disp = np.linalg.norm(traj.states - eq, axis=1)
     d0 = disp[0]
-    lower = lower_factor * d0
+    lower = GROWTH_FIT_LOWER_FACTOR * d0
     if lower <= 0.0 or disp.max() < lower:
         raise NoGrowthError("no exponential growth detected")
-    window = (disp >= lower) & (disp <= upper_bound)
+    window = (disp >= lower) & (disp <= GROWTH_FIT_UPPER_BOUND)
     if window.sum() < 2:
         raise NoGrowthError("no exponential growth detected")
     slope = np.polyfit(traj.times[window], np.log(disp[window]), 1)[0]
     return float(slope)
 
 
-def equilibrium_state(params: Params, branch: int = +1) -> PhaseState:
-    """The triangular equilibrium (zero velocity) on the chosen z-branch.
+def equilibrium_state(params: Params) -> PhaseState:
+    """The +z triangular equilibrium with zero velocity.
 
     Raises ``ValueError`` if the triangular points do not exist.
     """
-    return PhaseState(pos=triangular_points(params).point(branch), vel=np.zeros(3))
+    return PhaseState(pos=triangular_points(params).point(), vel=np.zeros(3))
 
 
-def unstable_seed(params: Params, offset: float, branch: int = +1) -> PhaseState:
-    """Equilibrium displaced by ``offset`` along the dominant growing eigendirection.
+def unstable_seed(params: Params, offset: float) -> PhaseState:
+    """+z equilibrium displaced by ``offset`` along the dominant growing eigendirection.
 
     The 6-dimensional displacement has norm ``offset``, so the growth-rate fit
     sees the unstable mode immediately.
     """
-    if offset <= 0.0:
-        raise ValueError(f"offset must be positive, got {offset}")
-    eq = equilibrium_state(params, branch)
-    _, direction = unstable_direction(params, branch)
+    if not 0.0 < offset < math.inf:
+        raise ValueError(f"offset must be positive and finite, got {offset}")
+    eq = equilibrium_state(params)
+    _, direction = unstable_direction(params)
     vec = eq.vector() + offset * direction
     return PhaseState.from_vector(vec)

@@ -225,15 +225,15 @@ def linearization_matrix(hess: PotentialHessian, n_sq: float) -> np.ndarray:
     return m
 
 
-def unstable_direction(params: Params, branch: int = +1) -> tuple[float, np.ndarray]:
-    """Dominant growing mode at a triangular point.
+def unstable_direction(params: Params) -> tuple[float, np.ndarray]:
+    """Dominant growing mode at the +z triangular point.
 
     Returns the largest-real-part eigenvalue of the linearization matrix and
     its unit eigenvector (phase-rotated real).  Used to seed nonlinear
     integrations along the direction the linear analysis predicts will grow.
     Raises ``ValueError`` if the triangular points do not exist.
     """
-    hess = hessian_omega(triangular_points(params).point(branch), params)
+    hess = hessian_omega(triangular_points(params).point(), params)
     m = linearization_matrix(hess, params.n_sq)
     eigvals, eigvecs = np.linalg.eig(m)
     i = int(np.argmax(eigvals.real))

@@ -252,8 +252,9 @@ def test_unstable_seed_offset_norm(canonical):
     seeded = unstable_seed(canonical, 1e-6).vector()
     # subtraction against O(1) equilibrium coordinates leaves ~1e-10 relative noise
     npt.assert_allclose(np.linalg.norm(seeded - eq), 1e-6, rtol=1e-9)
-    with pytest.raises(ValueError):
-        unstable_seed(canonical, 0.0)
+    for offset in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="offset must be positive and finite"):
+            unstable_seed(canonical, offset)
 
 
 def test_equilibrium_state_requires_existence():
