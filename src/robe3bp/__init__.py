@@ -1,86 +1,19 @@
 """Triangular equilibrium points of Robe's restricted three-body problem
 with an oblate first primary: location, linear stability, and nonlinear
-verification by direct integration."""
+verification by direct integration.
 
-from .errors import ConvergenceError, NoGrowthError, SingularityError, StructureError
-from .model import (
-    Params,
-    PotentialHessian,
-    grad_omega,
-    hessian_omega,
-    mean_motion_sq,
-    omega,
-    radii,
-)
-from .equilibria import (
-    ExistenceReport,
-    TriangularPoints,
-    aux_quantities,
-    existence_report,
-    refine_equilibrium,
-    triangular_points,
-)
-from .stability import (
-    CharCoeffs,
-    Classification,
-    StabilityVerdict,
-    char_coeffs,
-    char_coeffs_from_hessian,
-    classify,
-    linearization_matrix,
-    sign_change_count,
-    solve_characteristic,
-    unstable_direction,
-)
-from .dynamics import (
-    IntegratorConfig,
-    PhaseState,
-    Trajectory,
-    eom_rhs,
-    equilibrium_state,
-    growth_rate,
-    integrate,
-    jacobi_constant,
-    unstable_seed,
-)
+The public names are those of each module's ``__all__``.
+"""
+
+from . import dynamics, equilibria, errors, model, stability
+from .errors import *
+from .model import *
+from .equilibria import *
+from .stability import *
+from .dynamics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharCoeffs",
-    "Classification",
-    "ConvergenceError",
-    "ExistenceReport",
-    "IntegratorConfig",
-    "NoGrowthError",
-    "Params",
-    "PhaseState",
-    "PotentialHessian",
-    "SingularityError",
-    "StabilityVerdict",
-    "StructureError",
-    "Trajectory",
-    "TriangularPoints",
-    "aux_quantities",
-    "char_coeffs",
-    "char_coeffs_from_hessian",
-    "classify",
-    "eom_rhs",
-    "equilibrium_state",
-    "existence_report",
-    "grad_omega",
-    "growth_rate",
-    "hessian_omega",
-    "integrate",
-    "jacobi_constant",
-    "linearization_matrix",
-    "mean_motion_sq",
-    "omega",
-    "radii",
-    "refine_equilibrium",
-    "sign_change_count",
-    "solve_characteristic",
-    "triangular_points",
-    "unstable_direction",
-    "unstable_seed",
-]
+__all__ = sorted(
+    name for module in (errors, model, equilibria, stability, dynamics) for name in module.__all__
+)

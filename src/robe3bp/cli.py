@@ -23,14 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, NoGrowthError, SingularityError
 from .model import Params, grad_omega, hessian_omega
 from .equilibria import existence_report, triangular_points
-from .stability import (
-    DEFAULT_CLASSIFY_TOL,
-    char_coeffs,
-    char_coeffs_from_hessian,
-    classify,
-    sign_change_count,
-    solve_characteristic,
-)
+from .stability import char_coeffs, char_coeffs_from_hessian, classify
 from .dynamics import (
     IntegratorConfig,
     equilibrium_state,
@@ -232,10 +225,8 @@ def _stability(ns, params):
     hess = hessian_omega(pts.point(+1), params)
     oracle = char_coeffs_from_hessian(hess, params.n_sq)
     rel_diff = max(abs(c - o) / max(abs(c), abs(o), 1e-300) for c, o in zip(closed, oracle))
-    roots = solve_characteristic(closed)
-    roots = roots[np.lexsort((roots.imag, roots.real))]
-    changes = sign_change_count(closed)
-    verdict = classify(roots, tol=ns.tol, sign_changes=changes)
+    verdict = classify(closed)
+    roots = verdict.roots[np.lexsort((verdict.roots.imag, verdict.roots.real))]
     out = {
         "command": "stability",
         "mu": params.mu,
@@ -253,7 +244,7 @@ def _stability(ns, params):
     for i, root in enumerate(roots, 1):
         out[f"root{i}_re"] = float(root.real)
         out[f"root{i}_im"] = float(root.imag)
-    out["sign_changes"] = changes
+    out["sign_changes"] = verdict.sign_changes
     out["max_real_part"] = verdict.max_real_part
     out["positive_real_root_count"] = verdict.positive_real_root_count
     out["classification"] = verdict.classification.value
@@ -303,7 +294,7 @@ def _sweep(ns, _):
     pts = triangular_points(params)
     ok = pts.exists
     coeffs = char_coeffs(Params(mu=mu[ok], k=k[ok], a1_oblate=a1[ok]))
-    verdict = classify(solve_characteristic(coeffs), sign_changes=sign_change_count(coeffs))
+    verdict = classify(coeffs)
 
     def column(values, missing=None):
         """One value per cell from the values of the cells with a point."""
@@ -344,17 +335,12 @@ def _format(default: str) -> dict:
             "help": "report format (default %(default)s)"}
 
 
-def _tol(default: float, meaning: str) -> dict:
-    return {"type": _positive, "default": default, "help": f"{meaning} (default %(default)g)"}
-
-
 _COMMANDS = {
     "locate": (_locate, {
         **_POINT, "a1": _A1, "format": _format("json"), "output": _OUTPUT,
     }),
     "stability": (_stability, {
-        **_POINT, "a1": _A1, "tol": _tol(DEFAULT_CLASSIFY_TOL, "classification tolerance"),
-        "format": _format("json"), "output": _OUTPUT,
+        **_POINT, "a1": _A1, "format": _format("json"), "output": _OUTPUT,
     }),
     "integrate": (_integrate, {
         **_POINT, "a1": _A1,
@@ -364,7 +350,8 @@ _COMMANDS = {
                    "help": "displacement along the unstable eigendirection"},
         "t_end": {"type": _positive, "default": 60.0,
                   "help": "integration span (default %(default)g)"},
-        "tol": _tol(1e-12, "relative and absolute integration tolerance"),
+        "tol": {"type": _positive, "default": 1e-12,
+                "help": "relative and absolute integration tolerance (default %(default)g)"},
         "output": {"default": "trajectory.csv", "help": "trajectory CSV (default %(default)s)"},
     }),
     "sweep": (_sweep, {

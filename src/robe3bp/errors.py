@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConvergenceError", "NoGrowthError", "SingularityError", "StructureError"]
+
 
 class SingularityError(ValueError):
     """Position coincides with (or the iteration ran into) the second primary."""

@@ -24,12 +24,13 @@ Oxz^2 = 36 k^2 a1^2 (b1^2-a1^2)/b1^4  gives
 and r < 0 whenever k < 0 and the points exist, so the constant term always
 carries exactly one sign change and the sextic has a positive real root: the
 triangular points are linearly unstable throughout the admissible region.
+:func:`classify` decides from the coefficients' signs first, so that
+certificate, not a tolerance on the computed roots, gives the verdict there.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -52,8 +53,8 @@ __all__ = [
     "unstable_direction",
 ]
 
-DEFAULT_CLASSIFY_TOL = 1e-9
 _CROSS_TERM_TOL = 1e-12
+_NO_GROWTH_RATE = 1e-9  # unstable_direction's largest real part must exceed this
 
 
 class CharCoeffs(NamedTuple):
@@ -71,7 +72,7 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Outcome of the linear analysis.
+    """Outcome of the linear analysis, with the roots and sign count it rests on.
 
     Marginal stability (all roots purely imaginary) is the strongest verdict
     linear analysis supports; no claim about nonlinear stability is made.
@@ -80,7 +81,8 @@ class StabilityVerdict:
     classification: Classification
     max_real_part: float
     positive_real_root_count: int
-    sign_changes: int | None = None
+    sign_changes: int
+    roots: np.ndarray = field(compare=False)  # the evidence, not the verdict
 
 
 def char_coeffs(params: Params) -> CharCoeffs:
@@ -164,36 +166,39 @@ def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
     return roots
 
 
-def classify(
-    roots: np.ndarray,
-    tol: float = DEFAULT_CLASSIFY_TOL,
-    sign_changes: int | None = None,
-) -> StabilityVerdict:
-    """Unstable iff a root's real part exceeds ``tol`` or ``sign_changes`` is odd.
+def classify(coeffs: CharCoeffs) -> StabilityVerdict:
+    """Linear stability of lambda^6 + p lambda^4 + q lambda^2 + r from its coefficients.
 
-    ``sign_changes`` is :func:`sign_change_count` of the coefficients the
-    roots solve, when the caller has them at hand.  By Descartes' rule an odd
-    count guarantees a positive real root u = lambda^2, so the verdict is
-    unstable however small that root is next to ``tol``.  Also counts the
-    positive real roots: real part above zero, imaginary part within ``tol``.
+    Unstable iff a coefficient is negative (a nonzero :func:`sign_change_count`)
+    or a root of :func:`solve_characteristic` has a positive real part; no
+    tolerance enters.
 
-    ``roots`` of shape S + (6,) with S nonempty (and ``sign_changes`` None,
-    an int, or of shape S) give a verdict whose fields are arrays of shape S;
+    - A negative coefficient is exact: were the three roots u = lambda^2 all
+      real and <= 0, then p, q, r would be the elementary symmetric functions
+      of the -u >= 0, all >= 0.  So some u is positive or non-real, and one of
+      its square roots has a positive real part, however small.  This holds
+      for every sign count, even ones; ``r < 0`` is the case of the
+      triangular points.
+    - With p, q, r >= 0 a real u is <= 0, and a real root from the eigenvalue
+      solve has an imaginary part of exactly 0, so its +/- sqrt(u) have a real
+      part of exactly 0.  A positive real part then means a complex u.
+
+    ``positive_real_root_count`` counts the roots with imaginary part exactly 0
+    and real part > 0.  Coefficients of shape S (nonempty) give a verdict
+    whose fields are arrays of shape S, ``roots`` of shape S + (6,);
     ``classification`` then holds the ``Classification`` values as strings.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"classification tolerance must be positive and finite, got {tol}")
-    roots = np.asarray(roots, dtype=complex)
+    roots = solve_characteristic(coeffs)
+    changes = sign_change_count(coeffs)
     max_real = roots.real.max(axis=-1)
-    n_pos_real = np.sum((np.abs(roots.imag) <= tol) & (roots.real > 0.0), axis=-1)
-    certified = sign_changes is not None and np.asarray(sign_changes) % 2 == 1
-    unstable = certified | (max_real > tol)
+    n_pos_real = np.sum((roots.imag == 0.0) & (roots.real > 0.0), axis=-1)
+    unstable = (changes > 0) | (max_real > 0.0)
     if roots.ndim > 1:
         labels = np.where(unstable, Classification.UNSTABLE.value,
                           Classification.MARGINALLY_STABLE.value)
-        return StabilityVerdict(labels, max_real, n_pos_real, sign_changes)
+        return StabilityVerdict(labels, max_real, n_pos_real, changes, roots)
     verdict = Classification.UNSTABLE if unstable else Classification.MARGINALLY_STABLE
-    return StabilityVerdict(verdict, float(max_real), int(n_pos_real), sign_changes)
+    return StabilityVerdict(verdict, float(max_real), int(n_pos_real), changes, roots)
 
 
 def sign_change_count(coeffs: CharCoeffs) -> int:
@@ -238,7 +243,7 @@ def unstable_direction(params: Params) -> tuple[float, np.ndarray]:
     eigvals, eigvecs = np.linalg.eig(m)
     i = int(np.argmax(eigvals.real))
     rate = float(eigvals[i].real)
-    if rate <= DEFAULT_CLASSIFY_TOL:
+    if rate <= _NO_GROWTH_RATE:
         raise ValueError("no growing mode: largest eigenvalue real part is not positive")
     v = eigvecs[:, i]
     v = v / v[int(np.argmax(np.abs(v)))]  # rotate phase so the vector is real

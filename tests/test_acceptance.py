@@ -93,8 +93,7 @@ def test_criterion_4_instability_universality():
     for params, _ in _admissible_cells():
         cells += 1
         coeffs = char_coeffs(params)
-        roots = solve_characteristic(coeffs)
-        verdict = classify(roots)
+        verdict = classify(coeffs)
         assert verdict.classification is Classification.UNSTABLE
         assert verdict.positive_real_root_count >= 1
         if coeffs.p > 0 and coeffs.q > 0 and coeffs.r < 0:

@@ -18,8 +18,6 @@ from robe3bp import (
     Params,
     char_coeffs,
     classify,
-    sign_change_count,
-    solve_characteristic,
     triangular_points,
 )
 
@@ -95,16 +93,14 @@ def test_array_pass_equals_scalar_calls(grid):
     if not ok.any():
         return
     coeffs = char_coeffs(Params(mu=mu[ok], k=k[ok], a1_oblate=a1[ok]))
-    roots = solve_characteristic(coeffs)
-    changes = sign_change_count(coeffs)
-    verdict = classify(roots, sign_changes=changes)
+    verdict = classify(coeffs)
+    roots, changes = verdict.roots, verdict.sign_changes
     assert roots.shape == (int(ok.sum()), 6)
     for j, params in enumerate(p for p, e in zip(scalar, ok) if e):
         one = char_coeffs(params)
         assert [_bits(c) for c in one] == [_bits(c[j]) for c in coeffs]
-        one_roots = solve_characteristic(one)
-        one_changes = sign_change_count(one)
-        one_verdict = classify(one_roots, sign_changes=one_changes)
+        one_verdict = classify(one)
+        one_roots, one_changes = one_verdict.roots, one_verdict.sign_changes
         assert one_roots.shape == (6,) and _close(one_roots, roots[j])
         assert type(one_changes) is int and one_changes == changes[j]
         assert one_verdict.classification.value == verdict.classification[j]

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from robe3bp import Classification, Params, char_coeffs, classify
 from robe3bp.cli import main
 from conftest import FROZEN
 
@@ -94,13 +95,10 @@ def test_stability_no_equilibrium_exit_2(capsys):
     assert "no triangular equilibrium" in capsys.readouterr().err
 
 
-def test_stability_bad_tol_exits_64(capsys):
-    assert main(["stability", *CANONICAL_ARGS, "--tol", "0"]) == 64
-
-
 @pytest.mark.parametrize("k", ["-1e-300", "-1e-20"])
 def test_verdict_follows_sign_certificate_at_tiny_k(k, tmp_path, capsys):
-    # the positive root (~1e-150, ~1e-10) lies below --tol, but r < 0 certifies it
+    # the positive root (~1e-150, ~1e-10) is below any fixed tolerance, but r < 0
+    # certifies it, in the library as in both commands
     code, rep = _run_json(capsys, ["stability", "--mu", "0.1", f"--k={k}"])
     assert code == 0
     assert rep["r"] < 0 and rep["sign_changes"] == 1
@@ -112,6 +110,9 @@ def test_verdict_follows_sign_certificate_at_tiny_k(k, tmp_path, capsys):
                  "--output", str(out)]) == 0
     header, row = _read_csv(out)
     assert dict(zip(header, row))["classification"] == "unstable"
+    verdict = classify(char_coeffs(Params(mu=0.1, k=float(k))))
+    assert verdict.classification is Classification.UNSTABLE
+    assert verdict.sign_changes == 1 and verdict.max_real_part == rep["max_real_part"]
 
 
 def test_stability_csv_matches_json(tmp_path, capsys):
@@ -304,6 +305,7 @@ def test_non_finite_inputs_exit_64(argv, message, capsys):
     ["stability", *CANONICAL_ARGS, "--svg-region", "region.svg"],
     ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--svg-region", "region.svg"],
     ["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.05:-0.01:2", "--tol", "1e-9"],
+    ["stability", *CANONICAL_ARGS, "--tol", "1e-9"],
 ])
 def test_flag_without_meaning_for_command_exits_64(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -313,7 +315,7 @@ def test_flag_without_meaning_for_command_exits_64(argv, tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("command, text", [
-    ("stability", "mu = 0.1\nk = -0.01\ntol = 0\n"),
+    ("integrate", "mu = 0.1\nk = -0.01\nfrom_equilibrium = true\ntol = 0\n"),
     ("locate", "mu = abc\nk = -0.01\n"),
 ])
 def test_config_values_are_validated_like_flags(command, text, tmp_path, capsys):
@@ -348,7 +350,7 @@ def _as_config(flags):
 
 
 @pytest.mark.parametrize("argv", [
-    ["stability", *CANONICAL_ARGS, "--tol", "1e-6", "--format", "csv"],
+    ["stability", *CANONICAL_ARGS, "--a1", "0.05", "--format", "csv"],
     ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8",
      "--t-end", "20"],
     ["sweep", "--grid-mu", "0.1:0.3:2", "--grid-k=-0.05:-0.01:2", "--grid-a1", "0:0.1:2",

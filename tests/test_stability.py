@@ -133,41 +133,42 @@ def test_solve_characteristic_negation_closure_and_residual():
 
 
 def test_classify_canonical(canonical):
-    verdict = classify(solve_characteristic(char_coeffs(canonical)))
+    verdict = classify(char_coeffs(canonical))
     assert verdict.classification is Classification.UNSTABLE
     assert verdict.positive_real_root_count >= 1
+    assert classify(char_coeffs(canonical)) == verdict  # the roots array is not compared
 
 
 def test_classify_marginal():
-    roots = np.array([1j, -1j, 2j, -2j, 3j, -3j])
-    verdict = classify(roots)
+    # (u + 1)(u + 4)(u + 9): lambda = +/- 1j, 2j, 3j
+    verdict = classify(CharCoeffs(14.0, 49.0, 36.0))
     assert verdict.classification is Classification.MARGINALLY_STABLE
+    assert verdict.max_real_part <= 0.0
     assert verdict.positive_real_root_count == 0
 
 
 def test_classify_unit_root():
-    verdict = classify(solve_characteristic(CharCoeffs(0.0, 0.0, -1.0)))
+    verdict = classify(CharCoeffs(0.0, 0.0, -1.0))
     assert verdict.classification is Classification.UNSTABLE
     npt.assert_allclose(verdict.max_real_part, 1.0, rtol=1e-12)
 
 
-def test_classify_rejects_bad_tolerance():
-    for tol in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            classify(np.array([1j, -1j]), tol=tol)
-
-
 def test_classify_odd_sign_changes_is_unstable_below_tol():
-    # (u + 1)(u + 4)(u - 1e-30): r < 0 certifies lambda+ = 1e-15, far below tol
-    coeffs = CharCoeffs(5.0, 4.0, -4e-30)
-    roots = solve_characteristic(coeffs)
-    assert np.max(roots.real) < 1e-9
-    assert classify(roots).classification is Classification.MARGINALLY_STABLE
-    verdict = classify(roots, sign_changes=sign_change_count(coeffs))
+    # (u + 1)(u + 4)(u - 1e-30): r < 0 certifies lambda+ = 1e-15, far below
+    # any fixed tolerance
+    verdict = classify(CharCoeffs(5.0, 4.0, -4e-30))
+    assert np.max(verdict.roots.real) < 1e-9
     assert verdict.classification is Classification.UNSTABLE
     assert verdict.sign_changes == 1
-    even = classify(roots, sign_changes=2)
-    assert even.classification is Classification.MARGINALLY_STABLE
+    assert verdict.positive_real_root_count == 1
+
+
+def test_classify_negative_coefficient_at_even_sign_count():
+    # (u + 1)(u - 1e-30)^2: q < 0 with two sign changes; lambda = +/- 1e-15 twice
+    verdict = classify(CharCoeffs(1.0, -2e-30, 1e-60))
+    assert verdict.classification is Classification.UNSTABLE
+    assert verdict.positive_real_root_count == 2
+    assert verdict.sign_changes == 2
 
 
 def test_sign_change_count():
