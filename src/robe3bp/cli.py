@@ -1,9 +1,12 @@
 """Command-line front end: locate / stability / integrate / sweep.
 
-Output contracts: CSV uses RFC-4180-style quoting, LF line endings, and fixed
-17-significant-digit float formatting so identical runs are byte-identical;
-JSON is one top-level object per run with lower_snake_case keys.  Exit codes:
-0 success, 2 no equilibrium, 64 usage error, 1 runtime/integration failure.
+Output contracts: CSV has LF line endings and fixed 17-significant-digit float
+formatting, so identical runs are byte-identical.  Each CSV row is written by
+one ``%``-template per row shape (``"%.17g" % x`` is ``format(x, ".17g")``);
+no field the CLI writes holds a comma, quote or line break, so none needs
+quoting.  JSON is one top-level object per run with lower_snake_case keys.
+Exit codes: 0 success, 2 no equilibrium, 64 usage error, 1 runtime or
+integration failure (also a trajectory that starts beyond the escape radius).
 One flag table per command builds its parser and reads its config file;
 ``main`` alone writes what a command returns and maps exceptions to exit codes.
 """
@@ -11,9 +14,7 @@ One flag table per command builds its parser and reads its config file;
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from .model import Params, grad_omega, hessian_omega
 from .equilibria import existence_report, triangular_points
 from .stability import char_coeffs, char_coeffs_from_hessian, classify
 from .dynamics import (
+    ESCAPE_RADIUS,
     IntegratorConfig,
     equilibrium_state,
     growth_rate,
@@ -45,6 +47,10 @@ SWEEP_COLUMNS = [
     "mu", "k", "a1", "exists", "x", "z", "p", "q", "r",
     "max_real_part", "classification",
 ]
+_TRAJECTORY_ROW = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS)) + "\n"
+_SWEEP_ROW = "%.17g,%.17g,%.17g,true,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+_SWEEP_ROW_NO_POINT = "%.17g,%.17g,%.17g,false,,,,,,,\n"
+_SWEEP_NO_POINT = (None,) * 6 + ("",)  # JSON x ... classification of a cell without a point
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,9 +65,13 @@ class _NoEquilibrium(Exception):
     """The command needs a triangular point and the parameters admit none."""
 
 
+class _NothingIntegrated(Exception):
+    """The trajectory starts beyond the escape radius, so no step is taken."""
+
+
 def _fmt(value) -> str:
-    """Fixed CSV field formatting: 17 significant digits, lowercase booleans."""
-    if type(value) is float:  # nearly every field, so tested first
+    """One field of a one-row report: 17 significant digits, lowercase booleans."""
+    if type(value) is float:
         return format(value, ".17g")
     if value is None:
         return ""
@@ -70,12 +80,9 @@ def _fmt(value) -> str:
     return str(value)  # str or int
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue()
+def _csv_text(header, lines) -> str:
+    """The header and the already formatted, LF-terminated lines."""
+    return ",".join(header) + "\n" + "".join(lines)
 
 
 def _json_text(obj) -> str:
@@ -85,7 +92,7 @@ def _json_text(obj) -> str:
 def _report_text(report: dict, fmt: str) -> str:
     if fmt == "json":
         return _json_text(report)
-    return _csv_text(report.keys(), [report.values()])
+    return _csv_text(report.keys(), [",".join(map(_fmt, report.values())) + "\n"])
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -218,13 +225,32 @@ def _locate(ns, params):
     return code, [(_report_text(out, ns.format), ns.output)]
 
 
+def _hessian_r_error(hess, k: float, z: float) -> float:
+    """Rounding bound of r_hessian = -(Oyy (Oxx Ozz - Oxz^2)) at a triangular point.
+
+    The expression alone is rounded to within 4 eps |Oyy| (|Oxx Ozz| + Oxz^2).
+    But the digits of r come from Ozz = -2k - mu/r2^3 + 3 mu z^2/r2^5, and at
+    the point its first two terms, 2|k| each, cancel.  So |Ozz| is replaced by
+    4|k| + 2|Ozz|: the size of the cancelling terms, plus the last term (about
+    Ozz) counted twice for the roundings of mu/r2^3 and 1/r2^2 within it.
+    Once 3 mu/r2^5 underflows (|k| below about 1e-185 at mu = 0.1), the last
+    term can also be off by a subnormal ulp times z^2.
+    """
+    eps = sys.float_info.epsilon
+    zz_terms = 4.0 * abs(k) + 2.0 * abs(hess.zz)
+    return (4.0 * eps * abs(hess.yy) * (abs(hess.xx) * zz_terms + hess.xz * hess.xz)
+            + abs(hess.yy * hess.xx) * math.ulp(0.0) * z * z)
+
+
 def _stability(ns, params):
     """characteristic coefficients, roots and verdict"""
     pts = _existing_points(params)
     closed = char_coeffs(params)
     hess = hessian_omega(pts.point(+1), params)
     oracle = char_coeffs_from_hessian(hess, params.n_sq)
-    rel_diff = max(abs(c - o) / max(abs(c), abs(o), 1e-300) for c, o in zip(closed, oracle))
+    rel_diff = None  # the Hessian route carries no digit of r: no check to report
+    if abs(oracle.r) > _hessian_r_error(hess, params.k, pts.z_plus):
+        rel_diff = max(abs(c - o) / max(abs(c), abs(o), 1e-300) for c, o in zip(closed, oracle))
     verdict = classify(closed)
     roots = verdict.roots[np.lexsort((verdict.roots.imag, verdict.roots.real))]
     out = {
@@ -260,6 +286,10 @@ def _integrate(ns, params):
         state0, linear_rate = unstable_seed(params, ns.offset), unstable_direction(params)[0]
     traj = integrate(state0, params, IntegratorConfig(rel_tol=ns.tol, abs_tol=ns.tol,
                                                       t_end=ns.t_end))
+    if traj.status == "escape" and traj.steps == 0:
+        raise _NothingIntegrated(
+            f"the start lies beyond the escape radius (|pos| = {np.linalg.norm(state0.pos):.3g}"
+            f" > {ESCAPE_RADIUS:g}), so no step was taken")
     summary = {
         "command": "integrate",
         "mu": params.mu,
@@ -282,8 +312,14 @@ def _integrate(ns, params):
             summary["growth_rate"] = growth_rate(traj, equilibrium_state(params).pos)
         except NoGrowthError as exc:
             summary["growth_fit_error"] = str(exc)
-    rows = np.column_stack((traj.times, traj.states, traj.jacobi)).tolist()
-    return EX_OK, [(_csv_text(TRAJECTORY_COLUMNS, rows), ns.output), (_json_text(summary), None)]
+    rows = zip(traj.times.tolist(), *traj.states.T.tolist(), traj.jacobi.tolist())
+    text = _csv_text(TRAJECTORY_COLUMNS, map(_TRAJECTORY_ROW.__mod__, rows))
+    return EX_OK, [(text, ns.output), (_json_text(summary), None)]
+
+
+def _in_cell_order(ok, found, missing) -> list:
+    """Merge the rows of the cells with a point and of those without, by the mask ``ok``."""
+    return [next(found) if exists else next(missing) for exists in ok.tolist()]
 
 
 def _sweep(ns, _):
@@ -295,23 +331,17 @@ def _sweep(ns, _):
     ok = pts.exists
     coeffs = char_coeffs(Params(mu=mu[ok], k=k[ok], a1_oblate=a1[ok]))
     verdict = classify(coeffs)
-
-    def column(values, missing=None):
-        """One value per cell from the values of the cells with a point."""
-        out = np.full(ok.shape, missing, dtype=object)
-        out[ok] = values
-        return out.tolist()
-
-    rows = list(zip(
-        mu.tolist(), k.tolist(), a1.tolist(), ok.tolist(),
-        column(pts.x_eq[ok]), column(pts.z_plus[ok]), *map(column, coeffs),
-        column(verdict.max_real_part), column(verdict.classification, ""),
-    ))
+    found = zip(*(v[ok].tolist() for v in (mu, k, a1, pts.x_eq, pts.z_plus)),
+                *(v.tolist() for v in (*coeffs, verdict.max_real_part, verdict.classification)))
+    missing = zip(*(v[~ok].tolist() for v in (mu, k, a1)))
     if ns.format == "json":
-        text = _json_text({"command": "sweep",
-                           "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]})
+        found = (dict(zip(SWEEP_COLUMNS, (*row[:3], True, *row[3:]))) for row in found)
+        missing = (dict(zip(SWEEP_COLUMNS, (*row, False, *_SWEEP_NO_POINT))) for row in missing)
+        text = _json_text({"command": "sweep", "rows": _in_cell_order(ok, found, missing)})
     else:
-        text = _csv_text(SWEEP_COLUMNS, rows)
+        lines = _in_cell_order(ok, map(_SWEEP_ROW.__mod__, found),
+                               map(_SWEEP_ROW_NO_POINT.__mod__, missing))
+        text = _csv_text(SWEEP_COLUMNS, lines)
     outputs = [(text, ns.output)]
     if ns.svg_region:
         cells = list(zip(mu.tolist(), (2 * k / params.n_sq).tolist(), ok.tolist()))
@@ -435,7 +465,7 @@ def main(argv=None) -> int:
     except _NoEquilibrium:
         print("robe3bp: no triangular equilibrium for these parameters", file=sys.stderr)
         return EX_NO_EQUILIBRIUM
-    except (ConvergenceError, SingularityError) as exc:
+    except (ConvergenceError, SingularityError, _NothingIntegrated) as exc:
         message, code = str(exc), EX_RUNTIME
     except ValueError as exc:
         message, code = str(exc), EX_USAGE

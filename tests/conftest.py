@@ -8,9 +8,11 @@ positive root.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from robe3bp import Params
 
@@ -54,3 +56,45 @@ def min_weight_match(a, b):
         max(abs(a[i] - b[perm[i]]) for i in range(len(a)))
         for perm in itertools.permutations(range(len(b)))
     )
+
+
+def fold_k(mu: float, a1: float) -> float:
+    """The k < 0 nearest the fold b1^2 = a1^2 on the side where the points exist.
+
+    Evaluates the radicand as ``triangular_points`` does.  With t = -k it is
+    positive for small t and negative for large t, and bisection (geometric
+    over the decades first, then arithmetic) finds the last float of t at
+    which it is positive.
+    """
+    n_sq = 1.0 + 1.5 * a1
+
+    def exists(t):
+        aux_a, aux_b = -2.0 * t / n_sq + mu - 1.0, (mu / (2.0 * t)) ** (1.0 / 3.0)
+        return aux_b * aux_b - aux_a * aux_a > 0.0
+
+    lo, hi = 1e-300, 1e3
+    for _ in range(100):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if exists(mid) else (lo, mid)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if exists(mid) else (lo, mid)
+    return -lo
+
+
+# (mu, k, A1) cells: k < 0 down to |k| = 1e-300, k >= 0, and within 3 ulps of the fold
+mus = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+a1s = st.floats(0.0, 1.0)
+generic = st.tuples(mus, st.floats(-300.0, 0.5).map(lambda e: -(10.0 ** e)), a1s)
+nonnegative = st.tuples(mus, st.floats(0.0, 2.0), a1s)
+
+
+@st.composite
+def fold(draw):
+    mu, a1 = draw(st.floats(1e-3, 0.999)), draw(a1s)
+    k, steps = fold_k(mu, a1), draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        k = math.nextafter(k, math.copysign(math.inf, steps))
+    return mu, k, a1
+
+
+any_cell = st.one_of(generic, nonnegative, fold())

@@ -11,8 +11,10 @@ verdict to the bit, roots and the largest real part to 1e-15 relative.
 
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from robe3bp import (
     Params,
@@ -20,9 +22,7 @@ from robe3bp import (
     classify,
     triangular_points,
 )
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+from conftest import any_cell, fold_k, generic
 
 ROOT_RTOL = 1e-15
 
@@ -31,45 +31,7 @@ def _bits(value) -> str:
     return "none" if value is None or value != value else format(float(value), ".17g")
 
 
-def _fold_k(mu: float, a1: float) -> float:
-    """The k < 0 nearest the fold b1^2 = a1^2 on the side where the points exist.
-
-    Evaluates the radicand as ``triangular_points`` does.  With t = -k it is
-    positive for small t and negative for large t, and bisection (geometric
-    over the decades first, then arithmetic) finds the last float of t at
-    which it is positive.
-    """
-    n_sq = 1.0 + 1.5 * a1
-
-    def exists(t):
-        aux_a, aux_b = -2.0 * t / n_sq + mu - 1.0, (mu / (2.0 * t)) ** (1.0 / 3.0)
-        return aux_b * aux_b - aux_a * aux_a > 0.0
-
-    lo, hi = 1e-300, 1e3
-    for _ in range(100):
-        mid = math.sqrt(lo * hi)
-        lo, hi = (mid, hi) if exists(mid) else (lo, mid)
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if exists(mid) else (lo, mid)
-    return -lo
-
-
-mus = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-a1s = st.floats(0.0, 1.0)
-generic = st.tuples(mus, st.floats(-300.0, 0.5).map(lambda e: -(10.0 ** e)), a1s)
-nonnegative = st.tuples(mus, st.floats(0.0, 2.0), a1s)
-
-
-@st.composite
-def fold(draw):
-    mu, a1 = draw(st.floats(1e-3, 0.999)), draw(a1s)
-    k, steps = _fold_k(mu, a1), draw(st.integers(-3, 3))
-    for _ in range(abs(steps)):
-        k = math.nextafter(k, math.copysign(math.inf, steps))
-    return mu, k, a1
-
-
-cells = st.lists(st.one_of(generic, nonnegative, fold()), min_size=1, max_size=24)
+cells = st.lists(any_cell, min_size=1, max_size=24)
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> bool:
@@ -124,7 +86,7 @@ def test_an_overflowing_cell_fails_the_whole_grid(grid, at):
 def test_fold_cells_lie_on_both_sides():
     # the fold strategy reaches cells with and without points
     mu, a1 = 0.3, 0.05
-    k = _fold_k(mu, a1)
+    k = fold_k(mu, a1)
     inside = triangular_points(Params(mu=mu, k=k, a1_oblate=a1))
     outside = triangular_points(Params(mu=mu, k=math.nextafter(k, -math.inf), a1_oblate=a1))
     assert inside.exists and not outside.exists

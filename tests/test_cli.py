@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import os
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from robe3bp import Classification, Params, char_coeffs, classify
+from robe3bp import Classification, Params, char_coeffs, classify, triangular_points
+from robe3bp import cli
 from robe3bp.cli import main
-from conftest import FROZEN
+from conftest import FROZEN, any_cell, fold_k
 
 CANONICAL_ARGS = ["--mu", "0.1", "--k", "-0.01", "--a1", "0.02"]
 
@@ -115,6 +121,32 @@ def test_verdict_follows_sign_certificate_at_tiny_k(k, tmp_path, capsys):
     assert verdict.sign_changes == 1 and verdict.max_real_part == rep["max_real_part"]
 
 
+@pytest.mark.parametrize("mu, k", [
+    ("0.1", "-1e-300"),  # mu/r2^5 underflows: r_hessian is positive
+    ("0.1", "-1e-200"),  # r_hessian is a normal float of the wrong sign
+    ("0.1", repr(fold_k(0.1, 0.0))),  # first cell inside the fold: r is rounding noise
+])
+def test_hessian_check_inconclusive(mu, k, tmp_path, capsys):
+    code, rep = _run_json(capsys, ["stability", "--mu", mu, f"--k={k}"])
+    assert code == 0 and rep["r"] < 0
+    assert rep["coeff_rel_diff"] is None
+    out = tmp_path / "stab.csv"
+    assert main(["stability", "--mu", mu, f"--k={k}", "--format", "csv",
+                 "--output", str(out)]) == 0
+    header, row = _read_csv(out)
+    assert dict(zip(header, row))["coeff_rel_diff"] == ""
+
+
+@pytest.mark.parametrize("argv", [CANONICAL_ARGS, ["--mu", "0.1", "--k=-1e-20"]])
+def test_hessian_check_reported(argv, capsys):
+    code, rep = _run_json(capsys, ["stability", *argv])
+    assert code == 0
+    pairs = [(rep[c], rep[f"{c}_hessian"]) for c in "pqr"]
+    assert rep["coeff_rel_diff"] == max(abs(c - o) / max(abs(c), abs(o), 1e-300)
+                                        for c, o in pairs)
+    assert rep["coeff_rel_diff"] < 1e-12
+
+
 def test_stability_csv_matches_json(tmp_path, capsys):
     code, rep = _run_json(capsys, ["stability", *CANONICAL_ARGS])
     out = tmp_path / "stab.csv"
@@ -145,6 +177,19 @@ def test_integrate_growth_summary(tmp_path, capsys):
     rows = _read_csv(traj_path)
     assert rows[0] == ["t", "x", "y", "z", "vx", "vy", "vz", "jacobi"]
     assert len(rows) - 1 == summary["rows"] == summary["steps"] + 1
+
+
+@pytest.mark.parametrize("offset", [["--offset", "1e-8"], []])
+def test_integrate_starting_beyond_escape_radius_exits_1(offset, tmp_path, capsys):
+    # at k = -1e-20 the point lies at |pos| = 1.7e6, beyond ESCAPE_RADIUS = 1e3
+    out = tmp_path / "t.csv"
+    code = main(["integrate", "--mu", "0.1", "--k=-1e-20", "--from-equilibrium", *offset,
+                 "--output", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("robe3bp: error:")
+    assert "|pos| = 1.71e+06 > 1000" in captured.err
 
 
 def test_integrate_rejects_zero_t_end(capsys):
@@ -369,3 +414,125 @@ def test_config_file_and_flags_give_identical_bytes(argv, tmp_path, capsys):
                         svg.read_bytes() if svg_flag else None))
     assert results[0][0] == 0
     assert results[0] == results[1]
+
+
+# --------------------------------------------------------------------------
+# CSV formatting: rows come from %-templates, never from a quoting CSV writer
+
+@settings(max_examples=2000)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(1.7976931348623157e308)
+def test_percent_template_is_format_17g(x):
+    assert "%.17g" % x == format(x, ".17g")
+
+
+def test_csv_string_fields_need_no_quoting():
+    # every str the CLI writes into a CSV: command names, classifications,
+    # trajectory statuses and column names
+    words = [*cli._COMMANDS, *(c.value for c in Classification),
+             "completed", "collision", "escape",
+             *cli.SWEEP_COLUMNS, *cli.TRAJECTORY_COLUMNS]
+    for word in words:
+        assert not set(word) & set(',"\r\n'), word
+
+
+def _fold_grid(mu, a1, ulps=3):
+    """A --grid-k flag spanning the fold, ``ulps`` floats either side."""
+    lo = hi = fold_k(mu, a1)
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return f"--grid-k={lo!r}:{hi!r}:{2 * ulps + 1}"
+
+
+@pytest.mark.parametrize("argv", [
+    # k >= 0 cells, cells without a point and cells with one
+    ["sweep", "--grid-mu=0.05:0.5:4", "--grid-k=-0.3:0.1:9", "--grid-a1=0:0.1:2"],
+    # |k| down to 1e-300
+    ["sweep", "--grid-mu=0.1:0.3:2", "--grid-k=-1e-12:-1e-300:5"],
+    # both sides of the fold, one ulp apart
+    ["sweep", "--grid-mu=0.1:0.1:1", _fold_grid(0.1, 0.0), "--grid-a1=0:0:1"],
+    ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8",
+     "--t-end", "20"],
+    ["stability", "--mu", "0.1", "--k=-1e-300", "--format", "csv"],
+    ["locate", "--mu", "0.1", "--k", "0.01", "--format", "csv"],
+])
+def test_csv_output_is_what_a_csv_writer_writes(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) in (0, 2)
+    text = out.read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(text)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == text
+    words = {"", "true", "false", *cli._COMMANDS, *(c.value for c in Classification)}
+    numbers = [field for row in rows[1:] for field in row if field not in words]
+    assert numbers
+    for field in numbers:
+        assert format(float(field), ".17g") == field
+
+
+# --------------------------------------------------------------------------
+# exit codes as properties
+
+def _main_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_cell)
+def test_locate_exit_code_follows_existence(cell):
+    mu, k, a1 = cell
+    code, out, _ = _main_quiet(["locate", f"--mu={mu!r}", f"--k={k!r}", f"--a1={a1!r}"])
+    exists = triangular_points(Params(mu=mu, k=k, a1_oblate=a1)).exists
+    assert code == (0 if exists else 2)
+    assert json.loads(out)["exists"] is exists
+
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+_NOT_POSITIVE = st.floats(max_value=0.0).map(repr)
+_BAD_VALUE = {
+    "mu": st.one_of(_NON_FINITE, _NOT_POSITIVE, st.floats(min_value=1.0).map(repr)),
+    "k": _NON_FINITE,
+    "a1": st.one_of(_NON_FINITE, st.floats(max_value=-5e-324).map(repr)),
+    "offset": st.one_of(_NON_FINITE, _NOT_POSITIVE),
+    "t-end": st.one_of(_NON_FINITE, _NOT_POSITIVE),
+    "tol": st.one_of(_NON_FINITE, _NOT_POSITIVE),
+}
+_GRID_OF = {"mu": "grid-mu", "k": "grid-k", "a1": "grid-a1"}
+
+
+@st.composite
+def bad_argv(draw):
+    """A valid command line with one flag set to a non-finite or out-of-range value."""
+    flag = draw(st.sampled_from(sorted(_BAD_VALUE)))
+    value = draw(_BAD_VALUE[flag])
+    if flag in _GRID_OF and draw(st.booleans()):
+        grids = {"grid-mu": "0.1:0.2:2", "grid-k": "-0.05:-0.01:2", "grid-a1": "0:0.1:2"}
+        grids[_GRID_OF[flag]] = f"{value}:{value}:1"
+        return ["sweep", *(f"--{name}={spec}" for name, spec in grids.items())]
+    command = "integrate" if flag not in _GRID_OF else draw(
+        st.sampled_from(["locate", "stability", "integrate"]))
+    flags = {"mu": "0.1", "k": "-0.01", "a1": "0.02", flag: value}
+    if command == "integrate":
+        flags.setdefault("offset", "1e-8")
+    argv = [command, *(f"--{name}={v}" for name, v in flags.items())]
+    return argv + (["--from-equilibrium", "--output", os.devnull]
+                   if command == "integrate" else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_argv())
+def test_non_finite_or_out_of_range_flag_exits_64(argv):
+    code, out, err = _main_quiet(argv)
+    assert code == 64
+    assert out == "" and "error" in err

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
 
 from robe3bp import (
     ConvergenceError,
@@ -14,7 +15,7 @@ from robe3bp import (
     refine_equilibrium,
     triangular_points,
 )
-from conftest import FROZEN, acceptance_grid
+from conftest import FROZEN, acceptance_grid, any_cell
 
 
 def test_aux_unit_distance_case():
@@ -119,6 +120,18 @@ def test_existence_verdict_matches_exists_for_negative_k():
     for mu, k, a1 in acceptance_grid() + _region_boundary_cells():
         params = Params(mu=mu, k=k, a1_oblate=a1)
         assert existence_report(params).verdict == triangular_points(params).exists
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_cell)
+def test_existence_verdict_is_exists_property(cell):
+    # random cells, |k| down to 1e-300, k >= 0 and within 3 ulps of the fold
+    mu, k, a1 = cell
+    params = Params(mu=mu, k=k, a1_oblate=a1)
+    rep = existence_report(params)
+    exists = triangular_points(params).exists
+    assert rep.verdict == exists
+    assert rep.k_negative and rep.region_ok or not exists
 
 
 def test_existence_implies_region_ok():
