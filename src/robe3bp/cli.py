@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NoGrowthError, SingularityError
 from .model import Params, grad_omega, hessian_omega
-from .equilibria import existence_report, triangular_points
+from .equilibria import triangular_points
 from .stability import char_coeffs, char_coeffs_from_hessian, classify
 from .dynamics import (
     ESCAPE_RADIUS,
@@ -197,7 +197,6 @@ def _existing_points(params: Params):
 
 def _locate(ns, params):
     """triangular points and existence region"""
-    rep = existence_report(params)
     pts = triangular_points(params)
     out = {
         "command": "locate",
@@ -205,16 +204,16 @@ def _locate(ns, params):
         "k": params.k,
         "a1": params.a1_oblate,
         "n_sq": params.n_sq,
-        "k_negative": rep.k_negative,
-        "region_ok": rep.region_ok,
-        "radicand_ok": rep.radicand_ok,
-        "verdict": rep.verdict,
+        "k_negative": params.k < 0.0,
+        "region_ok": 2.0 * params.k / params.n_sq + params.mu > 0.0,  # implied by exists
+        "radicand_ok": pts.exists,
+        "verdict": pts.exists,
         "exists": pts.exists,
         "a1_aux": pts.a1_aux,
         "b1_aux": pts.b1_aux,
         "x": pts.x_eq,
         "z_plus": pts.z_plus,
-        "z_minus": pts.z_minus,
+        "z_minus": None if pts.z_plus is None else -pts.z_plus,
         "grad_residual_plus": None,
         "grad_residual_minus": None,
     }

@@ -7,11 +7,25 @@ classical L4/L5 even though they lie out of the orbital plane here.  b1 equals
 the distance r2 from either point to the second primary.  Existence needs
 k < 0 and a strictly positive radicand b1^2 - a1^2; the degenerate boundary
 b1^2 = a1^2 (z = 0) is reported as non-existence, as is the line k = 0.
+
+:func:`triangular_points` is the one route to existence, a1, b1, x and z.
+Its predicate b1^2 - a1^2 > 0 implies the region condition 2k/n^2 + mu > 0
+(the admissible triangular region in the (mu, 2k/n^2) plane), which
+``robe3bp locate`` reports beside it as ``region_ok``.  Proof: if
+2k/n^2 + mu <= 0 then a1 = (2k/n^2 + mu) - 1 <= -1, and
+2|k| >= mu n^2 >= mu (n^2 >= 1) gives b1 = (mu/2|k|)^(1/3) <= 1, so
+b1^2 <= 1 <= a1^2.  Each step survives rounding: a1 is rounded from the very
+sum that the region condition tests, and rounding is monotone.
+
+A k < 0 that the floats cannot carry through these formulas is an input
+error, never a cell without points: a negative subnormal k, a k so close to 0
+that b1 overflows, and one so far below 0 that a1 overflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +35,7 @@ from .model import COLLISION_R2, Params, _require, grad_omega, hessian_omega, ra
 
 __all__ = [
     "TriangularPoints",
-    "ExistenceReport",
-    "aux_quantities",
     "triangular_points",
-    "existence_report",
     "refine_equilibrium",
 ]
 
@@ -44,24 +55,13 @@ class TriangularPoints:
     b1_aux: float | None = None
     x_eq: float | None = None
     z_plus: float | None = None
-    z_minus: float | None = None
 
     def point(self, branch: int = +1) -> np.ndarray:
         """Position of the +z (branch=+1) or -z (branch=-1) point of a scalar cell."""
         if not self.exists:
             raise ValueError("triangular points do not exist for these parameters")
-        z = self.z_plus if branch >= 0 else self.z_minus
+        z = self.z_plus if branch >= 0 else -self.z_plus
         return np.array([self.x_eq, 0.0, z])
-
-
-@dataclass(frozen=True)
-class ExistenceReport:
-    """Separate diagnostics for the three existence conditions."""
-
-    k_negative: bool
-    region_ok: bool
-    radicand_ok: bool
-    verdict: bool
 
 
 # The kernels below run on a scalar cell and on arrays of cells alike:
@@ -93,8 +93,8 @@ def _points(params: Params):
 
     a1 = 2k/n^2 + mu - 1 and b1 = (-mu/2k)^(1/3) are NaN where k >= 0 (b1 is
     undefined there); x = 2k/n^2 and z = (b1^2 - a1^2)^(1/2) are NaN where no
-    point exists.  An overflowing b1 is an input error, never a cell without
-    points.
+    point exists.  A negative subnormal k, or an overflowing b1 or a1, is an
+    input error.
     """
     mu, k, n_sq = params.mu, params.k, params.n_sq
     negative = k < 0.0
@@ -103,23 +103,13 @@ def _points(params: Params):
         a1 = _where(negative, x + mu - 1.0)
         b1 = _cube_root(-mu / (2.0 * _where(negative, k)))
         _require(b1 != math.inf, k, "b1 = (-mu/2k)^(1/3) overflows for k={}")
+        _require((k >= 0.0) | (k <= -sys.float_info.min), k,
+                 "buoyancy parameter k={} is a negative subnormal float; k < 0 must be normal")
+        _require(a1 != -math.inf, k, "a1 = 2k/n^2 + mu - 1 overflows for k={}")
         radicand = b1 * b1 - a1 * a1
         exists = radicand > 0.0
         z = np.sqrt(_where(exists, radicand))
     return exists, a1, b1, _where(exists, x), z
-
-
-def aux_quantities(params: Params):
-    """Auxiliary quantities a1 = 2k/n^2 + mu - 1 and b1 = (-mu/2k)^(1/3).
-
-    Requires k < 0 so the cube-root argument is positive, and |k| large
-    enough that -mu/2k does not overflow.  Numbers for scalar ``Params``,
-    arrays of their shape otherwise.
-    """
-    _require(params.k < 0.0, params.k,
-             "auxiliary quantities need k < 0 (cube-root argument -mu/2k > 0), got k={}")
-    _, a1, b1, _, _ = _points(params)
-    return a1, b1
 
 
 def triangular_points(params: Params) -> TriangularPoints:
@@ -130,31 +120,9 @@ def triangular_points(params: Params) -> TriangularPoints:
     """
     exists, a1, b1, x, z = _points(params)
     if isinstance(exists, np.ndarray):
-        return TriangularPoints(exists, a1, b1, x, z, -z)
-    coords = (a1, b1, x, z, -z)
+        return TriangularPoints(exists, a1, b1, x, z)
+    coords = (a1, b1, x, z)
     return TriangularPoints(bool(exists), *(None if v != v else float(v) for v in coords))
-
-
-def existence_report(params: Params) -> ExistenceReport:
-    """Report the three existence conditions; the verdict is ``triangular_points``'s.
-
-    The conditions are k < 0, 2k/n^2 + mu > 0 (the admissible triangular
-    region in the (mu, 2k/n^2) plane), and b1^2 - a1^2 > 0.  The radicand
-    condition is the predicate of :func:`triangular_points` (false when
-    k >= 0, where b1 is undefined), and it implies the region condition, so
-    ``region_ok`` is a diagnostic only.  Proof: if 2k/n^2 + mu <= 0 then
-    a1 = (2k/n^2 + mu) - 1 <= -1, and 2|k| >= mu n^2 >= mu (n^2 >= 1) gives
-    b1 = (mu/2|k|)^(1/3) <= 1, so b1^2 <= 1 <= a1^2.  Each step survives
-    rounding: a1 is rounded from the very sum that ``region_ok`` tests, and
-    rounding is monotone.
-    """
-    exists = triangular_points(params).exists
-    return ExistenceReport(
-        k_negative=params.k < 0.0,
-        region_ok=2.0 * params.k / params.n_sq + params.mu > 0.0,
-        radicand_ok=exists,
-        verdict=exists,
-    )
 
 
 def refine_equilibrium(

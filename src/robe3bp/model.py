@@ -44,11 +44,18 @@ def _require(ok, value, message: str) -> None:
 def mean_motion_sq(a1_oblate):
     """Mean-motion squared n^2 = 1 + (3/2) A1 for a finite oblateness coefficient A1 >= 0.
 
-    Elementwise for an array of coefficients.
+    A1 must also be small enough (at most about 3.76e102) that n^6 is a
+    finite float: the characteristic cubic in lambda^2 has roots of size n^2,
+    and the polish of each root evaluates its cube.  Elementwise for an array
+    of coefficients.
     """
     _require((0.0 <= a1_oblate) & (a1_oblate < math.inf), a1_oblate,
              "oblateness coefficient must be finite and >= 0, got {}")
-    return 1.0 + 1.5 * a1_oblate
+    with np.errstate(over="ignore"):  # as with Python floats: inf on overflow
+        n_sq = 1.0 + 1.5 * a1_oblate
+        _require(n_sq * n_sq * n_sq < math.inf, a1_oblate,
+                 "oblateness coefficient A1={} is too large: n^6 overflows above about 3.76e102")
+    return n_sq
 
 
 @dataclass(frozen=True)

@@ -332,6 +332,16 @@ def test_svg_region_output(tmp_path, capsys):
     (["stability", "--mu", "0.1", "--k=-1e-320"], "overflows"),
     (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.3:nan:2"], "k must be finite"),
     (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.01:-1e-320:2"], "overflows"),
+    (["locate", "--mu", "0.1", "--k=-2e-309"], "k=-2e-309 is a negative subnormal"),
+    (["stability", "--mu", "0.1", "--k=-2e-309"], "k=-2e-309 is a negative subnormal"),
+    (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-2e-309:-2e-309:1"], "subnormal"),
+    (["locate", "--mu", "0.1", "--k=-1e308"], "a1 = 2k/n^2 + mu - 1 overflows for k=-1e+308"),
+    (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-1e308:-0.01:2"], "a1 = 2k/n^2"),
+    (["locate", "--mu", "0.1", "--k=-0.01", "--a1", "1.7e308"], "n^6 overflows"),
+    (["stability", "--mu", "0.1", "--k=-0.01", "--a1", "1e200"], "n^6 overflows"),
+    (["stability", "--mu", "0.1", "--k=-0.01", "--a1", "1e150"], "n^6 overflows"),
+    (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.01:-0.01:1", "--grid-a1",
+      "1e200:1e200:1"], "n^6 overflows"),
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
 def test_non_finite_inputs_exit_64(argv, message, capsys):
@@ -488,6 +498,10 @@ def _main_quiet(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 @settings(max_examples=150, deadline=None)
 @given(any_cell)
 def test_locate_exit_code_follows_existence(cell):
@@ -495,15 +509,21 @@ def test_locate_exit_code_follows_existence(cell):
     code, out, _ = _main_quiet(["locate", f"--mu={mu!r}", f"--k={k!r}", f"--a1={a1!r}"])
     exists = triangular_points(Params(mu=mu, k=k, a1_oblate=a1)).exists
     assert code == (0 if exists else 2)
-    assert json.loads(out)["exists"] is exists
+    rep = json.loads(out, parse_constant=_refuse_constant)
+    assert rep["exists"] is exists
+    assert rep["radicand_ok"] is rep["verdict"] is exists
+    assert rep["k_negative"] is (k < 0)
+    assert rep["region_ok"] or not exists
 
 
 _NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
 _NOT_POSITIVE = st.floats(max_value=0.0).map(repr)
 _BAD_VALUE = {
     "mu": st.one_of(_NON_FINITE, _NOT_POSITIVE, st.floats(min_value=1.0).map(repr)),
-    "k": _NON_FINITE,
-    "a1": st.one_of(_NON_FINITE, st.floats(max_value=-5e-324).map(repr)),
+    "k": st.one_of(_NON_FINITE, st.floats(max_value=-9e307).map(repr),
+                   st.floats(-2.2250738585072009e-308, -5e-324).map(repr)),
+    "a1": st.one_of(_NON_FINITE, st.floats(max_value=-5e-324).map(repr),
+                    st.floats(min_value=3.8e102).map(repr)),
     "offset": st.one_of(_NON_FINITE, _NOT_POSITIVE),
     "t-end": st.one_of(_NON_FINITE, _NOT_POSITIVE),
     "tol": st.one_of(_NON_FINITE, _NOT_POSITIVE),

@@ -7,8 +7,6 @@ from robe3bp import (
     ConvergenceError,
     Params,
     SingularityError,
-    aux_quantities,
-    existence_report,
     grad_omega,
     mean_motion_sq,
     radii,
@@ -21,34 +19,37 @@ from conftest import FROZEN, acceptance_grid, any_cell
 def test_aux_unit_distance_case():
     # -mu/2k = 1 exactly, so b1 = 1; a1 = -0.1 + 0.1 - 1 = -1 puts this case
     # exactly on the degenerate boundary b1^2 = a1^2
-    params = Params(mu=0.1, k=-0.05, a1_oblate=0.0)
-    a1, b1 = aux_quantities(params)
-    assert b1 == 1.0
-    npt.assert_allclose(a1, -1.0, rtol=1e-15)
-    assert not triangular_points(params).exists  # z = 0: strict inequality
+    pts = triangular_points(Params(mu=0.1, k=-0.05, a1_oblate=0.0))
+    assert pts.b1_aux == 1.0
+    npt.assert_allclose(pts.a1_aux, -1.0, rtol=1e-15)
+    assert not pts.exists  # z = 0: strict inequality
 
 
 def test_aux_canonical_values(canonical):
-    a1, b1 = aux_quantities(canonical)
-    npt.assert_allclose(a1, FROZEN["a1_aux"], rtol=1e-14)
-    npt.assert_allclose(b1, FROZEN["b1_aux"], rtol=1e-14)
-    npt.assert_allclose(b1, 5.0 ** (1 / 3), rtol=1e-14)
-
-
-def test_aux_rejects_nonnegative_k():
-    with pytest.raises(ValueError):
-        aux_quantities(Params(mu=0.1, k=0.01))
-    with pytest.raises(ValueError):
-        aux_quantities(Params(mu=0.1, k=0.0))
+    pts = triangular_points(canonical)
+    npt.assert_allclose(pts.a1_aux, FROZEN["a1_aux"], rtol=1e-14)
+    npt.assert_allclose(pts.b1_aux, FROZEN["b1_aux"], rtol=1e-14)
+    npt.assert_allclose(pts.b1_aux, 5.0 ** (1 / 3), rtol=1e-14)
 
 
 def test_aux_rejects_overflowing_b1():
     # -mu/2k = 5e318 overflows to inf, which once gave exists=True with z = inf
-    params = Params(mu=0.1, k=-1e-320)
     with pytest.raises(ValueError, match="overflows"):
-        aux_quantities(params)
-    with pytest.raises(ValueError, match="overflows"):
-        triangular_points(params)
+        triangular_points(Params(mu=0.1, k=-1e-320))
+
+
+def test_rejects_k_the_floats_cannot_carry():
+    # a negative subnormal k once gave exists=True with z ~ 3e102, and
+    # k = -1e308 an a1 of -inf
+    for k, message in ((-2e-309, "k=-2e-309 is a negative subnormal"),
+                       (-1e308, "a1 = 2k/n\\^2 \\+ mu - 1 overflows")):
+        with pytest.raises(ValueError, match=message):
+            triangular_points(Params(mu=0.1, k=k))
+        with pytest.raises(ValueError, match=message):
+            triangular_points(Params(mu=np.array([0.1, 0.1]), k=np.array([-0.01, k])))
+    # the smallest normal k < 0 keeps its point, and a positive subnormal k has none
+    assert triangular_points(Params(mu=0.1, k=-2.2250738585072014e-308)).exists
+    assert not triangular_points(Params(mu=0.1, k=5e-324)).exists
 
 
 def test_triangular_points_canonical(canonical):
@@ -80,10 +81,14 @@ def test_triangular_points_positive_k():
         pts.point()
 
 
+def _region_ok(params):
+    """The region condition 2k/n^2 + mu > 0, as ``robe3bp locate`` reports it."""
+    return 2.0 * params.k / params.n_sq + params.mu > 0.0
+
+
 def test_existence_report_canonical(canonical):
-    rep = existence_report(canonical)
-    assert (rep.k_negative, rep.region_ok, rep.radicand_ok, rep.verdict) == \
-        (True, True, True, True)
+    assert triangular_points(canonical).exists
+    assert canonical.k < 0 and _region_ok(canonical)
     # 2k/n^2 + mu ~ 0.0806 and the radicand ~ 2.0787
     npt.assert_allclose(2 * canonical.k / canonical.n_sq + canonical.mu, 0.0805825,
                         atol=1e-7)
@@ -91,15 +96,15 @@ def test_existence_report_canonical(canonical):
 
 
 def test_existence_report_boundary_k_zero():
-    rep = existence_report(Params(mu=0.1, k=0.0))
-    assert not rep.verdict
-    assert not rep.k_negative
+    pts = triangular_points(Params(mu=0.1, k=0.0))
+    assert not pts.exists
+    assert pts.a1_aux is None and pts.b1_aux is None
 
 
 def test_existence_report_region_failure():
-    rep = existence_report(Params(mu=0.1, k=-0.4, a1_oblate=0.0))
-    assert (rep.k_negative, rep.region_ok, rep.radicand_ok, rep.verdict) == \
-        (True, False, False, False)
+    params = Params(mu=0.1, k=-0.4, a1_oblate=0.0)
+    assert not triangular_points(params).exists
+    assert params.k < 0 and not _region_ok(params)
 
 
 def _region_boundary_cells():
@@ -115,11 +120,11 @@ def _region_boundary_cells():
 
 
 def test_existence_verdict_matches_exists_for_negative_k():
-    # for k < 0 the radicand condition implies the region condition, so the
-    # three-way verdict and `exists` agree on that branch
+    # the radicand condition implies k < 0 and the region condition, so
+    # `exists` alone gives the verdict
     for mu, k, a1 in acceptance_grid() + _region_boundary_cells():
         params = Params(mu=mu, k=k, a1_oblate=a1)
-        assert existence_report(params).verdict == triangular_points(params).exists
+        assert params.k < 0 and _region_ok(params) or not triangular_points(params).exists
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,10 +133,7 @@ def test_existence_verdict_is_exists_property(cell):
     # random cells, |k| down to 1e-300, k >= 0 and within 3 ulps of the fold
     mu, k, a1 = cell
     params = Params(mu=mu, k=k, a1_oblate=a1)
-    rep = existence_report(params)
-    exists = triangular_points(params).exists
-    assert rep.verdict == exists
-    assert rep.k_negative and rep.region_ok or not exists
+    assert params.k < 0 and _region_ok(params) or not triangular_points(params).exists
 
 
 def test_existence_implies_region_ok():
@@ -139,9 +141,9 @@ def test_existence_implies_region_ok():
     seen = set()
     for mu, k, a1 in cells:
         params = Params(mu=mu, k=k, a1_oblate=a1)
-        rep = existence_report(params)
-        seen.add((rep.region_ok, rep.verdict))
-        assert rep.region_ok or not triangular_points(params).exists
+        exists = triangular_points(params).exists
+        seen.add((_region_ok(params), exists))
+        assert _region_ok(params) or not exists
     # the cells reach every combination the implication allows
     assert seen == {(True, True), (True, False), (False, False)}
 
@@ -152,7 +154,7 @@ def test_mirror_and_r2_properties():
         pts = triangular_points(params)
         if not pts.exists:
             continue
-        assert pts.z_plus == -pts.z_minus
+        assert pts.point(-1).tolist() == [pts.x_eq, 0.0, -pts.z_plus]
         for branch in (+1, -1):
             _, r2 = radii(pts.point(branch), mu)
             npt.assert_allclose(r2, pts.b1_aux, rtol=1e-12)
@@ -171,10 +173,10 @@ def test_residual_property_over_grid():
 def test_boundary_small_k():
     # k -> 0^-: b1 grows without bound while existence and the region hold
     params = Params(mu=0.1, k=-1e-9, a1_oblate=0.0)
-    _, b1 = aux_quantities(params)
-    assert b1 > 1e2
-    assert triangular_points(params).exists
-    assert existence_report(params).region_ok
+    pts = triangular_points(params)
+    assert pts.b1_aux > 1e2
+    assert pts.exists
+    assert _region_ok(params)
 
 
 def test_refine_from_perturbed_guess(canonical):

@@ -26,6 +26,15 @@ def test_mean_motion_sq_rejects_negative():
         mean_motion_sq(-0.01)
 
 
+def test_mean_motion_sq_rejects_overflowing_n6():
+    # above this A1 the cube of n^2 overflows, and with it the polish of the
+    # characteristic roots (A1 = 1e150 once gave NaN roots)
+    assert mean_motion_sq(3.76e102) ** 3 < np.inf
+    for a1 in (3.8e102, 1e154, np.array([0.0, 1e200])):
+        with pytest.raises(ValueError, match="n\\^6 overflows"):
+            mean_motion_sq(a1)
+
+
 def test_params_validation():
     for mu in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):

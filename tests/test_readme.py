@@ -1,15 +1,17 @@
 """The README stays true to the code: its per-command flag lists match the
-CLI parser, and its Python examples run."""
+CLI parser, its output schemas match what the commands write, and its Python
+examples run."""
 
 import argparse
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from robe3bp.cli import _build_parser
+from robe3bp.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,6 +42,54 @@ def _parser_flags() -> dict[str, set[str]]:
 
 def test_readme_lists_each_commands_flags():
     assert _documented_flags() == _parser_flags()
+
+
+ROOT_KEYS = [f"root{i}_{part}" for i in range(1, 7) for part in ("re", "im")]
+
+
+def _documented_schema(label: str) -> list[str]:
+    """The backquoted names after ``label:`` under "Output schemas", in order,
+    with the stability report's ``root1_re, root1_im, ..., root6_re, root6_im``
+    written out."""
+    text = README.read_text().split("### Output schemas", 1)[1]
+    names = re.split(r"[,\s]+", re.search(re.escape(label) + r":\s*`([^`]*)`", text)[1])
+    if "..." in names:
+        i = names.index("...")
+        assert names[i - 2:i] + names[i + 1:i + 3] == ROOT_KEYS[:2] + ROOT_KEYS[-2:]
+        names[i - 2:i + 3] = ROOT_KEYS
+    return names
+
+
+def _json_keys(capsys, argv) -> list[str]:
+    assert main(argv) == 0
+    return list(json.loads(capsys.readouterr().out))
+
+
+def _csv_header(path: Path) -> list[str]:
+    return path.read_text().split("\n", 1)[0].split(",")
+
+
+POINT = ["--mu", "0.1", "--k", "-0.01", "--a1", "0.02"]
+
+
+def test_readme_lists_each_reports_keys(capsys):
+    assert _documented_schema("`locate` JSON keys") == _json_keys(capsys, ["locate", *POINT])
+    assert _documented_schema("`stability` JSON keys") == \
+        _json_keys(capsys, ["stability", *POINT])
+
+
+def test_readme_lists_the_csv_headers_and_integrate_keys(tmp_path, capsys):
+    sweep, trajectory = tmp_path / "sweep.csv", tmp_path / "trajectory.csv"
+    assert main(["sweep", "--grid-mu", "0.1:0.1:1", "--grid-k=-0.01:-0.01:1",
+                 "--output", str(sweep)]) == 0
+    assert _documented_schema("Sweep CSV columns") == _csv_header(sweep)
+    # a span too short for the growth fit: the summary gains growth_fit_error
+    keys = _json_keys(capsys, ["integrate", *POINT, "--from-equilibrium", "--offset", "1e-8",
+                               "--t-end", "1", "--output", str(trajectory)])
+    assert _documented_schema("Trajectory CSV columns") == _csv_header(trajectory)
+    optional = re.search(r"summary keys: `[^`]*` \(plus `(\w+)`", README.read_text())[1]
+    assert keys[-1] == optional == "growth_fit_error"
+    assert _documented_schema("`integrate` summary keys") == keys[:-1]
 
 
 def test_readme_has_python_examples():
