@@ -134,9 +134,15 @@ def radii(pos, mu: float) -> tuple[float, float]:
 
 # Scalar cores.  These carry the arithmetic for the public wrappers and for the
 # integrator's right-hand side, where per-call array packaging would dominate.
+# On Python floats a division by 0 raises where a numpy scalar warns, so an r2^3
+# that rounds to 0 (within about 1e-108 of the second primary) is a SingularityError.
+_AT_SECOND_PRIMARY = "position coincides with the second primary (r2^3 rounds to 0)"
 
 def _omega_s(x: float, y: float, z: float, mu: float, k: float, n_sq: float) -> float:
-    r1_sq = (x + mu) ** 2 + y * y + z * z
+    try:
+        r1_sq = (x + mu) ** 2 + y * y + z * z
+    except OverflowError:  # a float power raises where a numpy scalar gives inf
+        r1_sq = math.inf
     dx2 = x + mu - 1.0
     r2 = math.sqrt(dx2 * dx2 + y * y + z * z)
     if r2 == 0.0:
@@ -149,9 +155,10 @@ def _grad_s(
 ) -> tuple[float, float, float]:
     dx2 = x + mu - 1.0
     r2_sq = dx2 * dx2 + y * y + z * z
-    if r2_sq == 0.0:
-        raise SingularityError("position coincides with the second primary (r2 = 0)")
-    c3 = mu / (r2_sq * math.sqrt(r2_sq))
+    r2_cu = r2_sq * math.sqrt(r2_sq)
+    if r2_cu == 0.0:
+        raise SingularityError(_AT_SECOND_PRIMARY)
+    c3 = mu / r2_cu
     return (
         n_sq * x - 2.0 * k * (x + mu) - c3 * dx2,
         n_sq * y - 2.0 * k * y - c3 * y,
@@ -164,10 +171,10 @@ def _hessian_s(
 ) -> PotentialHessian:
     dx2 = x + mu - 1.0
     r2_sq = dx2 * dx2 + y * y + z * z
-    if r2_sq == 0.0:
-        raise SingularityError("position coincides with the second primary (r2 = 0)")
-    r2 = math.sqrt(r2_sq)
-    c3 = mu / (r2_sq * r2)
+    r2_cu = r2_sq * math.sqrt(r2_sq)
+    if r2_cu == 0.0:
+        raise SingularityError(_AT_SECOND_PRIMARY)
+    c3 = mu / r2_cu
     c5 = 3.0 * c3 / r2_sq
     return PotentialHessian(
         xx=n_sq - 2.0 * k - c3 + c5 * dx2 * dx2,

@@ -192,6 +192,22 @@ def test_integrate_starting_beyond_escape_radius_exits_1(offset, tmp_path, capsy
     assert "|pos| = 1.71e+06 > 1000" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--a1", "0.02", "--tol", "1e-300"],  # an error term too large to square
+    ["--a1", "1e100"],  # the gradient overflows at the first stage
+])
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
+def test_integrate_overflow_ends_in_step_size_underflow(argv, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = main(["integrate", "--mu", "0.1", "--k=-0.01", *argv, "--from-equilibrium",
+                 "--offset", "1e-8", "--t-end", "5", "--output", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("robe3bp: error: step size underflow at t=0")
+
+
 def test_integrate_rejects_zero_t_end(capsys):
     code = main(["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--t-end", "0"])
     assert code == 64

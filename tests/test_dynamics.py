@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -136,6 +138,14 @@ def test_integrate_escape_flag():
     assert traj.times[-1] < 50.0
 
 
+def test_integrate_start_whose_square_overflows_escapes():
+    # (x + mu) ** 2 overflows on floats; Omega and C read inf, as on numpy scalars
+    state0 = PhaseState(pos=(1e200, 0.0, 0.0), vel=(0.0, 0.0, 0.0))
+    traj = integrate(state0, Params(mu=0.1, k=-0.01), IntegratorConfig(t_end=1.0))
+    assert (traj.steps, traj.status) == (0, "escape")
+    assert traj.jacobi[0] == np.inf
+
+
 def test_integrate_collision_flag():
     # radial fall onto the second primary from close range
     state0 = PhaseState(pos=(1 - 0.1 + 1e-4, 0.0, 0.0), vel=(-0.05, 0.0, 0.0))
@@ -148,6 +158,48 @@ def test_integrate_step_underflow(canonical):
     cfg = IntegratorConfig(t_end=1.0, max_step=1e-20, initial_step=1e-20)
     with pytest.raises(ConvergenceError):
         integrate(equilibrium_state(canonical), canonical, cfg)
+
+
+# sha256 of times, states and jacobi (tobytes, in that order), steps,
+# rejections and status: a change to the step's arithmetic that moves a single
+# bit of a trajectory shows here
+_PINNED_RUNS = {
+    "bounded_a": (
+        ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING, dict(t_end=20.0),
+        "111a2b2624b0a50c4ee444b608a20ff19368c077a38f59149e6da75204c47e72", 1447, 0, "completed"),
+    "bounded_b": (
+        ((-0.3, 0.25, -0.1), (0.1, 0.05, -0.15)), CONFINING, dict(t_end=20.0),
+        "95c76165eff6854daa8cf5c4b1c08d62312d84dd5703f5f05320a32f8c70a1dc", 1575, 0, "completed"),
+    "unstable_seed": (
+        None, Params(mu=0.1, k=-0.01, a1_oblate=0.02), dict(t_end=60.0),
+        "f1ed21658fecdc2d3052b3644693ae144f3f64e8487ef952b740cc86beb5e047", 67, 4, "completed"),
+    "escape": (
+        ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Params(mu=0.1, k=-0.01),
+        dict(t_end=50.0, rel_tol=1e-9, abs_tol=1e-9),
+        "94365459006b56ed7691b9bdf0cabbfb895e30d75724084c84ba8152a8eb300e", 632, 25, "escape"),
+    "collision": (
+        ((1 - 0.1 + 1e-4, 0.0, 0.0), (-0.05, 0.0, 0.0)), CONFINING,
+        dict(t_end=1.0, rel_tol=1e-9, abs_tol=1e-9),
+        "a01ebdeb726ec1eea8a251f7c182d97e4d74ee77bdde0d6ae8768f8f50644f30", 94, 9, "collision"),
+    "loose_tolerance": (
+        ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING,
+        dict(rel_tol=1e-3, abs_tol=1e-3, initial_step=1.0, t_end=20.0),
+        "4519d4423b065c3e4117a90e1245bf442eaff0139f7d1b11fa97cbaefc6f34bf", 24, 1, "completed"),
+    # the signed zeros flip to +0.0 on the first step, as the stage sums start from 0
+    "planar_negative_zero": (
+        ((0.3, -0.2, -0.0), (0.1, 0.05, -0.0)), CONFINING, dict(t_end=10.0),
+        "715317c824ad648acfb52ce054cd444fde6ae0f4ed0d4126e14dd6631e2d191a", 828, 0, "completed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_integrate_bits_pinned(name):
+    start, params, cfg, digest, steps, rejections, status = _PINNED_RUNS[name]
+    state0 = unstable_seed(params, 1e-8) if start is None else PhaseState(*start)
+    traj = integrate(state0, params, IntegratorConfig(**cfg))
+    data = traj.times.tobytes() + traj.states.tobytes() + traj.jacobi.tobytes()
+    assert (traj.steps, traj.rejections, traj.status) == (steps, rejections, status)
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_jacobi_conservation_random_bounded():

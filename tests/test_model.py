@@ -208,6 +208,16 @@ def test_hessian_singularity(canonical):
         hessian_omega((1 - canonical.mu, 0.0, 0.0), canonical)
 
 
+def test_singularity_where_r2_cubed_underflows(canonical):
+    # r2 = 1e-110 > 0, but r2^3 rounds to 0 in floats (ZeroDivisionError, not
+    # a SingularityError, before the guard); a little farther out, results are finite
+    for kernel in (grad_omega, hessian_omega):
+        with pytest.raises(SingularityError, match="r2\\^3 rounds to 0"):
+            kernel((0.9, 1e-110, 0.0), canonical)
+    assert np.all(np.isfinite(grad_omega((0.9, 1e-100, 0.0), canonical)))
+    assert np.all(np.isfinite(hessian_omega((0.9, 1e-60, 0.0), canonical).matrix()))
+
+
 def test_trace_identity_at_triangular_points():
     # Oxx + Oyy + Ozz = 2 n^2 - 6 k at either equilibrium
     for mu, k, a1 in acceptance_grid():
