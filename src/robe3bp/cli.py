@@ -1,10 +1,14 @@
 """Command-line front end: locate / stability / integrate / sweep.
 
 Output contracts: CSV has LF line endings and fixed 17-significant-digit float
-formatting, so identical runs are byte-identical.  Each CSV row is written by
-one ``%``-template per row shape (``"%.17g" % x`` is ``format(x, ".17g")``);
-no field the CLI writes holds a comma, quote or line break, so none needs
-quoting.  JSON is one top-level object per run with lower_snake_case keys.
+formatting, so identical runs are byte-identical.  CSV rows are written with
+``%``-templates (``"%.17g" % x`` is ``format(x, ".17g")``): one per trajectory
+or report row.  ``sweep`` formats each grid-axis value once and labels a cell
+``mu,k,a1`` from the product of the axes' labels; a cell without a point is
+its label and ``,false`` with empty fields, and a cell with one formats only
+its six computed floats.  No field the CLI writes holds a comma, quote or line
+break, so none needs quoting.  JSON is one top-level object per run with
+lower_snake_case keys.
 Exit codes: 0 success, 2 no equilibrium, 64 usage error, 1 runtime or
 integration failure (also a trajectory that starts beyond the escape radius).
 One flag table per command builds its parser and reads its config file;
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -48,8 +53,8 @@ SWEEP_COLUMNS = [
     "max_real_part", "classification",
 ]
 _TRAJECTORY_ROW = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS)) + "\n"
-_SWEEP_ROW = "%.17g,%.17g,%.17g,true,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-_SWEEP_ROW_NO_POINT = "%.17g,%.17g,%.17g,false,,,,,,,\n"
+_SWEEP_ROW = "%s,true,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"  # label mu,k,a1 first
+_SWEEP_NO_POINT_TAIL = ",false,,,,,,,\n"
 _SWEEP_NO_POINT = (None,) * 6 + ("",)  # JSON x ... classification of a cell without a point
 
 
@@ -316,34 +321,36 @@ def _integrate(ns, params):
     return EX_OK, [(text, ns.output), (_json_text(summary), None)]
 
 
-def _in_cell_order(ok, found, missing) -> list:
-    """Merge the rows of the cells with a point and of those without, by the mask ``ok``."""
-    return [next(found) if exists else next(missing) for exists in ok.tolist()]
-
-
 def _sweep(ns, _):
     """stability map over a parameter grid"""
-    grid_a1 = np.array([ns.a1]) if ns.grid_a1 is None else ns.grid_a1
-    mu, k, a1 = (g.ravel() for g in np.meshgrid(ns.grid_mu, ns.grid_k, grid_a1, indexing="ij"))
+    axes = (ns.grid_mu, ns.grid_k, np.array([ns.a1]) if ns.grid_a1 is None else ns.grid_a1)
+    mu, k, a1 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
     params = Params(mu=mu, k=k, a1_oblate=a1)
     pts = triangular_points(params)
     ok = pts.exists
     coeffs = char_coeffs(Params(mu=mu[ok], k=k[ok], a1_oblate=a1[ok]))
     verdict = classify(coeffs)
-    found = zip(*(v[ok].tolist() for v in (mu, k, a1, pts.x_eq, pts.z_plus)),
-                *(v.tolist() for v in (*coeffs, verdict.max_real_part, verdict.classification)))
-    missing = zip(*(v[~ok].tolist() for v in (mu, k, a1)))
+    point = [v.tolist() for v in (pts.x_eq[ok], pts.z_plus[ok], *coeffs,
+                                  verdict.max_real_part, verdict.classification)]
+    exists = ok.tolist()
     if ns.format == "json":
-        found = (dict(zip(SWEEP_COLUMNS, (*row[:3], True, *row[3:]))) for row in found)
-        missing = (dict(zip(SWEEP_COLUMNS, (*row, False, *_SWEEP_NO_POINT))) for row in missing)
-        text = _json_text({"command": "sweep", "rows": _in_cell_order(ok, found, missing)})
+        found = (dict(zip(SWEEP_COLUMNS, (*row[:3], True, *row[3:])))
+                 for row in zip(*(v[ok].tolist() for v in (mu, k, a1)), *point))
+        missing = (dict(zip(SWEEP_COLUMNS, (*row, False, *_SWEEP_NO_POINT)))
+                   for row in zip(*(v[~ok].tolist() for v in (mu, k, a1))))
+        rows = [next(found) if e else next(missing) for e in exists]
+        text = _json_text({"command": "sweep", "rows": rows})
     else:
-        lines = _in_cell_order(ok, map(_SWEEP_ROW.__mod__, found),
-                               map(_SWEEP_ROW_NO_POINT.__mod__, missing))
-        text = _csv_text(SWEEP_COLUMNS, lines)
+        # each grid value is formatted once; the product of the axes' labels
+        # runs in the cells' meshgrid(indexing="ij").ravel() order
+        labels = list(map(",".join, itertools.product(
+            *(["%.17g" % v for v in axis.tolist()] for axis in axes))))
+        found = map(_SWEEP_ROW.__mod__, zip(itertools.compress(labels, exists), *point))
+        text = _csv_text(SWEEP_COLUMNS, [next(found) if e else label + _SWEEP_NO_POINT_TAIL
+                                         for label, e in zip(labels, exists)])
     outputs = [(text, ns.output)]
     if ns.svg_region:
-        cells = list(zip(mu.tolist(), (2 * k / params.n_sq).tolist(), ok.tolist()))
+        cells = list(zip(mu.tolist(), (2 * k / params.n_sq).tolist(), exists))
         outputs.append((_region_svg(cells), ns.svg_region))
     return EX_OK, outputs
 
@@ -439,12 +446,18 @@ def _config_tokens(path: str, flags: dict) -> list[str]:
     return tokens
 
 
+@functools.cache
+def _build_config_parser(command: str) -> _Parser:
+    """The parser that finds a command's --config path before the full parse."""
+    pre = _Parser(prog=f"robe3bp {command}", add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse the command line with the --config file's flags ahead of it."""
     if argv and argv[0] in _COMMANDS:
-        pre = _Parser(prog=f"robe3bp {argv[0]}", add_help=False)
-        pre.add_argument("--config")
-        path = pre.parse_known_args(argv[1:])[0].config
+        path = _build_config_parser(argv[0]).parse_known_args(argv[1:])[0].config
         if path:
             argv = [argv[0], *_config_tokens(path, _COMMANDS[argv[0]][1]), *argv[1:]]
     return _build_parser().parse_args(argv)

@@ -10,7 +10,10 @@ integrated here in first-order form with an embedded Dormand-Prince 5(4)
 pair (FSAL, adaptive step control, the fifth-order solution propagated).  The
 step runs on plain Python floats with each stage sum written out per
 component; ``model._grad_s`` is its one kernel, the Coriolis terms are added
-beside it, and ``_STAGES``/``_ERR`` are the one copy of the tableau.  The
+beside it, and ``_STAGES``/``_ERR`` are the one copy of the tableau.  Every
+sum adds floats only: a stage sum starts from ``0.0`` and so rounds as a sum
+from 0 does, and an error sum starts from its first term, since it is squared
+and the sign of a zero drops out.  The
 system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its drift
 along a trajectory is the accuracy audit for the integrator.  Trajectories
 terminate early with a flagged status on close approach to the second primary
@@ -188,93 +191,100 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     "requested tolerances"
                 )
 
-            # Stage j sits at s + h * (0 + a_j1 k1 + a_j2 k2 + ...), summed in
-            # tableau order from 0, zero entries included, so every sum rounds
+            # Stage j sits at s + h * (0.0 + a_j1 k1 + a_j2 k2 + ...), summed in
+            # tableau order from 0.0, zero entries included, so every sum rounds
             # as sum(map(mul, row, kj)) does.  A slope is the stage velocity
             # and the acceleration grad Omega plus the Coriolis terms.
-            x2 = x + h * (0 + a21 * vx)
-            y2 = y + h * (0 + a21 * vy)
-            z2 = z + h * (0 + a21 * vz)
-            vx2 = vx + h * (0 + a21 * ax)
-            vy2 = vy + h * (0 + a21 * ay)
-            vz2 = vz + h * (0 + a21 * az)
+            x2 = x + h * (0.0 + a21 * vx)
+            y2 = y + h * (0.0 + a21 * vy)
+            z2 = z + h * (0.0 + a21 * vz)
+            vx2 = vx + h * (0.0 + a21 * ax)
+            vy2 = vy + h * (0.0 + a21 * ay)
+            vz2 = vz + h * (0.0 + a21 * az)
             ax2, ay2, az2 = grad(x2, y2, z2, mu, k, n_sq)
             ax2 += n2 * vy2
             ay2 -= n2 * vx2
 
-            x3 = x + h * (0 + a31 * vx + a32 * vx2)
-            y3 = y + h * (0 + a31 * vy + a32 * vy2)
-            z3 = z + h * (0 + a31 * vz + a32 * vz2)
-            vx3 = vx + h * (0 + a31 * ax + a32 * ax2)
-            vy3 = vy + h * (0 + a31 * ay + a32 * ay2)
-            vz3 = vz + h * (0 + a31 * az + a32 * az2)
+            x3 = x + h * (0.0 + a31 * vx + a32 * vx2)
+            y3 = y + h * (0.0 + a31 * vy + a32 * vy2)
+            z3 = z + h * (0.0 + a31 * vz + a32 * vz2)
+            vx3 = vx + h * (0.0 + a31 * ax + a32 * ax2)
+            vy3 = vy + h * (0.0 + a31 * ay + a32 * ay2)
+            vz3 = vz + h * (0.0 + a31 * az + a32 * az2)
             ax3, ay3, az3 = grad(x3, y3, z3, mu, k, n_sq)
             ax3 += n2 * vy3
             ay3 -= n2 * vx3
 
-            x4 = x + h * (0 + a41 * vx + a42 * vx2 + a43 * vx3)
-            y4 = y + h * (0 + a41 * vy + a42 * vy2 + a43 * vy3)
-            z4 = z + h * (0 + a41 * vz + a42 * vz2 + a43 * vz3)
-            vx4 = vx + h * (0 + a41 * ax + a42 * ax2 + a43 * ax3)
-            vy4 = vy + h * (0 + a41 * ay + a42 * ay2 + a43 * ay3)
-            vz4 = vz + h * (0 + a41 * az + a42 * az2 + a43 * az3)
+            x4 = x + h * (0.0 + a41 * vx + a42 * vx2 + a43 * vx3)
+            y4 = y + h * (0.0 + a41 * vy + a42 * vy2 + a43 * vy3)
+            z4 = z + h * (0.0 + a41 * vz + a42 * vz2 + a43 * vz3)
+            vx4 = vx + h * (0.0 + a41 * ax + a42 * ax2 + a43 * ax3)
+            vy4 = vy + h * (0.0 + a41 * ay + a42 * ay2 + a43 * ay3)
+            vz4 = vz + h * (0.0 + a41 * az + a42 * az2 + a43 * az3)
             ax4, ay4, az4 = grad(x4, y4, z4, mu, k, n_sq)
             ax4 += n2 * vy4
             ay4 -= n2 * vx4
 
-            x5 = x + h * (0 + a51 * vx + a52 * vx2 + a53 * vx3 + a54 * vx4)
-            y5 = y + h * (0 + a51 * vy + a52 * vy2 + a53 * vy3 + a54 * vy4)
-            z5 = z + h * (0 + a51 * vz + a52 * vz2 + a53 * vz3 + a54 * vz4)
-            vx5 = vx + h * (0 + a51 * ax + a52 * ax2 + a53 * ax3 + a54 * ax4)
-            vy5 = vy + h * (0 + a51 * ay + a52 * ay2 + a53 * ay3 + a54 * ay4)
-            vz5 = vz + h * (0 + a51 * az + a52 * az2 + a53 * az3 + a54 * az4)
+            x5 = x + h * (0.0 + a51 * vx + a52 * vx2 + a53 * vx3 + a54 * vx4)
+            y5 = y + h * (0.0 + a51 * vy + a52 * vy2 + a53 * vy3 + a54 * vy4)
+            z5 = z + h * (0.0 + a51 * vz + a52 * vz2 + a53 * vz3 + a54 * vz4)
+            vx5 = vx + h * (0.0 + a51 * ax + a52 * ax2 + a53 * ax3 + a54 * ax4)
+            vy5 = vy + h * (0.0 + a51 * ay + a52 * ay2 + a53 * ay3 + a54 * ay4)
+            vz5 = vz + h * (0.0 + a51 * az + a52 * az2 + a53 * az3 + a54 * az4)
             ax5, ay5, az5 = grad(x5, y5, z5, mu, k, n_sq)
             ax5 += n2 * vy5
             ay5 -= n2 * vx5
 
-            x6 = x + h * (0 + a61 * vx + a62 * vx2 + a63 * vx3 + a64 * vx4 + a65 * vx5)
-            y6 = y + h * (0 + a61 * vy + a62 * vy2 + a63 * vy3 + a64 * vy4 + a65 * vy5)
-            z6 = z + h * (0 + a61 * vz + a62 * vz2 + a63 * vz3 + a64 * vz4 + a65 * vz5)
-            vx6 = vx + h * (0 + a61 * ax + a62 * ax2 + a63 * ax3 + a64 * ax4 + a65 * ax5)
-            vy6 = vy + h * (0 + a61 * ay + a62 * ay2 + a63 * ay3 + a64 * ay4 + a65 * ay5)
-            vz6 = vz + h * (0 + a61 * az + a62 * az2 + a63 * az3 + a64 * az4 + a65 * az5)
+            x6 = x + h * (0.0 + a61 * vx + a62 * vx2 + a63 * vx3 + a64 * vx4 + a65 * vx5)
+            y6 = y + h * (0.0 + a61 * vy + a62 * vy2 + a63 * vy3 + a64 * vy4 + a65 * vy5)
+            z6 = z + h * (0.0 + a61 * vz + a62 * vz2 + a63 * vz3 + a64 * vz4 + a65 * vz5)
+            vx6 = vx + h * (0.0 + a61 * ax + a62 * ax2 + a63 * ax3 + a64 * ax4 + a65 * ax5)
+            vy6 = vy + h * (0.0 + a61 * ay + a62 * ay2 + a63 * ay3 + a64 * ay4 + a65 * ay5)
+            vz6 = vz + h * (0.0 + a61 * az + a62 * az2 + a63 * az3 + a64 * az4 + a65 * az5)
             ax6, ay6, az6 = grad(x6, y6, z6, mu, k, n_sq)
             ax6 += n2 * vy6
             ay6 -= n2 * vx6
 
             # the fifth-order solution; its slope is the next step's first (FSAL)
-            x7 = x + h * (0 + b1 * vx + b2 * vx2 + b3 * vx3 + b4 * vx4 + b5 * vx5 + b6 * vx6)
-            y7 = y + h * (0 + b1 * vy + b2 * vy2 + b3 * vy3 + b4 * vy4 + b5 * vy5 + b6 * vy6)
-            z7 = z + h * (0 + b1 * vz + b2 * vz2 + b3 * vz3 + b4 * vz4 + b5 * vz5 + b6 * vz6)
-            vx7 = vx + h * (0 + b1 * ax + b2 * ax2 + b3 * ax3 + b4 * ax4 + b5 * ax5 + b6 * ax6)
-            vy7 = vy + h * (0 + b1 * ay + b2 * ay2 + b3 * ay3 + b4 * ay4 + b5 * ay5 + b6 * ay6)
-            vz7 = vz + h * (0 + b1 * az + b2 * az2 + b3 * az3 + b4 * az4 + b5 * az5 + b6 * az6)
+            x7 = x + h * (0.0 + b1 * vx + b2 * vx2 + b3 * vx3 + b4 * vx4 + b5 * vx5 + b6 * vx6)
+            y7 = y + h * (0.0 + b1 * vy + b2 * vy2 + b3 * vy3 + b4 * vy4 + b5 * vy5 + b6 * vy6)
+            z7 = z + h * (0.0 + b1 * vz + b2 * vz2 + b3 * vz3 + b4 * vz4 + b5 * vz5 + b6 * vz6)
+            vx7 = vx + h * (0.0 + b1 * ax + b2 * ax2 + b3 * ax3 + b4 * ax4 + b5 * ax5 + b6 * ax6)
+            vy7 = vy + h * (0.0 + b1 * ay + b2 * ay2 + b3 * ay3 + b4 * ay4 + b5 * ay5 + b6 * ay6)
+            vz7 = vz + h * (0.0 + b1 * az + b2 * az2 + b3 * az3 + b4 * az4 + b5 * az5 + b6 * az6)
             ax7, ay7, az7 = grad(x7, y7, z7, mu, k, n_sq)
             ax7 += n2 * vy7
             ay7 -= n2 * vx7
 
-            # RMS of the scaled error estimate
+            # RMS of the scaled error estimate.  Each scale picks the larger of
+            # |before| and |after| as max() would (NaN included); each error sum
+            # is squared, so it need not start from 0.0 for the sign of a zero.
+            m0, m1 = abs(x), abs(x7)
+            sc_x = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            m0, m1 = abs(y), abs(y7)
+            sc_y = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            m0, m1 = abs(z), abs(z7)
+            sc_z = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            m0, m1 = abs(vx), abs(vx7)
+            sc_vx = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            m0, m1 = abs(vy), abs(vy7)
+            sc_vy = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            m0, m1 = abs(vz), abs(vz7)
+            sc_vz = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
             try:
                 err_sq = (
-                    0.0
-                    + (h * (0 + e1 * vx + e2 * vx2 + e3 * vx3 + e4 * vx4 + e5 * vx5
-                            + e6 * vx6 + e7 * vx7)
-                       / (abs_tol + rel_tol * max(abs(x), abs(x7)))) ** 2
-                    + (h * (0 + e1 * vy + e2 * vy2 + e3 * vy3 + e4 * vy4 + e5 * vy5
-                            + e6 * vy6 + e7 * vy7)
-                       / (abs_tol + rel_tol * max(abs(y), abs(y7)))) ** 2
-                    + (h * (0 + e1 * vz + e2 * vz2 + e3 * vz3 + e4 * vz4 + e5 * vz5
-                            + e6 * vz6 + e7 * vz7)
-                       / (abs_tol + rel_tol * max(abs(z), abs(z7)))) ** 2
-                    + (h * (0 + e1 * ax + e2 * ax2 + e3 * ax3 + e4 * ax4 + e5 * ax5
-                            + e6 * ax6 + e7 * ax7)
-                       / (abs_tol + rel_tol * max(abs(vx), abs(vx7)))) ** 2
-                    + (h * (0 + e1 * ay + e2 * ay2 + e3 * ay3 + e4 * ay4 + e5 * ay5
-                            + e6 * ay6 + e7 * ay7)
-                       / (abs_tol + rel_tol * max(abs(vy), abs(vy7)))) ** 2
-                    + (h * (0 + e1 * az + e2 * az2 + e3 * az3 + e4 * az4 + e5 * az5
-                            + e6 * az6 + e7 * az7)
-                       / (abs_tol + rel_tol * max(abs(vz), abs(vz7)))) ** 2
+                    (h * (e1 * vx + e2 * vx2 + e3 * vx3 + e4 * vx4 + e5 * vx5 + e6 * vx6
+                            + e7 * vx7) / sc_x) ** 2
+                    + (h * (e1 * vy + e2 * vy2 + e3 * vy3 + e4 * vy4 + e5 * vy5 + e6 * vy6
+                            + e7 * vy7) / sc_y) ** 2
+                    + (h * (e1 * vz + e2 * vz2 + e3 * vz3 + e4 * vz4 + e5 * vz5 + e6 * vz6
+                            + e7 * vz7) / sc_z) ** 2
+                    + (h * (e1 * ax + e2 * ax2 + e3 * ax3 + e4 * ax4 + e5 * ax5 + e6 * ax6
+                            + e7 * ax7) / sc_vx) ** 2
+                    + (h * (e1 * ay + e2 * ay2 + e3 * ay3 + e4 * ay4 + e5 * ay5 + e6 * ay6
+                            + e7 * ay7) / sc_vy) ** 2
+                    + (h * (e1 * az + e2 * az2 + e3 * az3 + e4 * az4 + e5 * az5 + e6 * az6
+                            + e7 * az7) / sc_vz) ** 2
                 )
             except OverflowError:  # a float power raises where a numpy scalar gives inf
                 err_sq = math.inf  # which rejects the step

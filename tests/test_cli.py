@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -294,7 +295,7 @@ def test_sweep_json_matches_csv(tmp_path, capsys):
             elif isinstance(value, bool):
                 assert field == ("true" if value else "false")
             elif isinstance(value, float):
-                npt.assert_allclose(float(field), value, rtol=1e-15)
+                assert float(field) == value  # %.17g round-trips every double
             else:
                 assert field == str(value)
 
@@ -475,6 +476,46 @@ def _fold_grid(mu, a1, ulps=3):
     for _ in range(ulps):
         lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     return f"--grid-k={lo!r}:{hi!r}:{2 * ulps + 1}"
+
+
+# sha256 of the output file and of stdout: a change to how a report is
+# formatted that moves a single byte of it shows here
+_NO_STDOUT = hashlib.sha256(b"").hexdigest()
+_PINNED_OUTPUTS = {
+    "sweep_readme_grid": (
+        ["sweep", "--grid-mu", "0.05:0.5:10", "--grid-k=-0.3:-0.001:10", "--grid-a1", "0:0.1:2"],
+        "4756e5b8d46c19ee00160c06a67da319c458b432680668c77375183d2305f1b5", _NO_STDOUT),
+    "sweep_readme_grid_json": (
+        ["sweep", "--grid-mu", "0.05:0.5:10", "--grid-k=-0.3:-0.001:10", "--grid-a1", "0:0.1:2",
+         "--format", "json"],
+        "e041dbaa75b57ff055ab69612e7161aba79053c168bdce408bf8268c342b49e2", _NO_STDOUT),
+    "sweep_without_grid_a1": (
+        ["sweep", "--grid-mu=0.02:0.9:7", "--grid-k=-0.4:-1e-6:6", "--a1", "0.03"],
+        "1663989a66ab956ca925ac59db670dc1b5e0612ad5504072a1505a5fe8ff4108", _NO_STDOUT),
+    "sweep_k_reaches_zero": (
+        ["sweep", "--grid-mu=0.05:0.5:4", "--grid-k=-0.3:0.1:9", "--grid-a1=0:0.1:2"],
+        "6afa537b25a3e87b59aca58bcd1c69537581bef7944afdfe023f59d4914daa21", _NO_STDOUT),
+    "sweep_one_cell": (
+        ["sweep", "--grid-mu=0.1:0.1:1", "--grid-k=-0.01:-0.01:1", "--grid-a1=0.02:0.02:1"],
+        "7131cd74011192f553e05b08e399bda238cdc454ef0dced51f3516a39fd54daf", _NO_STDOUT),
+    "sweep_fold": (
+        ["sweep", "--grid-mu=0.1:0.1:1", _fold_grid(0.1, 0.0), "--grid-a1=0:0:1"],
+        "1d41bfa2e76c5351738e197793319e250e18b4eb4601aed7d463442da2153e9f", _NO_STDOUT),
+    "integrate_offset": (
+        ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8"],
+        "cd24f220f65b5d575025f427ea1e25f49b43438771c7f45b41334ad2894c1ebe",
+        "f662fb9092051c6659f0eb18da25c90bfcc12397535a33db46e6fffcfb86c4d2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_OUTPUTS))
+def test_output_bytes_pinned(name, tmp_path, monkeypatch, capsys):
+    argv, file_digest, stdout_digest = _PINNED_OUTPUTS[name]
+    monkeypatch.chdir(tmp_path)  # the integrate summary names its relative output file
+    assert main([*argv, "--output", "out"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == file_digest
+    assert hashlib.sha256(stdout).hexdigest() == stdout_digest
 
 
 @pytest.mark.parametrize("argv", [
