@@ -334,11 +334,9 @@ def _sweep(ns, _):
                                   verdict.max_real_part, verdict.classification)]
     exists = ok.tolist()
     if ns.format == "json":
-        found = (dict(zip(SWEEP_COLUMNS, (*row[:3], True, *row[3:])))
-                 for row in zip(*(v[ok].tolist() for v in (mu, k, a1)), *point))
-        missing = (dict(zip(SWEEP_COLUMNS, (*row, False, *_SWEEP_NO_POINT)))
-                   for row in zip(*(v[~ok].tolist() for v in (mu, k, a1))))
-        rows = [next(found) if e else next(missing) for e in exists]
+        found = zip(*point)
+        rows = [dict(zip(SWEEP_COLUMNS, (*cell, e, *(next(found) if e else _SWEEP_NO_POINT))))
+                for cell, e in zip(zip(mu.tolist(), k.tolist(), a1.tolist()), exists)]
         text = _json_text({"command": "sweep", "rows": rows})
     else:
         # each grid value is formatted once; the product of the axes' labels

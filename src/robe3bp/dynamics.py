@@ -19,8 +19,7 @@ along a trajectory is the accuracy audit for the integrator.  Trajectories
 terminate early with a flagged status on close approach to the second primary
 (r2 < ``model.COLLISION_R2``) or escape (|pos| > 1e3).  Escape is the generic
 fate for k < 0, where the buoyancy term repels from the first primary.
-Sampling density is one row per accepted step; cap ``max_step`` for denser
-output.
+Sampling density is one row per accepted step.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ __all__ = [
 ESCAPE_RADIUS = 1e3
 GROWTH_FIT_LOWER_FACTOR = 10.0
 GROWTH_FIT_UPPER_BOUND = 1e-3
+_INITIAL_STEP = 1e-4  # the first step tried; integrate shrinks or grows it from there
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,13 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    initial_step: float = 1e-4
     t_end: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "initial_step", "t_end"):
+        for name in ("rel_tol", "abs_tol", "t_end"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not self.max_step > 0.0:  # inf means no cap
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +151,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     """
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
     n2 = 2.0 * n  # the Coriolis factor as _rhs forms it
-    abs_tol, rel_tol, t_end, max_step = cfg.abs_tol, cfg.rel_tol, cfg.t_end, cfg.max_step
+    abs_tol, rel_tol, t_end = cfg.abs_tol, cfg.rel_tol, cfg.t_end
     ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (b1, b2, b3, b4, b5, b6)) = _STAGES
     e1, e2, e3, e4, e5, e6, e7 = _ERR
@@ -177,7 +173,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     steps = rejections = 0
 
     if status is None:
-        h = min(cfg.initial_step, max_step, t_end)
+        h = min(_INITIAL_STEP, t_end)
         x, y, z, vx, vy, vz = s
         ax, ay, az = _rhs(*s, mu, k, n_sq, n)[3:]
         while t < t_end:
@@ -301,8 +297,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                 status = flagged(s)
                 if status is not None:
                     break
-                grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                h = min(h * grow, max_step)
+                h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             else:
                 rejections += 1
                 h *= 0.2 if math.isnan(err) else max(0.2, 0.9 * err ** -0.2)

@@ -21,9 +21,12 @@ Oxz^2 = 36 k^2 a1^2 (b1^2-a1^2)/b1^4  gives
     q = n^2 [ n^2 - 6k (3 a1^2 - 2 b1^2) / b1^2 ]
     r = 6 n^4 k (b1^2 - a1^2) / b1^2
 
-and r < 0 whenever k < 0 and the points exist, so the constant term always
-carries exactly one sign change and the sextic has a positive real root: the
-triangular points are linearly unstable throughout the admissible region.
+and r < 0 whenever k < 0 and the points exist.  That alone forces a positive
+real u = lambda^2 (the cubic in u is r < 0 at u = 0 and grows without bound),
+so the sextic has a positive real root: the triangular points are linearly
+unstable throughout the admissible region.  p and q may take either sign
+(p <= 0 needs k <= -n^2/3, admissible only for mu > 2/3), so the Descartes
+count of (1, p, q, r), odd as the sequence runs from + to -, is 1 or 3.
 :func:`classify` decides from the coefficients' signs first, so that
 certificate, not a tolerance on the computed roots, gives the verdict there.
 """

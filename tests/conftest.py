@@ -46,6 +46,19 @@ def acceptance_grid():
     return list(itertools.product(mus, ks, a1s))
 
 
+def whole_region_cells():
+    """A 40x40x4 grid over the whole admissible region, as (mu, k, A1) cells.
+
+    mu in [0.001, 0.999], kappa = 2k/(mu n^2) in [-0.999, -0.001] and A1 in
+    {0, 0.1, 1, 10}, each of the first two axes evenly spaced.  Unlike
+    ``acceptance_grid`` it reaches mu > 2/3, where p or q can be <= 0.
+    """
+    mus = np.linspace(0.001, 0.999, 40).tolist()
+    kappas = np.linspace(-0.999, -0.001, 40).tolist()
+    return [(mu, 0.5 * kappa * mu * (1.0 + 1.5 * a1), a1)
+            for mu, kappa, a1 in itertools.product(mus, kappas, [0.0, 0.1, 1.0, 10.0])]
+
+
 def min_weight_match(a, b):
     """Worst pairwise distance under the minimal-weight perfect matching of two
     same-size complex multisets (brute force; sizes here are 6)."""

@@ -24,7 +24,6 @@ from robe3bp import (
     linearization_matrix,
     omega,
     radii,
-    sign_change_count,
     solve_characteristic,
     triangular_points,
     unstable_seed,
@@ -32,7 +31,7 @@ from robe3bp import (
     PhaseState,
     Classification,
 )
-from conftest import FROZEN, acceptance_grid, min_weight_match
+from conftest import FROZEN, acceptance_grid, min_weight_match, whole_region_cells
 
 
 def _report(criterion: int, label: str, ok: bool, detail: str) -> None:
@@ -89,20 +88,21 @@ def test_criterion_3_root_eigenvalue_agreement():
 
 
 def test_criterion_4_instability_universality():
-    cells = descartes_cells = 0
-    for params, _ in _admissible_cells():
-        cells += 1
-        coeffs = char_coeffs(params)
-        verdict = classify(coeffs)
-        assert verdict.classification is Classification.UNSTABLE
-        assert verdict.positive_real_root_count >= 1
-        if coeffs.p > 0 and coeffs.q > 0 and coeffs.r < 0:
-            descartes_cells += 1
-            assert sign_change_count(coeffs) == 1
-            assert verdict.positive_real_root_count == 1
-    _report(4, "instability universality", cells > 0,
-            f"{cells} cells unstable, {descartes_cells} with sign pattern (+,+,+,-), "
-            "each with exactly one positive real root")
+    # one array pass over the acceptance grid and the whole admissible region
+    mu, k, a1 = (np.array(c) for c in zip(*acceptance_grid(), *whole_region_cells()))
+    ok = triangular_points(Params(mu=mu, k=k, a1_oblate=a1)).exists
+    coeffs = char_coeffs(Params(mu=mu[ok], k=k[ok], a1_oblate=a1[ok]))
+    verdict = classify(coeffs)
+    changes = verdict.sign_changes
+    assert np.all(verdict.classification == Classification.UNSTABLE.value)
+    assert np.all(verdict.positive_real_root_count == 1)
+    assert np.all((changes == 1) | (changes == 3))
+    p_low, q_low = int(np.sum(coeffs.p <= 0.0)), int(np.sum(coeffs.q <= 0.0))
+    assert p_low > 0 and q_low > 0  # the grid reaches beyond the (+,+,+,-) cells
+    _report(4, "instability universality", bool(ok.any()),
+            f"{int(ok.sum())} cells unstable, each with exactly one positive real root; "
+            f"{p_low} with p <= 0, {q_low} with q <= 0, "
+            f"{int(np.sum(changes == 3))} with 3 sign changes")
 
 
 def test_criterion_5_canonical_case(canonical):

@@ -505,6 +505,16 @@ _PINNED_OUTPUTS = {
         ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8"],
         "cd24f220f65b5d575025f427ea1e25f49b43438771c7f45b41334ad2894c1ebe",
         "f662fb9092051c6659f0eb18da25c90bfcc12397535a33db46e6fffcfb86c4d2"),
+    "stability_canonical_json": (
+        ["stability", *CANONICAL_ARGS, "--format", "json"],
+        "3cfb72715cc880885e81aa2047afb93a5030484af9a91d7609bfd2b4beafcb20", _NO_STDOUT),
+    # r_hessian carries no digit of r here, so coeff_rel_diff is the empty field
+    "stability_null_coeff_rel_diff_csv": (
+        ["stability", "--mu", "0.1", "--k=-1e-300", "--format", "csv"],
+        "2ab75a59cef0dd26907299ed7f4887697737491ee3fe0388f6347151ac4bdc96", _NO_STDOUT),
+    "locate_canonical_json": (
+        ["locate", *CANONICAL_ARGS, "--format", "json"],
+        "9132188aef8e1da92ca0ec12d515d17fd00fd63a0ec9e538108d8b8e37441933", _NO_STDOUT),
 }
 
 

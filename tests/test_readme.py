@@ -1,9 +1,11 @@
 """The README stays true to the code: its per-command flag lists match the
-CLI parser, its output schemas match what the commands write, and its Python
-examples run."""
+CLI parser, its output schemas match what the commands write, its list of
+``IntegratorConfig`` settings matches the dataclass, and its Python examples
+run."""
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from robe3bp import IntegratorConfig
 from robe3bp.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -90,6 +93,12 @@ def test_readme_lists_the_csv_headers_and_integrate_keys(tmp_path, capsys):
     optional = re.search(r"summary keys: `[^`]*` \(plus `(\w+)`", README.read_text())[1]
     assert keys[-1] == optional == "growth_fit_error"
     assert _documented_schema("`integrate` summary keys") == keys[:-1]
+
+
+def test_readme_lists_the_integrator_settings():
+    text = " ".join(README.read_text().split())  # the sentence wraps
+    names = re.search(r"`IntegratorConfig` values must be [^(]*\(([^)]*)\)", text)[1]
+    assert re.findall(r"`(\w+)`", names) == [f.name for f in dataclasses.fields(IntegratorConfig)]
 
 
 def test_readme_has_python_examples():
