@@ -9,11 +9,16 @@ The second-order equations are
 integrated here in first-order form with an embedded Dormand-Prince 5(4)
 pair (FSAL, adaptive step control, the fifth-order solution propagated).  The
 step runs on plain Python floats with each stage sum written out per
-component; ``model._grad_s`` is its one kernel, the Coriolis terms are added
-beside it, and ``_STAGES``/``_ERR`` are the one copy of the tableau.  Every
+component, and ``_STAGES``/``_ERR`` are the one copy of the tableau.  Every
 sum adds floats only: a stage sum starts from ``0.0`` and so rounds as a sum
 from 0 does, and an error sum starts from its first term, since it is squared
-and the sign of a zero drops out.  The
+and the sign of a zero drops out.  The step also writes out ``model``'s
+formulas: each stage slope is ``_grad_s``'s gradient plus the Coriolis terms
+of ``_rhs``, and each accepted state's C and stop tests reuse the r2 of the
+slope just formed, with ``_jacobi_s``'s terms.  They keep those functions'
+operations in their order, and a slow reference step built from ``_rhs``,
+``_jacobi_s`` and the tableau holds ``integrate`` to the same bits in the
+tests.  The
 system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its drift
 along a trajectory is the accuracy audit for the integrator.  Trajectories
 terminate early with a flagged status on close approach to the second primary
@@ -29,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NoGrowthError
-from .model import COLLISION_R2, Params, _grad_s, _omega_s
+from .errors import ConvergenceError, NoGrowthError, SingularityError
+from .model import _AT_SECOND_PRIMARY, COLLISION_R2, Params, _grad_s, _omega_s
 from .equilibria import triangular_points
 from .stability import unstable_direction
 
@@ -150,31 +155,30 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     :class:`ConvergenceError` on step-size underflow.
     """
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
-    n2 = 2.0 * n  # the Coriolis factor as _rhs forms it
+    # the factors as _rhs, _grad_s and _omega_s form them left to right
+    n2, k2, mk2, half_n_sq = 2.0 * n, 2.0 * k, -2.0 * k, 0.5 * n_sq
+    collision_sq = COLLISION_R2 * COLLISION_R2
+    escape_sq = ESCAPE_RADIUS * ESCAPE_RADIUS
     abs_tol, rel_tol, t_end = cfg.abs_tol, cfg.rel_tol, cfg.t_end
     ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (b1, b2, b3, b4, b5, b6)) = _STAGES
     e1, e2, e3, e4, e5, e6, e7 = _ERR
-    grad = _grad_s
-
-    def flagged(s):
-        x, y, z = s[0], s[1], s[2]
-        dx2 = x + mu - 1.0
-        if dx2 * dx2 + y * y + z * z < COLLISION_R2 * COLLISION_R2:
-            return "collision"
-        if x * x + y * y + z * z > ESCAPE_RADIUS * ESCAPE_RADIUS:
-            return "escape"
-        return None
+    sqrt = math.sqrt
 
     t = 0.0
-    s = tuple(state0.vector().tolist())
+    s = x, y, z, vx, vy, vz = tuple(state0.vector().tolist())
     times, states, jacobi = [t], [s], [_jacobi_s(*s, mu, k, n_sq)]
-    status = flagged(s)
+    dx2 = x + mu - 1.0
+    if dx2 * dx2 + y * y + z * z < collision_sq:
+        status = "collision"
+    elif x * x + y * y + z * z > escape_sq:
+        status = "escape"
+    else:
+        status = None
     steps = rejections = 0
 
     if status is None:
         h = min(_INITIAL_STEP, t_end)
-        x, y, z, vx, vy, vz = s
         ax, ay, az = _rhs(*s, mu, k, n_sq, n)[3:]
         while t < t_end:
             if h > t_end - t:
@@ -190,16 +194,24 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             # Stage j sits at s + h * (0.0 + a_j1 k1 + a_j2 k2 + ...), summed in
             # tableau order from 0.0, zero entries included, so every sum rounds
             # as sum(map(mul, row, kj)) does.  A slope is the stage velocity
-            # and the acceleration grad Omega plus the Coriolis terms.
+            # and the acceleration: _grad_s's terms in its order, with
+            # dx1 = x + mu and dx2 = dx1 - 1.0, plus the Coriolis terms.
             x2 = x + h * (0.0 + a21 * vx)
             y2 = y + h * (0.0 + a21 * vy)
             z2 = z + h * (0.0 + a21 * vz)
             vx2 = vx + h * (0.0 + a21 * ax)
             vy2 = vy + h * (0.0 + a21 * ay)
             vz2 = vz + h * (0.0 + a21 * az)
-            ax2, ay2, az2 = grad(x2, y2, z2, mu, k, n_sq)
-            ax2 += n2 * vy2
-            ay2 -= n2 * vx2
+            dx1 = x2 + mu
+            dx2 = dx1 - 1.0
+            r2_sq = dx2 * dx2 + y2 * y2 + z2 * z2
+            r2_cu = r2_sq * sqrt(r2_sq)
+            if r2_cu == 0.0:
+                raise SingularityError(_AT_SECOND_PRIMARY)
+            c3 = mu / r2_cu
+            ax2 = n_sq * x2 - k2 * dx1 - c3 * dx2 + n2 * vy2
+            ay2 = n_sq * y2 - k2 * y2 - c3 * y2 - n2 * vx2
+            az2 = mk2 * z2 - c3 * z2
 
             x3 = x + h * (0.0 + a31 * vx + a32 * vx2)
             y3 = y + h * (0.0 + a31 * vy + a32 * vy2)
@@ -207,9 +219,16 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             vx3 = vx + h * (0.0 + a31 * ax + a32 * ax2)
             vy3 = vy + h * (0.0 + a31 * ay + a32 * ay2)
             vz3 = vz + h * (0.0 + a31 * az + a32 * az2)
-            ax3, ay3, az3 = grad(x3, y3, z3, mu, k, n_sq)
-            ax3 += n2 * vy3
-            ay3 -= n2 * vx3
+            dx1 = x3 + mu
+            dx2 = dx1 - 1.0
+            r2_sq = dx2 * dx2 + y3 * y3 + z3 * z3
+            r2_cu = r2_sq * sqrt(r2_sq)
+            if r2_cu == 0.0:
+                raise SingularityError(_AT_SECOND_PRIMARY)
+            c3 = mu / r2_cu
+            ax3 = n_sq * x3 - k2 * dx1 - c3 * dx2 + n2 * vy3
+            ay3 = n_sq * y3 - k2 * y3 - c3 * y3 - n2 * vx3
+            az3 = mk2 * z3 - c3 * z3
 
             x4 = x + h * (0.0 + a41 * vx + a42 * vx2 + a43 * vx3)
             y4 = y + h * (0.0 + a41 * vy + a42 * vy2 + a43 * vy3)
@@ -217,9 +236,16 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             vx4 = vx + h * (0.0 + a41 * ax + a42 * ax2 + a43 * ax3)
             vy4 = vy + h * (0.0 + a41 * ay + a42 * ay2 + a43 * ay3)
             vz4 = vz + h * (0.0 + a41 * az + a42 * az2 + a43 * az3)
-            ax4, ay4, az4 = grad(x4, y4, z4, mu, k, n_sq)
-            ax4 += n2 * vy4
-            ay4 -= n2 * vx4
+            dx1 = x4 + mu
+            dx2 = dx1 - 1.0
+            r2_sq = dx2 * dx2 + y4 * y4 + z4 * z4
+            r2_cu = r2_sq * sqrt(r2_sq)
+            if r2_cu == 0.0:
+                raise SingularityError(_AT_SECOND_PRIMARY)
+            c3 = mu / r2_cu
+            ax4 = n_sq * x4 - k2 * dx1 - c3 * dx2 + n2 * vy4
+            ay4 = n_sq * y4 - k2 * y4 - c3 * y4 - n2 * vx4
+            az4 = mk2 * z4 - c3 * z4
 
             x5 = x + h * (0.0 + a51 * vx + a52 * vx2 + a53 * vx3 + a54 * vx4)
             y5 = y + h * (0.0 + a51 * vy + a52 * vy2 + a53 * vy3 + a54 * vy4)
@@ -227,9 +253,16 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             vx5 = vx + h * (0.0 + a51 * ax + a52 * ax2 + a53 * ax3 + a54 * ax4)
             vy5 = vy + h * (0.0 + a51 * ay + a52 * ay2 + a53 * ay3 + a54 * ay4)
             vz5 = vz + h * (0.0 + a51 * az + a52 * az2 + a53 * az3 + a54 * az4)
-            ax5, ay5, az5 = grad(x5, y5, z5, mu, k, n_sq)
-            ax5 += n2 * vy5
-            ay5 -= n2 * vx5
+            dx1 = x5 + mu
+            dx2 = dx1 - 1.0
+            r2_sq = dx2 * dx2 + y5 * y5 + z5 * z5
+            r2_cu = r2_sq * sqrt(r2_sq)
+            if r2_cu == 0.0:
+                raise SingularityError(_AT_SECOND_PRIMARY)
+            c3 = mu / r2_cu
+            ax5 = n_sq * x5 - k2 * dx1 - c3 * dx2 + n2 * vy5
+            ay5 = n_sq * y5 - k2 * y5 - c3 * y5 - n2 * vx5
+            az5 = mk2 * z5 - c3 * z5
 
             x6 = x + h * (0.0 + a61 * vx + a62 * vx2 + a63 * vx3 + a64 * vx4 + a65 * vx5)
             y6 = y + h * (0.0 + a61 * vy + a62 * vy2 + a63 * vy3 + a64 * vy4 + a65 * vy5)
@@ -237,9 +270,16 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             vx6 = vx + h * (0.0 + a61 * ax + a62 * ax2 + a63 * ax3 + a64 * ax4 + a65 * ax5)
             vy6 = vy + h * (0.0 + a61 * ay + a62 * ay2 + a63 * ay3 + a64 * ay4 + a65 * ay5)
             vz6 = vz + h * (0.0 + a61 * az + a62 * az2 + a63 * az3 + a64 * az4 + a65 * az5)
-            ax6, ay6, az6 = grad(x6, y6, z6, mu, k, n_sq)
-            ax6 += n2 * vy6
-            ay6 -= n2 * vx6
+            dx1 = x6 + mu
+            dx2 = dx1 - 1.0
+            r2_sq = dx2 * dx2 + y6 * y6 + z6 * z6
+            r2_cu = r2_sq * sqrt(r2_sq)
+            if r2_cu == 0.0:
+                raise SingularityError(_AT_SECOND_PRIMARY)
+            c3 = mu / r2_cu
+            ax6 = n_sq * x6 - k2 * dx1 - c3 * dx2 + n2 * vy6
+            ay6 = n_sq * y6 - k2 * y6 - c3 * y6 - n2 * vx6
+            az6 = mk2 * z6 - c3 * z6
 
             # the fifth-order solution; its slope is the next step's first (FSAL)
             x7 = x + h * (0.0 + b1 * vx + b2 * vx2 + b3 * vx3 + b4 * vx4 + b5 * vx5 + b6 * vx6)
@@ -248,9 +288,17 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             vx7 = vx + h * (0.0 + b1 * ax + b2 * ax2 + b3 * ax3 + b4 * ax4 + b5 * ax5 + b6 * ax6)
             vy7 = vy + h * (0.0 + b1 * ay + b2 * ay2 + b3 * ay3 + b4 * ay4 + b5 * ay5 + b6 * ay6)
             vz7 = vz + h * (0.0 + b1 * az + b2 * az2 + b3 * az3 + b4 * az4 + b5 * az5 + b6 * az6)
-            ax7, ay7, az7 = grad(x7, y7, z7, mu, k, n_sq)
-            ax7 += n2 * vy7
-            ay7 -= n2 * vx7
+            dx1 = x7 + mu
+            dx2 = dx1 - 1.0
+            r2_sq = dx2 * dx2 + y7 * y7 + z7 * z7
+            r2 = sqrt(r2_sq)
+            r2_cu = r2_sq * r2
+            if r2_cu == 0.0:
+                raise SingularityError(_AT_SECOND_PRIMARY)
+            c3 = mu / r2_cu
+            ax7 = n_sq * x7 - k2 * dx1 - c3 * dx2 + n2 * vy7
+            ay7 = n_sq * y7 - k2 * y7 - c3 * y7 - n2 * vx7
+            az7 = mk2 * z7 - c3 * z7
 
             # RMS of the scaled error estimate.  Each scale picks the larger of
             # |before| and |after| as max() would (NaN included); each error sum
@@ -293,9 +341,21 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                 steps += 1
                 times.append(t)
                 states.append(s)
-                jacobi.append(_jacobi_s(*s, mu, k, n_sq))
-                status = flagged(s)
-                if status is not None:
+                # C and the stop tests as _jacobi_s and the start's tests form
+                # them, from the r2^2 and r2 of the slope at s; that slope had
+                # r2^3 != 0, so r2 != 0 and _omega_s's r2 == 0 check cannot fire
+                try:
+                    r1_sq = dx1 ** 2 + y * y + z * z
+                except OverflowError:  # a float power raises where a numpy scalar gives inf
+                    r1_sq = math.inf
+                rho_sq = x * x + y * y
+                jacobi.append(2.0 * (half_n_sq * rho_sq - k * r1_sq + mu / r2)
+                              - (vx * vx + vy * vy + vz * vz))
+                if r2_sq < collision_sq:
+                    status = "collision"
+                    break
+                if rho_sq + z * z > escape_sq:
+                    status = "escape"
                     break
                 h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             else:

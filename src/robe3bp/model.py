@@ -136,6 +136,10 @@ def radii(pos, mu: float) -> tuple[float, float]:
 # integrator's right-hand side, where per-call array packaging would dominate.
 # On Python floats a division by 0 raises where a numpy scalar warns, so an r2^3
 # that rounds to 0 (within about 1e-108 of the second primary) is a SingularityError.
+# `dynamics.integrate` writes out `_grad_s`'s and `_omega_s`'s expressions in its
+# stage slopes and accepted-step Jacobi value: after an edit here, make the same
+# edit there, and `tests/test_dynamics.py::_dp5_reference` must still match it
+# bit for bit.
 _AT_SECOND_PRIMARY = "position coincides with the second primary (r2^3 rounds to 0)"
 
 def _omega_s(x: float, y: float, z: float, mu: float, k: float, n_sq: float) -> float:

@@ -1,8 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from robe3bp import (
     ConvergenceError,
@@ -10,6 +12,8 @@ from robe3bp import (
     NoGrowthError,
     Params,
     PhaseState,
+    SingularityError,
+    Trajectory,
     eom_rhs,
     equilibrium_state,
     grad_omega,
@@ -22,10 +26,15 @@ from robe3bp import (
     triangular_points,
     unstable_seed,
 )
+from robe3bp import dynamics
+from robe3bp.model import COLLISION_R2
 from conftest import FROZEN
 
 # k > n^2/2 makes the energy surface compact, so these orbits stay bounded
 CONFINING = Params(mu=0.1, k=0.6, a1_oblate=0.02)
+REPELLING = Params(mu=0.1, k=-0.01)  # k < 0 repels from the first primary
+ESCAPE_START = PhaseState(pos=(2.0, 0.0, 0.0), vel=(1.0, 0.0, 0.0))
+ESCAPE_CFG = IntegratorConfig(t_end=50.0, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_phase_state_validation():
@@ -91,9 +100,19 @@ def test_jacobi_reflection_invariance(canonical):
 
 
 def test_integrate_jacobi_column_is_jacobi_constant(canonical):
-    traj = integrate(unstable_seed(canonical, 1e-6), canonical, IntegratorConfig(t_end=5.0))
-    expected = [jacobi_constant(PhaseState.from_vector(s), canonical) for s in traj.states]
-    npt.assert_array_equal(traj.jacobi, expected)
+    # bit for bit in every row: near a triangular point, on bounded orbits and
+    # up to an escape
+    rng = np.random.default_rng(71)
+    bounded = [PhaseState(pos=rng.uniform(-0.4, 0.4, 3), vel=rng.uniform(-0.2, 0.2, 3))
+               for _ in range(4)]
+    runs = [(unstable_seed(canonical, 1e-6), canonical, IntegratorConfig(t_end=5.0), "completed"),
+            *((s, CONFINING, IntegratorConfig(t_end=5.0), "completed") for s in bounded),
+            (ESCAPE_START, REPELLING, ESCAPE_CFG, "escape")]
+    for state0, params, cfg, status in runs:
+        traj = integrate(state0, params, cfg)
+        assert traj.status == status
+        expected = [jacobi_constant(PhaseState.from_vector(s), params) for s in traj.states]
+        assert traj.jacobi.tobytes() == np.array(expected).tobytes()
 
 
 def test_integrate_fixed_point(canonical):
@@ -129,9 +148,7 @@ def test_integrate_jacobi_drift_canonical(canonical):
 
 def test_integrate_escape_flag():
     # with k < 0 the buoyancy term repels; an outward launch escapes quickly
-    params = Params(mu=0.1, k=-0.01, a1_oblate=0.0)
-    state0 = PhaseState(pos=(2.0, 0.0, 0.0), vel=(1.0, 0.0, 0.0))
-    traj = integrate(state0, params, IntegratorConfig(t_end=50.0, rel_tol=1e-9, abs_tol=1e-9))
+    traj = integrate(ESCAPE_START, REPELLING, ESCAPE_CFG)
     assert traj.status == "escape"
     assert np.linalg.norm(traj.states[-1][:3]) > 1e3
     assert traj.times[-1] < 50.0
@@ -200,6 +217,149 @@ def test_integrate_bits_pinned(name):
     data = traj.times.tobytes() + traj.states.tobytes() + traj.jacobi.tobytes()
     assert (traj.steps, traj.rejections, traj.status) == (steps, rejections, status)
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the written-out step against a slow Dormand-Prince 5(4) reference
+
+def _dp5_reference(state0, params, cfg):
+    """integrate's method with loops over ``_STAGES`` and ``_ERR``, ``_rhs`` as
+    the slope and ``_jacobi_s`` as C: the same sums in the same order, so the
+    same bits."""
+    mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
+
+    def stop(s):
+        x, y, z = s[:3]
+        dx2 = x + mu - 1.0
+        if dx2 * dx2 + y * y + z * z < COLLISION_R2 * COLLISION_R2:
+            return "collision"
+        if x * x + y * y + z * z > dynamics.ESCAPE_RADIUS * dynamics.ESCAPE_RADIUS:
+            return "escape"
+        return None
+
+    t, s = 0.0, tuple(state0.vector().tolist())
+    times, states, jacobi = [t], [s], [dynamics._jacobi_s(*s, mu, k, n_sq)]
+    status, steps, rejections = stop(s), 0, 0
+    h, first = min(dynamics._INITIAL_STEP, cfg.t_end), dynamics._rhs(*s, mu, k, n_sq, n)
+    while status is None and t < cfg.t_end:
+        if h > cfg.t_end - t:
+            h = cfg.t_end - t
+        if h < 1e-14 * max(1.0, abs(t)) and h < cfg.t_end - t:
+            raise ConvergenceError("step size underflow")
+        slopes = [first]
+        for row in dynamics._STAGES:
+            point = []
+            for i in range(6):
+                acc = 0.0
+                for a, slope in zip(row, slopes):
+                    acc += a * slope[i]
+                point.append(s[i] + h * acc)
+            slopes.append(dynamics._rhs(*point, mu, k, n_sq, n))
+        err_sq = 0.0
+        for i in range(6):
+            acc = dynamics._ERR[0] * slopes[0][i]
+            for e, slope in zip(dynamics._ERR[1:], slopes[1:]):
+                acc += e * slope[i]
+            scale = cfg.abs_tol + cfg.rel_tol * max(abs(s[i]), abs(point[i]))
+            try:
+                err_sq += (h * acc / scale) ** 2
+            except OverflowError:  # integrate's whole sum is then inf
+                err_sq = math.inf
+                break
+        err = math.sqrt(err_sq / 6.0)
+        if err <= 1.0:
+            t, s, first, steps = t + h, tuple(point), slopes[-1], steps + 1
+            times.append(t)
+            states.append(s)
+            jacobi.append(dynamics._jacobi_s(*s, mu, k, n_sq))
+            status = stop(s)
+            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            rejections += 1
+            h *= 0.2 if math.isnan(err) else max(0.2, 0.9 * err ** -0.2)
+    return Trajectory(np.array(times), np.array(states), np.array(jacobi), steps, rejections,
+                      status or "completed")
+
+
+def _assert_matches_reference(state0, params, cfg):
+    """integrate gives the reference's bits, or raises where the reference does."""
+    try:
+        ref = _dp5_reference(state0, params, cfg)
+    except (ConvergenceError, SingularityError) as exc:
+        with pytest.raises(type(exc)):
+            integrate(state0, params, cfg)
+        return None
+    traj = integrate(state0, params, cfg)
+    assert (traj.steps, traj.rejections, traj.status) == (ref.steps, ref.rejections, ref.status)
+    for name in ("times", "states", "jacobi"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    return traj
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_integrate_matches_dp5_reference_on_pinned_runs(name):
+    # these include rejected steps, an escape and a collision
+    start, params, cfg = _PINNED_RUNS[name][:3]
+    state0 = unstable_seed(params, 1e-8) if start is None else PhaseState(*start)
+    assert _assert_matches_reference(state0, params, IntegratorConfig(**cfg)) is not None
+
+
+_box = st.tuples(*[st.floats(-0.4, 0.4)] * 3, *[st.floats(-0.2, 0.2)] * 3)
+_zeros = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(vec=_box, tol=st.sampled_from([1e-12, 1e-9, 1e-6]), t_end=st.floats(0.1, 2.0))
+def test_integrate_matches_dp5_reference_in_bounded_box(vec, tol, t_end):
+    state0 = PhaseState.from_vector(vec)
+    traj = _assert_matches_reference(state0, CONFINING, IntegratorConfig(tol, tol, t_end))
+    assert traj.status == "completed"
+
+
+@settings(max_examples=20, deadline=None)
+@given(vec=st.tuples(*[st.one_of(_zeros, st.floats(-0.4, 0.4))] * 3,
+                     *[st.one_of(_zeros, st.floats(-0.2, 0.2))] * 3),
+       params=st.sampled_from([CONFINING, REPELLING]))
+@example(vec=(0.3, -0.2, -0.0, 0.1, 0.05, -0.0), params=CONFINING)
+def test_integrate_matches_dp5_reference_from_signed_zeros(vec, params):
+    _assert_matches_reference(PhaseState.from_vector(vec), params, IntegratorConfig(t_end=1.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(vec=_box, tol=st.floats(1e-4, 1e-1))
+@example(vec=(0.2, 0.1, 0.3, 0.05, -0.1, 0.02), tol=1e-2)
+def test_integrate_matches_dp5_reference_at_loose_tolerances(vec, tol):
+    _assert_matches_reference(PhaseState.from_vector(vec), CONFINING,
+                              IntegratorConfig(tol, tol, t_end=10.0))
+
+
+@settings(max_examples=5, deadline=None)
+@given(x=st.floats(1.5, 3.0), vx=st.floats(0.8, 1.5), vy=st.floats(-0.1, 0.1))
+def test_integrate_matches_dp5_reference_to_an_escape(x, vx, vy):
+    state0 = PhaseState(pos=(x, 0.0, 0.0), vel=(vx, vy, 0.0))
+    assert _assert_matches_reference(state0, REPELLING, ESCAPE_CFG).status == "escape"
+
+
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(0.05, 0.95), vx=st.floats(0.1, 2.0), y=_zeros, z=_zeros, vy=_zeros,
+       vz=_zeros)
+def test_stage_on_the_second_primary_raises_like_the_reference(mu, vx, y, z, vy, vz):
+    # the first step's stage-2 point x + h (0.0 + a21 vx) lands exactly on the
+    # second primary, where r2^3 is 0: both raise
+    h, a21 = dynamics._INITIAL_STEP, dynamics._STAGES[0][0]
+    x = 1.0 - mu - h * (0.0 + a21 * vx)
+    for _ in range(8):  # a few ulps of x away at most
+        if x + h * (0.0 + a21 * vx) + mu - 1.0 == 0.0:
+            break
+        x = math.nextafter(x, math.inf)
+    assert x + h * (0.0 + a21 * vx) + mu - 1.0 == 0.0
+    state0 = PhaseState(pos=(x, y, z), vel=(vx, vy, vz))
+    params = Params(mu=mu, k=-0.01)
+    with pytest.raises(SingularityError):
+        _dp5_reference(state0, params, IntegratorConfig(t_end=1.0))
+    with pytest.raises(SingularityError):
+        integrate(state0, params, IntegratorConfig(t_end=1.0))
 
 
 def test_jacobi_conservation_random_bounded():
