@@ -1,14 +1,15 @@
 """Command-line front end: locate / stability / integrate / sweep.
 
 Output contracts: CSV has LF line endings and fixed 17-significant-digit float
-formatting, so identical runs are byte-identical.  CSV rows are written with
-``%``-templates (``"%.17g" % x`` is ``format(x, ".17g")``): one per trajectory
-or report row.  ``sweep`` formats each grid-axis value once and labels a cell
-``mu,k,a1`` from the product of the axes' labels; a cell without a point is
-its label and ``,false`` with empty fields, and a cell with one formats only
-its six computed floats.  No field the CLI writes holds a comma, quote or line
-break, so none needs quoting.  JSON is one top-level object per run with
-lower_snake_case keys.
+formatting, so identical runs are byte-identical.  Trajectory and ``sweep``
+rows are written with ``%``-templates (``"%.17g" % x`` is
+``format(x, ".17g")``); the one row of a ``locate`` or ``stability`` report
+joins its ``_fmt`` fields.  ``sweep`` formats each grid-axis value once and
+labels a cell ``mu,k,a1`` from the product of the axes' labels; a cell
+without a point is its label and ``,false`` with empty fields, and a cell
+with one formats only its six computed floats.  No field the CLI writes holds
+a comma, quote or line break, so none needs quoting.  JSON is one top-level
+object per run with lower_snake_case keys.
 Exit codes: 0 success, 2 no equilibrium, 64 usage error, 1 runtime or
 integration failure (also a trajectory that starts beyond the escape radius).
 One flag table per command builds its parser and reads its config file;
@@ -44,8 +45,6 @@ EX_OK = 0
 EX_RUNTIME = 1
 EX_NO_EQUILIBRIUM = 2
 EX_USAGE = 64
-
-_GRID_FLAGS = ("--grid-mu", "--grid-k", "--grid-a1")
 
 TRAJECTORY_COLUMNS = ["t", "x", "y", "z", "vx", "vy", "vz", "jacobi"]
 SWEEP_COLUMNS = [
@@ -130,18 +129,6 @@ def _grid(spec: str) -> np.ndarray:
     if hi < lo:
         raise argparse.ArgumentTypeError(f"range must be ordered (MIN <= MAX), got {spec!r}")
     return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-
-
-def _join_grid_values(argv: list[str]) -> list[str]:
-    """Merge '--grid-k -0.3:-0.001:10' into '--grid-k=-0.3:...' so argparse
-    does not mistake the negative lower bound for an option."""
-    out = []
-    for tok in argv:
-        if out and out[-1] in _GRID_FLAGS and tok.startswith("-") and ":" in tok:
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +385,24 @@ _COMMANDS = {
 }
 
 _CONFIG_KEYS = {dest for _, flags in _COMMANDS.values() for dest in flags}
+_VALUE_FLAGS = {"--" + dest.replace("_", "-") for _, flags in _COMMANDS.values()
+                for dest, spec in flags.items() if "action" not in spec}
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Merge '--k -1e-5' into '--k=-1e-5' for every flag that takes a value.
+
+    argparse reads '-1e-5' or '-0.3:-0.001:10' as an option, not a value.  A
+    token of '-' then a digit or '.' is joined; '-' alone or '-name' is not.
+    """
+    out = []
+    for tok in argv:
+        negative = len(tok) > 1 and tok[0] == "-" and tok[1] in "0123456789."
+        if negative and out and out[-1] in _VALUE_FLAGS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 @functools.cache
@@ -462,7 +467,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    argv = _join_grid_values(list(sys.argv[1:] if argv is None else argv))
+    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
     try:
         ns = _parse(argv)
         params = Params(mu=ns.mu, k=ns.k, a1_oblate=ns.a1) if hasattr(ns, "mu") else None

@@ -18,8 +18,10 @@ of ``_rhs``, and each accepted state's C and stop tests reuse the r2 of the
 slope just formed, with ``_jacobi_s``'s terms.  They keep those functions'
 operations in their order, and a slow reference step built from ``_rhs``,
 ``_jacobi_s`` and the tableau holds ``integrate`` to the same bits in the
-tests.  The
-system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its drift
+tests.  A slope divides by r2^3 unguarded: the one ``ZeroDivisionError`` the
+step can raise, where r2^3 rounds to 0, is mapped once to the
+``SingularityError`` that ``_grad_s`` raises there.  The system is
+autonomous, so C = 2 Omega - |v|^2 is a first integral; its drift
 along a trajectory is the accuracy audit for the integrator.  Trajectories
 terminate early with a flagged status on close approach to the second primary
 (r2 < ``model.COLLISION_R2``) or escape (|pos| > 1e3).  Escape is the generic
@@ -152,7 +154,8 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
 
     Every accepted step emits one sample; the trajectory therefore holds
     ``steps + 1`` rows including the initial state.  Raises
-    :class:`ConvergenceError` on step-size underflow.
+    :class:`ConvergenceError` on step-size underflow and
+    :class:`SingularityError` where a stage lands where r2^3 rounds to 0.
     """
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
     # the factors as _rhs, _grad_s and _omega_s form them left to right
@@ -180,7 +183,10 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     if status is None:
         h = min(_INITIAL_STEP, t_end)
         ax, ay, az = _rhs(*s, mu, k, n_sq, n)[3:]
-        while t < t_end:
+    # A float division raises exactly where its divisor is 0, and in the loop
+    # only a stage's r2^3 can be: the second primary, as _grad_s reports it.
+    try:
+        while status is None and t < t_end:
             if h > t_end - t:
                 h = t_end - t
             # a final sliver h == t_end - t is legitimate however small
@@ -205,10 +211,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             dx1 = x2 + mu
             dx2 = dx1 - 1.0
             r2_sq = dx2 * dx2 + y2 * y2 + z2 * z2
-            r2_cu = r2_sq * sqrt(r2_sq)
-            if r2_cu == 0.0:
-                raise SingularityError(_AT_SECOND_PRIMARY)
-            c3 = mu / r2_cu
+            c3 = mu / (r2_sq * sqrt(r2_sq))
             ax2 = n_sq * x2 - k2 * dx1 - c3 * dx2 + n2 * vy2
             ay2 = n_sq * y2 - k2 * y2 - c3 * y2 - n2 * vx2
             az2 = mk2 * z2 - c3 * z2
@@ -222,10 +225,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             dx1 = x3 + mu
             dx2 = dx1 - 1.0
             r2_sq = dx2 * dx2 + y3 * y3 + z3 * z3
-            r2_cu = r2_sq * sqrt(r2_sq)
-            if r2_cu == 0.0:
-                raise SingularityError(_AT_SECOND_PRIMARY)
-            c3 = mu / r2_cu
+            c3 = mu / (r2_sq * sqrt(r2_sq))
             ax3 = n_sq * x3 - k2 * dx1 - c3 * dx2 + n2 * vy3
             ay3 = n_sq * y3 - k2 * y3 - c3 * y3 - n2 * vx3
             az3 = mk2 * z3 - c3 * z3
@@ -239,10 +239,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             dx1 = x4 + mu
             dx2 = dx1 - 1.0
             r2_sq = dx2 * dx2 + y4 * y4 + z4 * z4
-            r2_cu = r2_sq * sqrt(r2_sq)
-            if r2_cu == 0.0:
-                raise SingularityError(_AT_SECOND_PRIMARY)
-            c3 = mu / r2_cu
+            c3 = mu / (r2_sq * sqrt(r2_sq))
             ax4 = n_sq * x4 - k2 * dx1 - c3 * dx2 + n2 * vy4
             ay4 = n_sq * y4 - k2 * y4 - c3 * y4 - n2 * vx4
             az4 = mk2 * z4 - c3 * z4
@@ -256,10 +253,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             dx1 = x5 + mu
             dx2 = dx1 - 1.0
             r2_sq = dx2 * dx2 + y5 * y5 + z5 * z5
-            r2_cu = r2_sq * sqrt(r2_sq)
-            if r2_cu == 0.0:
-                raise SingularityError(_AT_SECOND_PRIMARY)
-            c3 = mu / r2_cu
+            c3 = mu / (r2_sq * sqrt(r2_sq))
             ax5 = n_sq * x5 - k2 * dx1 - c3 * dx2 + n2 * vy5
             ay5 = n_sq * y5 - k2 * y5 - c3 * y5 - n2 * vx5
             az5 = mk2 * z5 - c3 * z5
@@ -273,10 +267,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             dx1 = x6 + mu
             dx2 = dx1 - 1.0
             r2_sq = dx2 * dx2 + y6 * y6 + z6 * z6
-            r2_cu = r2_sq * sqrt(r2_sq)
-            if r2_cu == 0.0:
-                raise SingularityError(_AT_SECOND_PRIMARY)
-            c3 = mu / r2_cu
+            c3 = mu / (r2_sq * sqrt(r2_sq))
             ax6 = n_sq * x6 - k2 * dx1 - c3 * dx2 + n2 * vy6
             ay6 = n_sq * y6 - k2 * y6 - c3 * y6 - n2 * vx6
             az6 = mk2 * z6 - c3 * z6
@@ -292,10 +283,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             dx2 = dx1 - 1.0
             r2_sq = dx2 * dx2 + y7 * y7 + z7 * z7
             r2 = sqrt(r2_sq)
-            r2_cu = r2_sq * r2
-            if r2_cu == 0.0:
-                raise SingularityError(_AT_SECOND_PRIMARY)
-            c3 = mu / r2_cu
+            c3 = mu / (r2_sq * r2)
             ax7 = n_sq * x7 - k2 * dx1 - c3 * dx2 + n2 * vy7
             ay7 = n_sq * y7 - k2 * y7 - c3 * y7 - n2 * vx7
             az7 = mk2 * z7 - c3 * z7
@@ -353,14 +341,14 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                               - (vx * vx + vy * vy + vz * vz))
                 if r2_sq < collision_sq:
                     status = "collision"
-                    break
-                if rho_sq + z * z > escape_sq:
+                elif rho_sq + z * z > escape_sq:
                     status = "escape"
-                    break
                 h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             else:
                 rejections += 1
-                h *= 0.2 if math.isnan(err) else max(0.2, 0.9 * err ** -0.2)
+                h *= max(0.2, 0.9 * err ** -0.2)  # 0.2 for a NaN err too
+    except ZeroDivisionError:
+        raise SingularityError(_AT_SECOND_PRIMARY) from None
 
     return Trajectory(
         times=np.array(times),
@@ -391,7 +379,7 @@ def growth_rate(traj: Trajectory, eq_point) -> float:
     disp = np.linalg.norm(traj.states - eq, axis=1)
     d0 = disp[0]
     lower = GROWTH_FIT_LOWER_FACTOR * d0
-    if lower <= 0.0 or disp.max() < lower:
+    if lower <= 0.0:
         raise NoGrowthError("no exponential growth detected")
     window = (disp >= lower) & (disp <= GROWTH_FIT_UPPER_BOUND)
     if window.sum() < 2:

@@ -132,14 +132,11 @@ def radii(pos, mu: float) -> tuple[float, float]:
     return r1, r2
 
 
-# Scalar cores.  These carry the arithmetic for the public wrappers and for the
-# integrator's right-hand side, where per-call array packaging would dominate.
-# On Python floats a division by 0 raises where a numpy scalar warns, so an r2^3
-# that rounds to 0 (within about 1e-108 of the second primary) is a SingularityError.
-# `dynamics.integrate` writes out `_grad_s`'s and `_omega_s`'s expressions in its
-# stage slopes and accepted-step Jacobi value: after an edit here, make the same
-# edit there, and `tests/test_dynamics.py::_dp5_reference` must still match it
-# bit for bit.
+# Scalar cores for the public wrappers and the integrator's right-hand side.  An
+# r2^3 that rounds to 0 (within about 1e-108 of the second primary) is a
+# SingularityError.  `dynamics.integrate` writes out `_grad_s`'s and `_omega_s`'s
+# expressions and maps a zero r2^3 once: after an edit here, make the same edit
+# there, and `tests/test_dynamics.py::_dp5_reference` must still match it bit for bit.
 _AT_SECOND_PRIMARY = "position coincides with the second primary (r2^3 rounds to 0)"
 
 def _omega_s(x: float, y: float, z: float, mu: float, k: float, n_sq: float) -> float:
@@ -167,26 +164,6 @@ def _grad_s(
         n_sq * x - 2.0 * k * (x + mu) - c3 * dx2,
         n_sq * y - 2.0 * k * y - c3 * y,
         -2.0 * k * z - c3 * z,
-    )
-
-
-def _hessian_s(
-    x: float, y: float, z: float, mu: float, k: float, n_sq: float
-) -> PotentialHessian:
-    dx2 = x + mu - 1.0
-    r2_sq = dx2 * dx2 + y * y + z * z
-    r2_cu = r2_sq * math.sqrt(r2_sq)
-    if r2_cu == 0.0:
-        raise SingularityError(_AT_SECOND_PRIMARY)
-    c3 = mu / r2_cu
-    c5 = 3.0 * c3 / r2_sq
-    return PotentialHessian(
-        xx=n_sq - 2.0 * k - c3 + c5 * dx2 * dx2,
-        yy=n_sq - 2.0 * k - c3 + c5 * y * y,
-        zz=-2.0 * k - c3 + c5 * z * z,
-        xy=c5 * dx2 * y,
-        xz=c5 * dx2 * z,
-        yz=c5 * y * z,
     )
 
 
@@ -228,4 +205,19 @@ def hessian_omega(pos, params: Params) -> PotentialHessian:
     refinement of equilibria.
     """
     x, y, z = (float(c) for c in pos)
-    return _hessian_s(x, y, z, params.mu, params.k, params.n_sq)
+    mu, k, n_sq = params.mu, params.k, params.n_sq
+    dx2 = x + mu - 1.0
+    r2_sq = dx2 * dx2 + y * y + z * z
+    r2_cu = r2_sq * math.sqrt(r2_sq)
+    if r2_cu == 0.0:
+        raise SingularityError(_AT_SECOND_PRIMARY)
+    c3 = mu / r2_cu
+    c5 = 3.0 * c3 / r2_sq
+    return PotentialHessian(
+        xx=n_sq - 2.0 * k - c3 + c5 * dx2 * dx2,
+        yy=n_sq - 2.0 * k - c3 + c5 * y * y,
+        zz=-2.0 * k - c3 + c5 * z * z,
+        xy=c5 * dx2 * y,
+        xz=c5 * dx2 * z,
+        yz=c5 * y * z,
+    )

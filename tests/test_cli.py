@@ -180,7 +180,12 @@ def test_integrate_growth_summary(tmp_path, capsys):
     assert len(rows) - 1 == summary["rows"] == summary["steps"] + 1
 
 
-@pytest.mark.parametrize("offset", [["--offset", "1e-8"], []])
+@pytest.mark.parametrize("offset", [
+    ["--offset", "1e-8"],
+    [],
+    # the 6x6 rate is rounding noise at this |k|; it is reported, not a verdict
+    ["--a1", "1", "--offset", "1e-8"],
+])
 def test_integrate_starting_beyond_escape_radius_exits_1(offset, tmp_path, capsys):
     # at k = -1e-20 the point lies at |pos| = 1.7e6, beyond ESCAPE_RADIUS = 1e3
     out = tmp_path / "t.csv"
@@ -249,6 +254,19 @@ def test_sweep_grid_flag_without_equals(tmp_path, capsys):
                  "--output", str(out)])
     assert code == 0
     assert len(_read_csv(out)) == 2
+    assert main(["sweep", "--grid-mu", "0.1:0.1:1", "--grid-k", "-1e-3:-1e-4:2",
+                 "--output", str(out)]) == 0
+    assert [row[1] for row in _read_csv(out)[1:]] == ["-0.001", "-0.0001"]
+
+
+@pytest.mark.parametrize("command", ["locate", "stability"])
+def test_negative_value_in_any_spelling(command, capsys):
+    # argparse alone takes '-0.00001' as a value but reads '-1e-5' as an option
+    reports = []
+    for k in (["--k", "-1e-5"], ["--k", "-0.00001"], ["--k=-1e-5"]):
+        assert main([command, "--mu", "0.1", *k, "--format", "csv"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2] != ""
 
 
 def test_sweep_single_cell_matches_stability(tmp_path, capsys):

@@ -344,9 +344,11 @@ def test_integrate_matches_dp5_reference_to_an_escape(x, vx, vy):
 @settings(max_examples=20, deadline=None)
 @given(mu=st.floats(0.05, 0.95), vx=st.floats(0.1, 2.0), y=_zeros, z=_zeros, vy=_zeros,
        vz=_zeros)
+@example(mu=0.3, vx=1.0, y=0.0, z=0.0, vy=5e-111, vz=0.0)
 def test_stage_on_the_second_primary_raises_like_the_reference(mu, vx, y, z, vy, vz):
     # the first step's stage-2 point x + h (0.0 + a21 vx) lands exactly on the
-    # second primary, where r2^3 is 0: both raise
+    # second primary's x, where r2^3 is 0: both raise.  With vy = 5e-111 its y
+    # is 1e-115, so r2^2 = 1e-230 is positive but r2^3 underflows to 0.
     h, a21 = dynamics._INITIAL_STEP, dynamics._STAGES[0][0]
     x = 1.0 - mu - h * (0.0 + a21 * vx)
     for _ in range(8):  # a few ulps of x away at most
