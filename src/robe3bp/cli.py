@@ -392,12 +392,14 @@ _VALUE_FLAGS = {"--" + dest.replace("_", "-") for _, flags in _COMMANDS.values()
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Merge '--k -1e-5' into '--k=-1e-5' for every flag that takes a value.
 
-    argparse reads '-1e-5' or '-0.3:-0.001:10' as an option, not a value.  A
-    token of '-' then a digit or '.' is joined; '-' alone or '-name' is not.
+    argparse reads '-1e-5', '-inf' or '-0.3:-0.001:10' as an option, not a value.
+    A token of '-' then a digit, '.', or 'inf', 'infinity' or 'nan' in any case
+    is joined; '-' alone or another '-name' is not.
     """
     out = []
     for tok in argv:
-        negative = len(tok) > 1 and tok[0] == "-" and tok[1] in "0123456789."
+        negative = len(tok) > 1 and tok[0] == "-" and (
+            tok[1] in "0123456789." or tok[1:].lower() in ("inf", "infinity", "nan"))
         if negative and out and out[-1] in _VALUE_FLAGS:
             out[-1] += "=" + tok
         else:

@@ -88,13 +88,15 @@ def _cube_root(values):
     return values ** (1.0 / 3.0)
 
 
-def _points(params: Params):
-    """exists, a1, b1, x and z of one cell, or of every cell of array ``Params``.
+def triangular_points(params: Params) -> TriangularPoints:
+    """Compute the triangular equilibrium pair; non-existence is a value, not an error.
 
-    a1 = 2k/n^2 + mu - 1 and b1 = (-mu/2k)^(1/3) are NaN where k >= 0 (b1 is
-    undefined there); x = 2k/n^2 and z = (b1^2 - a1^2)^(1/2) are NaN where no
-    point exists.  A negative subnormal k, or an overflowing b1 or a1, is an
-    input error.
+    One pass over every cell of array ``Params``; a scalar ``Params`` is the
+    one-cell case and gets floats, or ``None``, back.  a1 = 2k/n^2 + mu - 1 and
+    b1 = (-mu/2k)^(1/3) are NaN (scalar: ``None``) where k >= 0, since b1 is
+    undefined there; x = 2k/n^2 and z = (b1^2 - a1^2)^(1/2) are NaN (``None``)
+    where no point exists.  A negative subnormal k, or an overflowing b1 or a1,
+    is an input error (``ValueError``).
     """
     mu, k, n_sq = params.mu, params.k, params.n_sq
     negative = k < 0.0
@@ -109,28 +111,17 @@ def _points(params: Params):
         radicand = b1 * b1 - a1 * a1
         exists = radicand > 0.0
         z = np.sqrt(_where(exists, radicand))
-    return exists, a1, b1, _where(exists, x), z
-
-
-def triangular_points(params: Params) -> TriangularPoints:
-    """Compute the triangular equilibrium pair; non-existence is a value, not an error.
-
-    One pass over every cell of array ``Params``; a scalar ``Params`` is the
-    one-cell case and gets floats, or ``None``, back.
-    """
-    exists, a1, b1, x, z = _points(params)
+    x = _where(exists, x)
     if isinstance(exists, np.ndarray):
         return TriangularPoints(exists, a1, b1, x, z)
-    coords = (a1, b1, x, z)
-    return TriangularPoints(bool(exists), *(None if v != v else float(v) for v in coords))
+    return TriangularPoints(bool(exists), *(None if v != v else float(v) for v in (a1, b1, x, z)))
 
 
-def refine_equilibrium(
-    guess,
-    params: Params,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> np.ndarray:
+_REFINE_TOL = 1e-12  # on |grad_omega|_inf
+_REFINE_MAX_ITER = 50
+
+
+def refine_equilibrium(guess, params: Params) -> np.ndarray:
     """Find an equilibrium numerically by damped Newton iteration on the gradient.
 
     Serves as an independent check on the closed-form coordinates: it uses only
@@ -142,19 +133,22 @@ def refine_equilibrium(
     ----------
     guess : array-like of 3 floats
         Starting position; must satisfy r2 >= ``COLLISION_R2``.
-    tol : float
-        Convergence threshold on the max-norm of the gradient.
-    max_iter : int
-        Iteration budget.
+    params : Params
+        Model parameters.
 
     Returns
     -------
     ndarray
-        Position with |grad_omega|_inf < tol.  A guess that already satisfies
-        the tolerance is returned unchanged.
+        Position with |grad_omega|_inf < 1e-12 (``_REFINE_TOL``).  A guess that
+        already satisfies it is returned unchanged.
+
+    Raises
+    ------
+    ConvergenceError
+        After 50 Newton steps (``_REFINE_MAX_ITER``), or at a singular Hessian.
+    SingularityError
+        If an iterate comes within ``COLLISION_R2`` of the second primary.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     pos = np.asarray(guess, dtype=float).copy()
 
     def _check_r2(p):
@@ -165,11 +159,11 @@ def refine_equilibrium(
 
     _check_r2(pos)
     g = grad_omega(pos, params)
-    res = np.linalg.norm(g)
-    if np.max(np.abs(g)) < tol:
+    res = math.hypot(*g)  # overflow-safe, unlike np.linalg.norm
+    if np.max(np.abs(g)) < _REFINE_TOL:
         return pos
 
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         hess = hessian_omega(pos, params).matrix()
         try:
             step = np.linalg.solve(hess, -g)
@@ -183,16 +177,16 @@ def refine_equilibrium(
             cand = pos + scale * step
             _check_r2(cand)
             g_cand = grad_omega(cand, params)
-            if np.linalg.norm(g_cand) < res:
+            res_cand = math.hypot(*g_cand)
+            if res_cand < res:
                 break
             scale *= 0.5
 
-        pos, g = cand, g_cand
-        res = np.linalg.norm(g)
-        if np.max(np.abs(g)) < tol:
+        pos, g, res = cand, g_cand, res_cand
+        if np.max(np.abs(g)) < _REFINE_TOL:
             return pos
 
     raise ConvergenceError(
-        f"Newton refinement did not reach |grad| < {tol} in {max_iter} iterations "
-        f"(residual {res:.3e})"
+        f"Newton refinement did not reach |grad| < {_REFINE_TOL} in {_REFINE_MAX_ITER} "
+        f"iterations (residual {res:.3e})"
     )

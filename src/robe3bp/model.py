@@ -125,11 +125,9 @@ class PotentialHessian(NamedTuple):
 
 
 def radii(pos, mu: float) -> tuple[float, float]:
-    """Distances (r1, r2) from ``pos`` to the first and second primary."""
+    """Distances (r1, r2) from ``pos`` to the primaries; finite wherever a float holds them."""
     x, y, z = (float(c) for c in pos)
-    r1 = math.sqrt((x + mu) ** 2 + y * y + z * z)
-    r2 = math.sqrt((x + mu - 1.0) ** 2 + y * y + z * z)
-    return r1, r2
+    return math.hypot(x + mu, y, z), math.hypot(x + mu - 1.0, y, z)
 
 
 # Scalar cores for the public wrappers and the integrator's right-hand side.  An

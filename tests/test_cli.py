@@ -261,12 +261,21 @@ def test_sweep_grid_flag_without_equals(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["locate", "stability"])
 def test_negative_value_in_any_spelling(command, capsys):
-    # argparse alone takes '-0.00001' as a value but reads '-1e-5' as an option
-    reports = []
-    for k in (["--k", "-1e-5"], ["--k", "-0.00001"], ["--k=-1e-5"]):
-        assert main([command, "--mu", "0.1", *k, "--format", "csv"]) == 0
-        reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1] == reports[2] != ""
+    # argparse alone takes '-0.00001' as a value but reads '-1e-5' or '-inf' as an option
+    def report(*spellings):
+        reports = []
+        for k in spellings:
+            code = main([command, "--mu", "0.1", *k, "--format", "csv"])
+            reports.append((code, *capsys.readouterr()))
+        assert all(r == reports[0] for r in reports)
+        return reports[0]
+
+    code, out, err = report(["--k", "-1e-5"], ["--k", "-0.00001"], ["--k=-1e-5"])
+    assert code == 0 and out != "" and err == ""
+    for value in ("-inf", "-nan", "-Infinity", "-NaN", "-INF"):
+        # refused for being non-finite, not for a missing value
+        code, out, err = report(["--k", value], [f"--k={value}"])
+        assert code == 64 and out == "" and "must be finite" in err
 
 
 def test_sweep_single_cell_matches_stability(tmp_path, capsys):
@@ -323,7 +332,12 @@ def test_sweep_requires_grids(capsys):
 
 
 def test_sweep_rejects_unordered_grid(capsys):
-    assert main(["sweep", "--grid-mu", "0.5:0.1:3", "--grid-k=-0.05:-0.01:2"]) == 64
+    # and the other grid specs that argparse refuses
+    for spec, message in [("0.5:0.1:3", "range must be ordered"),
+                          ("0.1:0.2", "must look like MIN:MAX:N"),
+                          ("0.1:0.2:0", "count must be >= 1")]:
+        assert main(["sweep", "--grid-mu", spec, "--grid-k=-0.05:-0.01:2"]) == 64
+        assert f"argument --grid-mu: {message}" in capsys.readouterr().err
 
 
 def test_config_file_flags_win(tmp_path, capsys):
@@ -335,9 +349,13 @@ def test_config_file_flags_win(tmp_path, capsys):
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
+    # and a line that is no key=value at all
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("nope = 1\n")
-    assert main(["locate", "--config", str(cfg), *CANONICAL_ARGS]) == 64
+    for text, message in [("nope = 1\n", "unknown key 'nope'"),
+                          ("mu 0.1\n", "expected key=value")]:
+        cfg.write_text(text)
+        assert main(["locate", "--config", str(cfg), *CANONICAL_ARGS]) == 64
+        assert f"{cfg}:1: {message}" in capsys.readouterr().err
 
 
 def test_config_file_missing(capsys):

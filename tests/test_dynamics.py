@@ -160,6 +160,13 @@ def test_integrate_start_whose_square_overflows_escapes():
     traj = integrate(state0, Params(mu=0.1, k=-0.01), IntegratorConfig(t_end=1.0))
     assert (traj.steps, traj.status) == (0, "escape")
     assert traj.jacobi[0] == np.inf
+    # and a first step that lands there: the start's C is -inf (v^2 overflows),
+    # the accepted step's r1^2 overflows as well and its C is inf - inf = nan
+    state0 = PhaseState(pos=(0.1, 0.2, 0.3), vel=(1e159, 0.0, 0.0))
+    cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3, t_end=1.0)
+    traj = _assert_matches_reference(state0, Params(mu=0.1, k=-0.01, a1_oblate=0.02), cfg)
+    assert (traj.steps, traj.status) == (1, "escape")
+    assert traj.jacobi[0] == -np.inf and np.isnan(traj.jacobi[1])
 
 
 def test_integrate_collision_flag():
@@ -168,6 +175,10 @@ def test_integrate_collision_flag():
     traj = integrate(state0, CONFINING,
                      IntegratorConfig(t_end=1.0, rel_tol=1e-9, abs_tol=1e-9))
     assert traj.status == "collision"
+    # a start inside the collision radius takes no step
+    state0 = PhaseState(pos=(1 - CONFINING.mu + 1e-7, 0.0, 0.0), vel=(0.0, 0.0, 0.0))
+    traj = _assert_matches_reference(state0, CONFINING, IntegratorConfig(t_end=1.0))
+    assert (traj.status, traj.steps, len(traj.times)) == ("collision", 0, 1)
 
 
 def test_integrate_step_underflow(canonical):

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 
+from robe3bp import equilibria
 from robe3bp import (
     ConvergenceError,
     Params,
@@ -197,20 +198,30 @@ def test_refine_at_second_primary_is_singular(canonical):
         refine_equilibrium((1 - canonical.mu, 0.0, 0.0), canonical)
 
 
-def test_refine_exhausted_iterations(canonical):
+def test_refine_exhausted_iterations(canonical, monkeypatch):
+    monkeypatch.setattr(equilibria, "_REFINE_MAX_ITER", 0)
     with pytest.raises(ConvergenceError):
-        refine_equilibrium((0.5, 0.5, 0.5), canonical, max_iter=0)
+        refine_equilibrium((0.5, 0.5, 0.5), canonical)
 
 
-def test_refine_rejects_bad_tolerance(canonical):
-    with pytest.raises(ValueError):
-        refine_equilibrium((0.0, 0.0, 1.0), canonical, tol=0.0)
+def test_refine_halves_its_step_once(canonical, monkeypatch):
+    # the full first Newton step from here raises the residual; half of it does not
+    seen = []
+    monkeypatch.setattr(equilibria, "grad_omega",
+                        lambda pos, params: seen.append(pos) or grad_omega(pos, params))
+    found = refine_equilibrium((0.5, 0.5, 0.5), canonical)
+    npt.assert_allclose(found, triangular_points(canonical).point(-1), atol=1e-10)
+    guess, full, half = seen[:3]
+    npt.assert_allclose(half - guess, 0.5 * (full - guess), rtol=1e-12)
+    assert len(seen) == 7  # the guess, then 6 candidates over 5 Newton steps
 
 
-def test_refine_rejects_nan_tolerance(canonical):
-    # refused up front, not after the whole iteration budget
-    with pytest.raises(ValueError, match="finite"):
-        refine_equilibrium((0.0, 0.0, 1.0), canonical, tol=np.nan)
+def test_refine_from_a_far_guess_finds_the_collinear_point(canonical):
+    # |grad| ~ 1e200 at the guess: the residual norm must not overflow
+    found = refine_equilibrium((1e200, 0.0, 0.0), canonical)
+    assert np.abs(grad_omega(found, canonical)).max() < 1e-12
+    assert found[0] == pytest.approx(-0.0976, abs=1e-4)
+    assert found[1] == found[2] == 0.0
 
 
 def test_refine_agreement_property(canonical):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -65,6 +67,12 @@ def test_radii_collocation_and_midpoint():
     r1, r2 = radii((1 - 0.3, 0.0, 0.0), mu=0.3)
     assert r2 == 0.0
     assert radii((0.0, 0.0, 0.0), mu=0.5) == (0.5, 0.5)
+
+
+def test_radii_far_from_the_primaries_stay_finite():
+    # (x + mu) ** 2 overflows here; the distances themselves do not
+    assert radii((1e200, 0.0, 0.0), mu=0.1) == (1e200, 1e200)
+    assert radii((0.0, -1e300, 1e300), mu=0.1) == (math.hypot(1e300, 1e300),) * 2
 
 
 def test_radii_at_rounded_triangular_point():
