@@ -18,8 +18,10 @@ of ``_rhs``, and each accepted state's C and stop tests reuse the r2 of the
 slope just formed, with ``_jacobi_s``'s terms.  They keep those functions'
 operations in their order, and a slow reference step built from ``_rhs``,
 ``_jacobi_s`` and the tableau holds ``integrate`` to the same bits in the
-tests.  A slope divides by r2^3 unguarded: the one ``ZeroDivisionError`` the
-step can raise, where r2^3 rounds to 0, is mapped once to the
+tests.  Every square is a product, as in ``model``: it overflows to inf, and
+an inf or NaN error estimate rejects the step.  So the step's only exception
+is at the second primary: a slope divides by r2^3 unguarded, and the
+``ZeroDivisionError`` where r2^3 rounds to 0 is mapped once to the
 ``SingularityError`` that ``_grad_s`` raises there.  The system is
 autonomous, so C = 2 Omega - |v|^2 is a first integral; its drift
 along a trajectory is the accuracy audit for the integrator.  Trajectories
@@ -291,36 +293,27 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             # RMS of the scaled error estimate.  Each scale picks the larger of
             # |before| and |after| as max() would (NaN included); each error sum
             # is squared, so it need not start from 0.0 for the sign of a zero.
+            # A term that overflows squares to inf, and an inf or NaN err
+            # rejects the step with the factor 0.2.
             m0, m1 = abs(x), abs(x7)
-            sc_x = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            ex = h * (e1 * vx + e2 * vx2 + e3 * vx3 + e4 * vx4 + e5 * vx5 + e6 * vx6
+                      + e7 * vx7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = abs(y), abs(y7)
-            sc_y = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            ey = h * (e1 * vy + e2 * vy2 + e3 * vy3 + e4 * vy4 + e5 * vy5 + e6 * vy6
+                      + e7 * vy7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = abs(z), abs(z7)
-            sc_z = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            ez = h * (e1 * vz + e2 * vz2 + e3 * vz3 + e4 * vz4 + e5 * vz5 + e6 * vz6
+                      + e7 * vz7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = abs(vx), abs(vx7)
-            sc_vx = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            evx = h * (e1 * ax + e2 * ax2 + e3 * ax3 + e4 * ax4 + e5 * ax5 + e6 * ax6
+                       + e7 * ax7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = abs(vy), abs(vy7)
-            sc_vy = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
+            evy = h * (e1 * ay + e2 * ay2 + e3 * ay3 + e4 * ay4 + e5 * ay5 + e6 * ay6
+                       + e7 * ay7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = abs(vz), abs(vz7)
-            sc_vz = abs_tol + rel_tol * (m1 if m1 > m0 else m0)
-            try:
-                err_sq = (
-                    (h * (e1 * vx + e2 * vx2 + e3 * vx3 + e4 * vx4 + e5 * vx5 + e6 * vx6
-                            + e7 * vx7) / sc_x) ** 2
-                    + (h * (e1 * vy + e2 * vy2 + e3 * vy3 + e4 * vy4 + e5 * vy5 + e6 * vy6
-                            + e7 * vy7) / sc_y) ** 2
-                    + (h * (e1 * vz + e2 * vz2 + e3 * vz3 + e4 * vz4 + e5 * vz5 + e6 * vz6
-                            + e7 * vz7) / sc_z) ** 2
-                    + (h * (e1 * ax + e2 * ax2 + e3 * ax3 + e4 * ax4 + e5 * ax5 + e6 * ax6
-                            + e7 * ax7) / sc_vx) ** 2
-                    + (h * (e1 * ay + e2 * ay2 + e3 * ay3 + e4 * ay4 + e5 * ay5 + e6 * ay6
-                            + e7 * ay7) / sc_vy) ** 2
-                    + (h * (e1 * az + e2 * az2 + e3 * az3 + e4 * az4 + e5 * az5 + e6 * az6
-                            + e7 * az7) / sc_vz) ** 2
-                )
-            except OverflowError:  # a float power raises where a numpy scalar gives inf
-                err_sq = math.inf  # which rejects the step
-            err = math.sqrt(err_sq / 6.0)
+            evz = h * (e1 * az + e2 * az2 + e3 * az3 + e4 * az4 + e5 * az5 + e6 * az6
+                       + e7 * az7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
+            err = sqrt((ex * ex + ey * ey + ez * ez + evx * evx + evy * evy + evz * evz) / 6.0)
 
             if err <= 1.0:
                 t += h
@@ -330,12 +323,9 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                 times.append(t)
                 states.append(s)
                 # C and the stop tests as _jacobi_s and the start's tests form
-                # them, from the r2^2 and r2 of the slope at s; that slope had
-                # r2^3 != 0, so r2 != 0 and _omega_s's r2 == 0 check cannot fire
-                try:
-                    r1_sq = dx1 ** 2 + y * y + z * z
-                except OverflowError:  # a float power raises where a numpy scalar gives inf
-                    r1_sq = math.inf
+                # them, from the dx1, r2^2 and r2 of the slope at s; that slope
+                # had r2^3 != 0, so r2 != 0 and _omega_s's r2 == 0 check cannot fire
+                r1_sq = dx1 * dx1 + y * y + z * z
                 rho_sq = x * x + y * y
                 jacobi.append(2.0 * (half_n_sq * rho_sq - k * r1_sq + mu / r2)
                               - (vx * vx + vy * vy + vz * vz))
@@ -343,10 +333,10 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     status = "collision"
                 elif rho_sq + z * z > escape_sq:
                     status = "escape"
-                h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             else:
                 rejections += 1
-                h *= max(0.2, 0.9 * err ** -0.2)  # 0.2 for a NaN err too
+            # a rejected step has err > 1 or NaN: its factor is max(0.2, 0.9 * err ** -0.2)
+            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
     except ZeroDivisionError:
         raise SingularityError(_AT_SECOND_PRIMARY) from None
 

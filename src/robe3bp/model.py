@@ -132,17 +132,16 @@ def radii(pos, mu: float) -> tuple[float, float]:
 
 # Scalar cores for the public wrappers and the integrator's right-hand side.  An
 # r2^3 that rounds to 0 (within about 1e-108 of the second primary) is a
-# SingularityError.  `dynamics.integrate` writes out `_grad_s`'s and `_omega_s`'s
-# expressions and maps a zero r2^3 once: after an edit here, make the same edit
-# there, and `tests/test_dynamics.py::_dp5_reference` must still match it bit for bit.
+# SingularityError, and every square is a product (correctly rounded, inf on
+# overflow, unlike libm's pow).  `dynamics.integrate` writes out `_grad_s`'s and
+# `_omega_s`'s expressions and maps a zero r2^3 once: after an edit here, make the
+# same edit there, and `tests/test_dynamics.py::_dp5_reference` must match it bit for bit.
 _AT_SECOND_PRIMARY = "position coincides with the second primary (r2^3 rounds to 0)"
 
 def _omega_s(x: float, y: float, z: float, mu: float, k: float, n_sq: float) -> float:
-    try:
-        r1_sq = (x + mu) ** 2 + y * y + z * z
-    except OverflowError:  # a float power raises where a numpy scalar gives inf
-        r1_sq = math.inf
-    dx2 = x + mu - 1.0
+    dx1 = x + mu
+    r1_sq = dx1 * dx1 + y * y + z * z
+    dx2 = dx1 - 1.0
     r2 = math.sqrt(dx2 * dx2 + y * y + z * z)
     if r2 == 0.0:
         raise SingularityError("position coincides with the second primary (r2 = 0)")

@@ -156,12 +156,11 @@ def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
     u = np.linalg.eigvals(companion).T.astype(complex)
     p, q, r = (c.T.astype(complex) for c in (p, q, r))
     p2 = 2.0 * p
-    active = np.ones(u.shape, dtype=bool)
-    with np.errstate(all="ignore"):  # stopped roots divide by zero, then are masked
+    # a root where d == 0 stays, and so its d stays 0; the unused quotient divides by 0
+    with np.errstate(all="ignore"):
         for _ in range(3):
             d = (3.0 * u + p2) * u + q
-            active &= d != 0
-            u = np.where(active, u - (((u + p) * u + q) * u + r) / d, u)
+            u = np.where(d != 0, u - (((u + p) * u + q) * u + r) / d, u)
     s = np.sqrt(u).T
     roots = np.empty(s.shape[:-1] + (6,), dtype=complex)
     roots[..., 0::2], roots[..., 1::2] = s, -s
@@ -240,7 +239,7 @@ def unstable_direction(params: Params) -> tuple[float, np.ndarray]:
     integrations along the direction the linear analysis predicts will grow.
     The rate is not a verdict, which is :func:`classify`'s: below about
     |k| = 1e-19 the 6x6 eigen-solve cannot resolve lambda+, and the rate
-    is rounding noise (ROADMAP open items 1-2).
+    is rounding noise.
     Raises ``ValueError`` if the triangular points do not exist.
     """
     hess = hessian_omega(triangular_points(params).point(), params)

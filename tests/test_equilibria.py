@@ -204,6 +204,15 @@ def test_refine_exhausted_iterations(canonical, monkeypatch):
         refine_equilibrium((0.5, 0.5, 0.5), canonical)
 
 
+def test_refine_singular_hessian():
+    # n^2 - 2k = 0, and mu / r2^3 underflows to 0 this far out: the Hessian is
+    # diag(0, 0, -1) and the gradient (0, 0, -1), so the Newton solve fails
+    params = Params(mu=0.1, k=0.5)
+    with pytest.raises(ConvergenceError, match="singular Hessian") as info:
+        refine_equilibrium((1e200, 0.0, 1.0), params)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_refine_halves_its_step_once(canonical, monkeypatch):
     # the full first Newton step from here raises the residual; half of it does not
     seen = []
