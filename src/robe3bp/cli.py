@@ -11,7 +11,9 @@ with one formats only its six computed floats.  No field the CLI writes holds
 a comma, quote or line break, so none needs quoting.  JSON is one top-level
 object per run with lower_snake_case keys.
 Exit codes: 0 success, 2 no equilibrium, 64 usage error, 1 runtime or
-integration failure (also a trajectory that starts beyond the escape radius).
+integration failure (also a trajectory that starts beyond the escape radius,
+and a request too large for memory, such as a ``sweep`` grid numpy cannot
+allocate).
 One flag table per command builds its parser and reads its config file;
 ``main`` alone writes what a command returns and maps exceptions to exit codes.
 """
@@ -488,6 +490,8 @@ def main(argv=None) -> int:
         message, code = str(exc), EX_USAGE
     except OSError as exc:
         message, code = f"i/o failure: {exc}", EX_RUNTIME
+    except MemoryError as exc:
+        message, code = f"out of memory: {exc}" if str(exc) else "out of memory", EX_RUNTIME
     print(f"robe3bp: error: {message}", file=sys.stderr)
     return code
 

@@ -19,12 +19,14 @@ slope just formed, with ``_jacobi_s``'s terms.  They keep those functions'
 operations in their order, and a slow reference step built from ``_rhs``,
 ``_jacobi_s`` and the tableau holds ``integrate`` to the same bits in the
 tests.  Every square is a product, as in ``model``: it overflows to inf, and
-an inf or NaN error estimate rejects the step.  So the step's only exception
-is at the second primary: a slope divides by r2^3 unguarded, and the
-``ZeroDivisionError`` where r2^3 rounds to 0 is mapped once to the
-``SingularityError`` that ``_grad_s`` raises there.  The system is
-autonomous, so C = 2 Omega - |v|^2 is a first integral; its drift
-along a trajectory is the accuracy audit for the integrator.  Trajectories
+an inf or NaN error estimate rejects the step.  |c|, ``max`` and ``min`` are
+spelled as comparisons (``c if c >= 0.0 else -c``), which give the builtins'
+bits for -0.0 and NaN as well, so apart from ``sqrt`` the step calls no
+builtin.  The step's only exception is at the second primary: a slope
+divides by r2^3 unguarded, and the ``ZeroDivisionError`` where r2^3 rounds to
+0 is mapped once to the ``SingularityError`` that ``_grad_s`` raises there.
+The system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its
+drift along a trajectory is the accuracy audit for the integrator.  Trajectories
 terminate early with a flagged status on close approach to the second primary
 (r2 < ``model.COLLISION_R2``) or escape (|pos| > 1e3).  Escape is the generic
 fate for k < 0, where the buoyancy term repels from the first primary.
@@ -192,11 +194,11 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             if h > t_end - t:
                 h = t_end - t
             # a final sliver h == t_end - t is legitimate however small
-            if h < 1e-14 * max(1.0, abs(t)) and h < t_end - t:
+            if h < 1e-14 * (t if t > 1.0 else 1.0) and h < t_end - t:
                 raise ConvergenceError(
-                    f"step size underflow at t={t:.6g} (h={h:.3e}); "
-                    "the trajectory is too close to a singularity for the "
-                    "requested tolerances"
+                    f"step size underflow at t={t:.6g} (h={h:.3e}); the error "
+                    "estimate stayed above the tolerance down to the smallest "
+                    "step, 1e-14 * max(1, t)"
                 )
 
             # Stage j sits at s + h * (0.0 + a_j1 k1 + a_j2 k2 + ...), summed in
@@ -291,26 +293,28 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             az7 = mk2 * z7 - c3 * z7
 
             # RMS of the scaled error estimate.  Each scale picks the larger of
-            # |before| and |after| as max() would (NaN included); each error sum
-            # is squared, so it need not start from 0.0 for the sign of a zero.
-            # A term that overflows squares to inf, and an inf or NaN err
-            # rejects the step with the factor 0.2.
-            m0, m1 = abs(x), abs(x7)
+            # |before| and |after| as max() would (NaN included), with |c| as
+            # c if c >= 0.0 else -c: a -0.0 kept that way enters only through
+            # abs_tol + rel_tol * m with abs_tol > 0, so the bits are abs()'s.
+            # Each error sum is squared, so it need not start from 0.0 for the
+            # sign of a zero.  A term that overflows squares to inf, and an inf
+            # or NaN err rejects the step with the factor 0.2.
+            m0, m1 = x if x >= 0.0 else -x, x7 if x7 >= 0.0 else -x7
             ex = h * (e1 * vx + e2 * vx2 + e3 * vx3 + e4 * vx4 + e5 * vx5 + e6 * vx6
                       + e7 * vx7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = abs(y), abs(y7)
+            m0, m1 = y if y >= 0.0 else -y, y7 if y7 >= 0.0 else -y7
             ey = h * (e1 * vy + e2 * vy2 + e3 * vy3 + e4 * vy4 + e5 * vy5 + e6 * vy6
                       + e7 * vy7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = abs(z), abs(z7)
+            m0, m1 = z if z >= 0.0 else -z, z7 if z7 >= 0.0 else -z7
             ez = h * (e1 * vz + e2 * vz2 + e3 * vz3 + e4 * vz4 + e5 * vz5 + e6 * vz6
                       + e7 * vz7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = abs(vx), abs(vx7)
+            m0, m1 = vx if vx >= 0.0 else -vx, vx7 if vx7 >= 0.0 else -vx7
             evx = h * (e1 * ax + e2 * ax2 + e3 * ax3 + e4 * ax4 + e5 * ax5 + e6 * ax6
                        + e7 * ax7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = abs(vy), abs(vy7)
+            m0, m1 = vy if vy >= 0.0 else -vy, vy7 if vy7 >= 0.0 else -vy7
             evy = h * (e1 * ay + e2 * ay2 + e3 * ay3 + e4 * ay4 + e5 * ay5 + e6 * ay6
                        + e7 * ay7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = abs(vz), abs(vz7)
+            m0, m1 = vz if vz >= 0.0 else -vz, vz7 if vz7 >= 0.0 else -vz7
             evz = h * (e1 * az + e2 * az2 + e3 * az3 + e4 * az4 + e5 * az5 + e6 * az6
                        + e7 * az7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             err = sqrt((ex * ex + ey * ey + ez * ez + evx * evx + evy * evy + evz * evz) / 6.0)
@@ -335,8 +339,10 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     status = "escape"
             else:
                 rejections += 1
-            # a rejected step has err > 1 or NaN: its factor is max(0.2, 0.9 * err ** -0.2)
-            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            # min(5.0, max(0.2, f)) as comparisons: a NaN f (a NaN err) fails
+            # both and gives 0.2, as max(0.2, nan) does; 0.0 ** -0.2 would raise
+            f = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+            h *= 5.0 if f > 5.0 else f if f > 0.2 else 0.2
     except ZeroDivisionError:
         raise SingularityError(_AT_SECOND_PRIMARY) from None
 

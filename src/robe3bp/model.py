@@ -134,7 +134,8 @@ def radii(pos, mu: float) -> tuple[float, float]:
 # r2^3 that rounds to 0 (within about 1e-108 of the second primary) is a
 # SingularityError, and every square is a product (correctly rounded, inf on
 # overflow, unlike libm's pow).  `dynamics.integrate` writes out `_grad_s`'s and
-# `_omega_s`'s expressions and maps a zero r2^3 once: after an edit here, make the
+# `_omega_s`'s expressions, spells |c|, max and min as comparisons (the same bits,
+# -0.0 and NaN included) and maps a zero r2^3 once: after an edit here, make the
 # same edit there, and `tests/test_dynamics.py::_dp5_reference` must match it bit for bit.
 _AT_SECOND_PRIMARY = "position coincides with the second primary (r2^3 rounds to 0)"
 

@@ -214,6 +214,18 @@ def test_integrate_overflow_ends_in_step_size_underflow(argv, tmp_path, capsys):
     assert captured.err.startswith("robe3bp: error: step size underflow at t=0")
 
 
+def test_step_size_underflow_names_the_error_estimate(tmp_path, capsys):
+    # at A1 = 1e30 the frame turns at n ~ 1.2e15, far from the second primary
+    # (r2 = b1 ~ 1.71), so every try fails the tolerance down to the step floor
+    out = tmp_path / "t.csv"
+    code = main(["integrate", "--mu", "0.1", "--k=-0.01", "--a1", "1e30", "--from-equilibrium",
+                 "--offset", "1e-8", "--t-end", "5", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("robe3bp: error: step size underflow at t=0 ")
+    assert "error estimate stayed above the tolerance" in err and "singularity" not in err
+
+
 def test_integrate_rejects_zero_t_end(capsys):
     code = main(["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--t-end", "0"])
     assert code == 64
@@ -366,6 +378,16 @@ def test_unwritable_output_exits_1(capsys):
     code = main(["locate", *CANONICAL_ARGS, "--output", "/no/such/dir/out.json"])
     assert code == 1
     assert "robe3bp: error" in capsys.readouterr().err
+
+
+def test_unallocatable_sweep_grid_exits_1(capsys):
+    # 1e14 grid values are 728 TiB of float64, more than any address space
+    # holds, so numpy refuses the array at once
+    code = main(["sweep", "--grid-mu", "0.1:0.2:100000000000000", "--grid-k=-0.01:-0.01:1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("robe3bp: error: out of memory: ")
 
 
 def test_svg_region_output(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -378,6 +379,26 @@ def test_integrate_matches_dp5_reference_at_loose_tolerances(vec, tol):
 def test_integrate_matches_dp5_reference_to_an_escape(x, vx, vy):
     state0 = PhaseState(pos=(x, 0.0, 0.0), vel=(vx, vy, 0.0))
     assert _assert_matches_reference(state0, REPELLING, ESCAPE_CFG).status == "escape"
+
+
+@pytest.mark.parametrize("margin, nan_tries, rejections", [(1e-8, 5, 5), (1e-7, 4, 10)])
+def test_integrate_matches_dp5_reference_after_nan_error_estimates(margin, nan_tries, rejections):
+    # 2n vy sits a relative margin below max_float / |a52|, so the first tries'
+    # stage-2 slope 2n vy2 passes it, a52 * ax2 overflows in the stage-5 sum,
+    # a later slope is 0 * inf = nan and err is NaN: each such try is rejected
+    # with the factor 0.2, until a smaller h keeps every stage sum finite
+    params = Params(mu=0.1, k=-0.01)
+    a52 = dynamics._STAGES[3][1]
+    vy = sys.float_info.max / (-a52 * 2.0 * params.n) * (1.0 - margin)
+    state0 = PhaseState(pos=(0.1, 0.2, 0.3), vel=(-vy, vy, 0.0))
+    traj = _assert_matches_reference(state0, params, IntegratorConfig(t_end=1.0))
+    assert (traj.steps, traj.rejections, traj.status) == (1, rejections, "escape")
+    # a finite rejected err shrinks h by less than 1, so the accepted step is at
+    # most 1e-4 shrunk by 0.2 per NaN try, and equal to it when every try was NaN
+    h = dynamics._INITIAL_STEP
+    for _ in range(nan_tries):
+        h *= 0.2
+    assert traj.times[1] == h if nan_tries == rejections else traj.times[1] < h
 
 
 @settings(max_examples=20, deadline=None)
