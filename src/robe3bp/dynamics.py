@@ -12,12 +12,12 @@ step runs on plain Python floats with each stage sum written out per
 component, and ``_STAGES``/``_ERR`` are the one copy of the tableau.  Every
 sum adds floats only: a stage sum starts from ``0.0`` and so rounds as a sum
 from 0 does, and an error sum starts from its first term, since it is squared
-and the sign of a zero drops out.  The step also writes out ``model``'s
-formulas: each stage slope is ``_grad_s``'s gradient plus the Coriolis terms
-of ``_rhs``, and each accepted state's C and stop tests reuse the r2 of the
-slope just formed, with ``_jacobi_s``'s terms.  They keep those functions'
-operations in their order, and a slow reference step built from ``_rhs``,
-``_jacobi_s`` and the tableau holds ``integrate`` to the same bits in the
+and the sign of a zero drops out.  The zero weights b2 = e2 = 0 are skipped:
+a finite stage-2 slope adds a zero there, and a non-finite one makes err inf
+or NaN through a32 anyway.  Each slope writes out ``_grad_s``'s terms and the
+Coriolis terms of ``_rhs`` in their order; C is one ``_jacobi_s`` call on the
+arrays of accepted states.  A slow reference step built from ``_rhs``,
+``_jacobi_s`` and the full tableau holds ``integrate`` to the same bits in the
 tests.  Every square is a product, as in ``model``: it overflows to inf, and
 an inf or NaN error estimate rejects the step.  |c|, ``max`` and ``min`` are
 spelled as comparisons (``c if c >= 0.0 else -c``), which give the builtins'
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def eom_rhs(state: PhaseState, params: Params) -> np.ndarray:
 
 def jacobi_constant(state: PhaseState, params: Params) -> float:
     """First integral C = 2 Omega(pos) - |vel|^2."""
-    return _jacobi_s(*state.pos, *state.vel, params.mu, params.k, params.n_sq)
+    return _jacobi_s(*state.vector().tolist(), params.mu, params.k, params.n_sq)
 
 
 def _jacobi_s(x, y, z, vx, vy, vz, mu, k, n_sq):
@@ -162,19 +163,19 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     :class:`SingularityError` where a stage lands where r2^3 rounds to 0.
     """
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
-    # the factors as _rhs, _grad_s and _omega_s form them left to right
-    n2, k2, mk2, half_n_sq = 2.0 * n, 2.0 * k, -2.0 * k, 0.5 * n_sq
+    # the factors as _rhs and _grad_s form them left to right
+    n2, k2, mk2 = 2.0 * n, 2.0 * k, -2.0 * k
     collision_sq = COLLISION_R2 * COLLISION_R2
     escape_sq = ESCAPE_RADIUS * ESCAPE_RADIUS
     abs_tol, rel_tol, t_end = cfg.abs_tol, cfg.rel_tol, cfg.t_end
     ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (b1, b2, b3, b4, b5, b6)) = _STAGES
-    e1, e2, e3, e4, e5, e6, e7 = _ERR
+     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _STAGES
+    e1, _, e3, e4, e5, e6, e7 = _ERR
     sqrt = math.sqrt
 
     t = 0.0
     s = x, y, z, vx, vy, vz = tuple(state0.vector().tolist())
-    times, states, jacobi = [t], [s], [_jacobi_s(*s, mu, k, n_sq)]
+    times, states = [t], [s]
     dx2 = x + mu - 1.0
     if dx2 * dx2 + y * y + z * z < collision_sq:
         status = "collision"
@@ -202,7 +203,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                 )
 
             # Stage j sits at s + h * (0.0 + a_j1 k1 + a_j2 k2 + ...), summed in
-            # tableau order from 0.0, zero entries included, so every sum rounds
+            # tableau order from 0.0 (b2 = e2 = 0 skipped), so every sum rounds
             # as sum(map(mul, row, kj)) does.  A slope is the stage velocity
             # and the acceleration: _grad_s's terms in its order, with
             # dx1 = x + mu and dx2 = dx1 - 1.0, plus the Coriolis terms.
@@ -277,17 +278,16 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             az6 = mk2 * z6 - c3 * z6
 
             # the fifth-order solution; its slope is the next step's first (FSAL)
-            x7 = x + h * (0.0 + b1 * vx + b2 * vx2 + b3 * vx3 + b4 * vx4 + b5 * vx5 + b6 * vx6)
-            y7 = y + h * (0.0 + b1 * vy + b2 * vy2 + b3 * vy3 + b4 * vy4 + b5 * vy5 + b6 * vy6)
-            z7 = z + h * (0.0 + b1 * vz + b2 * vz2 + b3 * vz3 + b4 * vz4 + b5 * vz5 + b6 * vz6)
-            vx7 = vx + h * (0.0 + b1 * ax + b2 * ax2 + b3 * ax3 + b4 * ax4 + b5 * ax5 + b6 * ax6)
-            vy7 = vy + h * (0.0 + b1 * ay + b2 * ay2 + b3 * ay3 + b4 * ay4 + b5 * ay5 + b6 * ay6)
-            vz7 = vz + h * (0.0 + b1 * az + b2 * az2 + b3 * az3 + b4 * az4 + b5 * az5 + b6 * az6)
+            x7 = x + h * (0.0 + b1 * vx + b3 * vx3 + b4 * vx4 + b5 * vx5 + b6 * vx6)
+            y7 = y + h * (0.0 + b1 * vy + b3 * vy3 + b4 * vy4 + b5 * vy5 + b6 * vy6)
+            z7 = z + h * (0.0 + b1 * vz + b3 * vz3 + b4 * vz4 + b5 * vz5 + b6 * vz6)
+            vx7 = vx + h * (0.0 + b1 * ax + b3 * ax3 + b4 * ax4 + b5 * ax5 + b6 * ax6)
+            vy7 = vy + h * (0.0 + b1 * ay + b3 * ay3 + b4 * ay4 + b5 * ay5 + b6 * ay6)
+            vz7 = vz + h * (0.0 + b1 * az + b3 * az3 + b4 * az4 + b5 * az5 + b6 * az6)
             dx1 = x7 + mu
             dx2 = dx1 - 1.0
             r2_sq = dx2 * dx2 + y7 * y7 + z7 * z7
-            r2 = sqrt(r2_sq)
-            c3 = mu / (r2_sq * r2)
+            c3 = mu / (r2_sq * sqrt(r2_sq))
             ax7 = n_sq * x7 - k2 * dx1 - c3 * dx2 + n2 * vy7
             ay7 = n_sq * y7 - k2 * y7 - c3 * y7 - n2 * vx7
             az7 = mk2 * z7 - c3 * z7
@@ -300,22 +300,22 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             # sign of a zero.  A term that overflows squares to inf, and an inf
             # or NaN err rejects the step with the factor 0.2.
             m0, m1 = x if x >= 0.0 else -x, x7 if x7 >= 0.0 else -x7
-            ex = h * (e1 * vx + e2 * vx2 + e3 * vx3 + e4 * vx4 + e5 * vx5 + e6 * vx6
+            ex = h * (e1 * vx + e3 * vx3 + e4 * vx4 + e5 * vx5 + e6 * vx6
                       + e7 * vx7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = y if y >= 0.0 else -y, y7 if y7 >= 0.0 else -y7
-            ey = h * (e1 * vy + e2 * vy2 + e3 * vy3 + e4 * vy4 + e5 * vy5 + e6 * vy6
+            ey = h * (e1 * vy + e3 * vy3 + e4 * vy4 + e5 * vy5 + e6 * vy6
                       + e7 * vy7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = z if z >= 0.0 else -z, z7 if z7 >= 0.0 else -z7
-            ez = h * (e1 * vz + e2 * vz2 + e3 * vz3 + e4 * vz4 + e5 * vz5 + e6 * vz6
+            ez = h * (e1 * vz + e3 * vz3 + e4 * vz4 + e5 * vz5 + e6 * vz6
                       + e7 * vz7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = vx if vx >= 0.0 else -vx, vx7 if vx7 >= 0.0 else -vx7
-            evx = h * (e1 * ax + e2 * ax2 + e3 * ax3 + e4 * ax4 + e5 * ax5 + e6 * ax6
+            evx = h * (e1 * ax + e3 * ax3 + e4 * ax4 + e5 * ax5 + e6 * ax6
                        + e7 * ax7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = vy if vy >= 0.0 else -vy, vy7 if vy7 >= 0.0 else -vy7
-            evy = h * (e1 * ay + e2 * ay2 + e3 * ay3 + e4 * ay4 + e5 * ay5 + e6 * ay6
+            evy = h * (e1 * ay + e3 * ay3 + e4 * ay4 + e5 * ay5 + e6 * ay6
                        + e7 * ay7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             m0, m1 = vz if vz >= 0.0 else -vz, vz7 if vz7 >= 0.0 else -vz7
-            evz = h * (e1 * az + e2 * az2 + e3 * az3 + e4 * az4 + e5 * az5 + e6 * az6
+            evz = h * (e1 * az + e3 * az3 + e4 * az4 + e5 * az5 + e6 * az6
                        + e7 * az7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
             err = sqrt((ex * ex + ey * ey + ez * ez + evx * evx + evy * evy + evz * evz) / 6.0)
 
@@ -326,16 +326,10 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                 steps += 1
                 times.append(t)
                 states.append(s)
-                # C and the stop tests as _jacobi_s and the start's tests form
-                # them, from the dx1, r2^2 and r2 of the slope at s; that slope
-                # had r2^3 != 0, so r2 != 0 and _omega_s's r2 == 0 check cannot fire
-                r1_sq = dx1 * dx1 + y * y + z * z
-                rho_sq = x * x + y * y
-                jacobi.append(2.0 * (half_n_sq * rho_sq - k * r1_sq + mu / r2)
-                              - (vx * vx + vy * vy + vz * vz))
+                # the start's stop tests, with the r2^2 of the slope at s
                 if r2_sq < collision_sq:
                     status = "collision"
-                elif rho_sq + z * z > escape_sq:
+                elif x * x + y * y + z * z > escape_sq:
                     status = "escape"
             else:
                 rejections += 1
@@ -346,10 +340,14 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     except ZeroDivisionError:
         raise SingularityError(_AT_SECOND_PRIMARY) from None
 
+    states = np.fromiter(chain.from_iterable(states), float, 6 * len(states)).reshape(-1, 6)
+    # C of every row at once; only a start at r2 = 0 raises (each later row's slope had r2^3 != 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as floats give them
+        jacobi = _jacobi_s(*states.T, mu, k, n_sq)
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        jacobi=np.array(jacobi),
+        times=np.fromiter(times, float, len(times)),
+        states=states,
+        jacobi=jacobi,
         steps=steps,
         rejections=rejections,
         status=status or "completed",

@@ -133,18 +133,20 @@ def radii(pos, mu: float) -> tuple[float, float]:
 # Scalar cores for the public wrappers and the integrator's right-hand side.  An
 # r2^3 that rounds to 0 (within about 1e-108 of the second primary) is a
 # SingularityError, and every square is a product (correctly rounded, inf on
-# overflow, unlike libm's pow).  `dynamics.integrate` writes out `_grad_s`'s and
-# `_omega_s`'s expressions, spells |c|, max and min as comparisons (the same bits,
-# -0.0 and NaN included) and maps a zero r2^3 once: after an edit here, make the
-# same edit there, and `tests/test_dynamics.py::_dp5_reference` must match it bit for bit.
+# overflow, unlike libm's pow).  `dynamics.integrate` writes out `_grad_s` in each
+# stage and maps a zero r2^3 once: make an edit here there too, and
+# `tests/test_dynamics.py::_dp5_reference` must match it bit for bit.  `_omega_s` also
+# takes arrays of positions, where numpy's +, -, *, / and sqrt round as floats do.
 _AT_SECOND_PRIMARY = "position coincides with the second primary (r2^3 rounds to 0)"
 
-def _omega_s(x: float, y: float, z: float, mu: float, k: float, n_sq: float) -> float:
+def _omega_s(x, y, z, mu: float, k: float, n_sq: float):
     dx1 = x + mu
     r1_sq = dx1 * dx1 + y * y + z * z
     dx2 = dx1 - 1.0
-    r2 = math.sqrt(dx2 * dx2 + y * y + z * z)
-    if r2 == 0.0:
+    r2_sq = dx2 * dx2 + y * y + z * z
+    array = isinstance(r2_sq, np.ndarray)
+    r2 = np.sqrt(r2_sq) if array else math.sqrt(r2_sq)
+    if (r2 == 0.0).any() if array else r2 == 0.0:
         raise SingularityError("position coincides with the second primary (r2 = 0)")
     return 0.5 * n_sq * (x * x + y * y) - k * r1_sq + mu / r2
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,35 @@ def test_jacobi_reflection_invariance(canonical):
         c = jacobi_constant(PhaseState(pos, vel), canonical)
         flipped = PhaseState(pos * [1, -1, 1], vel * [1, -1, 1])
         assert jacobi_constant(flipped, canonical) == c
+
+
+def test_jacobi_formula_is_one_for_floats_and_arrays():
+    # the public calls give plain floats, which cli._fmt formats by type
+    state = PhaseState(pos=(0.3, 0.2, 0.1), vel=(0.05, -0.1, 0.02))
+    assert type(omega(state.pos, CONFINING)) is float
+    assert type(jacobi_constant(state, CONFINING)) is float
+    # _jacobi_s on arrays of states, as integrate calls it once per trajectory,
+    # gives every row's float value to the bit: rows whose squares overflow to
+    # C = -inf or inf - inf = nan, and signed zeros, included
+    rng = np.random.default_rng(79)
+    rows = [tuple(v) for v in rng.uniform(-0.4, 0.4, (6, 6)).tolist()]
+    rows += [(1e200, 0.0, 0.0, 0.0, 0.0, 0.0), (0.1, 0.2, 0.3, 1e159, 0.0, 0.0),
+             (1e200, 0.0, 0.0, 1e159, 0.0, 0.0), (-0.0, 0.3, -0.0, -0.0, 0.0, -0.0),
+             (1.0 - 0.1 + 1e-7, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    for params in (CONFINING, REPELLING):
+        args = params.mu, params.k, params.n_sq
+        one_by_one = np.array([dynamics._jacobi_s(*row, *args) for row in rows])
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            at_once = dynamics._jacobi_s(*np.array(rows).T, *args)
+        assert at_once.tobytes() == one_by_one.tobytes()
+        assert np.isnan(at_once).any() and np.isneginf(at_once).any()
+        # and a row at r2 = 0, wherever it sits, is the scalar call's error
+        for at in (0, 5, len(rows)):
+            states = np.array(rows[:at] + [(0.9, 0.0, 0.0, 0.0, 0.0, 0.0)] + rows[at:])
+            with pytest.raises(SingularityError, match=r"\(r2 = 0\)"):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dynamics._jacobi_s(*states.T, *args)
 
 
 def test_integrate_jacobi_column_is_jacobi_constant(canonical):
@@ -200,6 +230,18 @@ def test_integrate_start_whose_square_overflows_escapes():
     traj = _assert_matches_reference(state0, Params(mu=0.1, k=-0.01, a1_oblate=0.02), cfg)
     assert (traj.steps, traj.status) == (1, "escape")
     assert traj.jacobi[0] == -np.inf and np.isnan(traj.jacobi[1])
+
+
+@pytest.mark.parametrize("pos", [(0.9, 0.0, 0.0), (0.9, 1e-170, 0.0)])
+def test_start_on_the_second_primary_raises_like_the_reference(pos):
+    # x + mu - 1.0 is exactly 0 (and y^2 underflows to 0), so r2 = 0 and the
+    # start's C has no value: an error, never a one-row collision with C = inf
+    params = Params(mu=0.1, k=-0.01)
+    assert pos[0] + params.mu - 1.0 == 0.0
+    state0 = PhaseState(pos=pos, vel=(0.0, 0.0, 0.0))
+    for run in (integrate, _dp5_reference):
+        with pytest.raises(SingularityError, match=r"\(r2 = 0\)"):
+            run(state0, params, IntegratorConfig(t_end=1.0))
 
 
 def test_integrate_collision_flag():
@@ -399,6 +441,34 @@ def test_integrate_matches_dp5_reference_after_nan_error_estimates(margin, nan_t
     for _ in range(nan_tries):
         h *= 0.2
     assert traj.times[1] == h if nan_tries == rejections else traj.times[1] < h
+
+
+@pytest.mark.parametrize("k, tol, outcome", [
+    (1e12, 1e-12, (1, 8)), (-1e16, 1e-6, (1, 8)), (1e20, 1e-2, (1, 10)),
+    (-1e20, 1e-12, (1, 13)), (1e24, 1e-12, ConvergenceError)])
+def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol, outcome):
+    # x + mu = 0 keeps 2k (x + mu) finite at the start, and a velocity of
+    # 4 max_float / (2 |k| a21 h) carries the first try's stage-2 point to
+    # where it overflows: k1 is finite, and k2 is not.  integrate skips the
+    # terms b2 k2 and e2 k2 of weight 0, the reference keeps them.  Each try
+    # with a non-finite k2 is rejected; a smaller h escapes on its first
+    # accepted step, unless no h above 1e-14 meets the tolerance.
+    params = Params(mu=0.1, k=k)
+    h, a21 = dynamics._INITIAL_STEP, dynamics._STAGES[0][0]
+    s = (-params.mu, 0.0, 0.0, sys.float_info.max / (2.0 * abs(k) * a21 * h) * 4.0, 0.0, 0.0)
+    args = params.mu, params.k, params.n_sq, params.n
+    k1 = dynamics._rhs(*s, *args)
+    k2 = dynamics._rhs(*(si + h * (0.0 + a21 * ki) for si, ki in zip(s, k1)), *args)
+    assert all(map(math.isfinite, k1)) and not all(map(math.isfinite, k2))
+    state0, cfg = PhaseState.from_vector(s), IntegratorConfig(tol, tol, t_end=1.0)
+    traj = _assert_matches_reference(state0, params, cfg)
+    if outcome is ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            integrate(state0, params, cfg)
+    else:
+        assert (traj.steps, traj.rejections, traj.status) == (*outcome, "escape")
+        # v^2 overflows: C is -inf at the start and inf - inf after the step
+        assert traj.jacobi[0] == -np.inf and np.isnan(traj.jacobi[1])
 
 
 @settings(max_examples=20, deadline=None)
