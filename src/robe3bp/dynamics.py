@@ -7,24 +7,45 @@ The second-order equations are
     z''         = Omega_z
 
 integrated here in first-order form with an embedded Dormand-Prince 5(4)
-pair (FSAL, adaptive step control, the fifth-order solution propagated).  The
-step runs on plain Python floats with each stage sum written out per
-component, and ``_STAGES``/``_ERR`` are the one copy of the tableau.  Every
-sum adds floats only: a stage sum starts from ``0.0`` and so rounds as a sum
-from 0 does, and an error sum starts from its first term, since it is squared
-and the sign of a zero drops out.  The zero weights b2 = e2 = 0 are skipped:
-a finite stage-2 slope adds a zero there, and a non-finite one makes err inf
-or NaN through a32 anyway.  Each slope writes out ``_grad_s``'s terms and the
-Coriolis terms of ``_rhs`` in their order; C is one ``_jacobi_s`` call on the
-arrays of accepted states.  A slow reference step built from ``_rhs``,
-``_jacobi_s`` and the full tableau holds ``integrate`` to the same bits in the
-tests.  Every square is a product, as in ``model``: it overflows to inf, and
-an inf or NaN error estimate rejects the step.  |c|, ``max`` and ``min`` are
-spelled as comparisons (``c if c >= 0.0 else -c``), which give the builtins'
-bits for -0.0 and NaN as well, so apart from ``sqrt`` the step calls no
-builtin.  The step's only exception is at the second primary: a slope
-divides by r2^3 unguarded, and the ``ZeroDivisionError`` where r2^3 rounds to
-0 is mapped once to the ``SingularityError`` that ``_grad_s`` raises there.
+pair (FSAL, adaptive step control, the fifth-order solution propagated).
+``_STAGES``/``_ERR`` are the one copy of the tableau and ``model._SLOPE`` the
+one spelling of the gradient.  At import, ``_step_source`` writes the step
+out from them on plain Python floats, one statement per component, and
+``model._splice`` puts it into ``integrate``'s loop in place of ``_STEP``,
+under a filename kept in ``linecache``, so tracebacks and
+``inspect.getsource(integrate)`` show the generated lines.  Stage 2 reads
+
+    x2 = x + h * (0.0 + a21 * vx)
+    y2 = y + h * (0.0 + a21 * vy)
+    z2 = z + h * (0.0 + a21 * vz)
+    vx2 = vx + h * (0.0 + a21 * ax)
+    vy2 = vy + h * (0.0 + a21 * ay)
+    vz2 = vz + h * (0.0 + a21 * az)
+    dx1 = x2 + mu
+    dx2 = dx1 - 1.0
+    r2_sq = dx2 * dx2 + y2 * y2 + z2 * z2
+    c3 = mu / (r2_sq * sqrt(r2_sq))
+    ax2 = n_sq * x2 - k2 * dx1 - c3 * dx2 + n2 * vy2
+    ay2 = n_sq * y2 - k2 * y2 - c3 * y2 - n2 * vx2
+    az2 = mk2 * z2 - c3 * z2
+
+and each later stage adds one term per earlier slope.  The generated text is
+the step as it would be written by hand, so it compiles to the same
+instructions and its bits cannot move with how it is produced.  A stage sum
+starts from ``0.0`` and so rounds as a sum from 0 does; an error sum starts
+from its first term, since it is squared and the sign of a zero drops out.
+The zero weights b2 = e2 = 0 are skipped: a finite stage-2 slope adds a zero
+there, and a non-finite one makes err inf or NaN through a32 anyway.  C is
+one ``_jacobi_s`` call on the arrays of accepted states.  A slow reference
+step built from ``_rhs``, ``_jacobi_s`` and the full tableau holds
+``integrate`` to the same bits in the tests.  Every square is a product, as
+in ``model``: it overflows to inf, and an inf or NaN error estimate rejects
+the step.  |c|, ``max`` and ``min`` are spelled as comparisons (``c if c >=
+0.0 else -c``), which give the builtins' bits for -0.0 and NaN as well, so
+apart from ``sqrt`` the step calls no builtin.  The step's only exception is
+at the second primary: a slope divides by r2^3 unguarded, and the
+``ZeroDivisionError`` where r2^3 rounds to 0 is mapped once to the
+``SingularityError`` that ``_grad_s`` raises there.
 The system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its
 drift along a trajectory is the accuracy audit for the integrator.  Trajectories
 terminate early with a flagged status on close approach to the second primary
@@ -42,7 +63,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConvergenceError, NoGrowthError, SingularityError
-from .model import _AT_SECOND_PRIMARY, COLLISION_R2, Params, _grad_s, _omega_s
+from .model import (_AT_SECOND_PRIMARY, _SLOPE, COLLISION_R2, Params, _grad_s, _omega_s,
+                    _splice)
 from .equilibria import triangular_points
 from .stability import unstable_direction
 
@@ -125,7 +147,7 @@ class Trajectory:
 
 def eom_rhs(state: PhaseState, params: Params) -> np.ndarray:
     """Time derivative of the 6-vector state: (vel, acc) with Coriolis coupling."""
-    return np.array(_rhs(*state.pos, *state.vel, params.mu, params.k, params.n_sq, params.n))
+    return np.array(_rhs(*state.vector().tolist(), params.mu, params.k, params.n_sq, params.n))
 
 
 def jacobi_constant(state: PhaseState, params: Params) -> float:
@@ -154,6 +176,33 @@ _STAGES = (_A2, _A3, _A4, _A5, _A6, _B5)
 _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
+def _step_source() -> str:
+    """The statements of one attempted step after its first slope, from ``_STAGES``,
+    ``_ERR`` and ``model._SLOPE``: stages 2-7, the scaled error terms and err."""
+    comps = ("x", "y", "z", "vx", "vy", "vz")
+    rates = ("vx", "vy", "vz", "ax", "ay", "az")  # the slope of each component
+
+    def weighed(row, name, rate):  # "a31 * vx + a32 * vx2" for row (a31, a32) and rate vx
+        return " + ".join(f"{name}{m} * {rate}{m if m > 1 else ''}"
+                          for m, w in enumerate(row, 1) if w)
+
+    lines = []
+    for j, row in enumerate(_STAGES, 2):
+        a = f"a{j}" if j < 7 else "b"
+        lines += [f"{c}{j} = {c} + h * (0.0 + {weighed(row, a, r)})" for c, r in zip(comps, rates)]
+        lines += _SLOPE.format(j=j, cx=f" + n2 * vy{j}", cy=f" - n2 * vx{j}").splitlines()
+        lines.append("")
+    for c, r in zip(comps, rates):  # |c| and max() as comparisons
+        lines.append(f"m0, m1 = {c} if {c} >= 0.0 else -{c}, {c}7 if {c}7 >= 0.0 else -{c}7")
+        lines.append(f"e{c} = h * ({weighed(_ERR, 'e', r)})"
+                     " / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))")
+    lines.append(f"err = sqrt(({' + '.join(f'e{c} * e{c}' for c in comps)}) / 6.0)")
+    return "\n".join(lines)
+
+
+_STEP = _step_source()
+
+
 def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the equations of motion from ``state0`` over [0, cfg.t_end].
 
@@ -163,7 +212,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     :class:`SingularityError` where a stage lands where r2^3 rounds to 0.
     """
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
-    # the factors as _rhs and _grad_s form them left to right
+    # the factors model._SLOPE names, formed as _rhs and _grad_s form them
     n2, k2, mk2 = 2.0 * n, 2.0 * k, -2.0 * k
     collision_sq = COLLISION_R2 * COLLISION_R2
     escape_sq = ESCAPE_RADIUS * ESCAPE_RADIUS
@@ -202,122 +251,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     "step, 1e-14 * max(1, t)"
                 )
 
-            # Stage j sits at s + h * (0.0 + a_j1 k1 + a_j2 k2 + ...), summed in
-            # tableau order from 0.0 (b2 = e2 = 0 skipped), so every sum rounds
-            # as sum(map(mul, row, kj)) does.  A slope is the stage velocity
-            # and the acceleration: _grad_s's terms in its order, with
-            # dx1 = x + mu and dx2 = dx1 - 1.0, plus the Coriolis terms.
-            x2 = x + h * (0.0 + a21 * vx)
-            y2 = y + h * (0.0 + a21 * vy)
-            z2 = z + h * (0.0 + a21 * vz)
-            vx2 = vx + h * (0.0 + a21 * ax)
-            vy2 = vy + h * (0.0 + a21 * ay)
-            vz2 = vz + h * (0.0 + a21 * az)
-            dx1 = x2 + mu
-            dx2 = dx1 - 1.0
-            r2_sq = dx2 * dx2 + y2 * y2 + z2 * z2
-            c3 = mu / (r2_sq * sqrt(r2_sq))
-            ax2 = n_sq * x2 - k2 * dx1 - c3 * dx2 + n2 * vy2
-            ay2 = n_sq * y2 - k2 * y2 - c3 * y2 - n2 * vx2
-            az2 = mk2 * z2 - c3 * z2
-
-            x3 = x + h * (0.0 + a31 * vx + a32 * vx2)
-            y3 = y + h * (0.0 + a31 * vy + a32 * vy2)
-            z3 = z + h * (0.0 + a31 * vz + a32 * vz2)
-            vx3 = vx + h * (0.0 + a31 * ax + a32 * ax2)
-            vy3 = vy + h * (0.0 + a31 * ay + a32 * ay2)
-            vz3 = vz + h * (0.0 + a31 * az + a32 * az2)
-            dx1 = x3 + mu
-            dx2 = dx1 - 1.0
-            r2_sq = dx2 * dx2 + y3 * y3 + z3 * z3
-            c3 = mu / (r2_sq * sqrt(r2_sq))
-            ax3 = n_sq * x3 - k2 * dx1 - c3 * dx2 + n2 * vy3
-            ay3 = n_sq * y3 - k2 * y3 - c3 * y3 - n2 * vx3
-            az3 = mk2 * z3 - c3 * z3
-
-            x4 = x + h * (0.0 + a41 * vx + a42 * vx2 + a43 * vx3)
-            y4 = y + h * (0.0 + a41 * vy + a42 * vy2 + a43 * vy3)
-            z4 = z + h * (0.0 + a41 * vz + a42 * vz2 + a43 * vz3)
-            vx4 = vx + h * (0.0 + a41 * ax + a42 * ax2 + a43 * ax3)
-            vy4 = vy + h * (0.0 + a41 * ay + a42 * ay2 + a43 * ay3)
-            vz4 = vz + h * (0.0 + a41 * az + a42 * az2 + a43 * az3)
-            dx1 = x4 + mu
-            dx2 = dx1 - 1.0
-            r2_sq = dx2 * dx2 + y4 * y4 + z4 * z4
-            c3 = mu / (r2_sq * sqrt(r2_sq))
-            ax4 = n_sq * x4 - k2 * dx1 - c3 * dx2 + n2 * vy4
-            ay4 = n_sq * y4 - k2 * y4 - c3 * y4 - n2 * vx4
-            az4 = mk2 * z4 - c3 * z4
-
-            x5 = x + h * (0.0 + a51 * vx + a52 * vx2 + a53 * vx3 + a54 * vx4)
-            y5 = y + h * (0.0 + a51 * vy + a52 * vy2 + a53 * vy3 + a54 * vy4)
-            z5 = z + h * (0.0 + a51 * vz + a52 * vz2 + a53 * vz3 + a54 * vz4)
-            vx5 = vx + h * (0.0 + a51 * ax + a52 * ax2 + a53 * ax3 + a54 * ax4)
-            vy5 = vy + h * (0.0 + a51 * ay + a52 * ay2 + a53 * ay3 + a54 * ay4)
-            vz5 = vz + h * (0.0 + a51 * az + a52 * az2 + a53 * az3 + a54 * az4)
-            dx1 = x5 + mu
-            dx2 = dx1 - 1.0
-            r2_sq = dx2 * dx2 + y5 * y5 + z5 * z5
-            c3 = mu / (r2_sq * sqrt(r2_sq))
-            ax5 = n_sq * x5 - k2 * dx1 - c3 * dx2 + n2 * vy5
-            ay5 = n_sq * y5 - k2 * y5 - c3 * y5 - n2 * vx5
-            az5 = mk2 * z5 - c3 * z5
-
-            x6 = x + h * (0.0 + a61 * vx + a62 * vx2 + a63 * vx3 + a64 * vx4 + a65 * vx5)
-            y6 = y + h * (0.0 + a61 * vy + a62 * vy2 + a63 * vy3 + a64 * vy4 + a65 * vy5)
-            z6 = z + h * (0.0 + a61 * vz + a62 * vz2 + a63 * vz3 + a64 * vz4 + a65 * vz5)
-            vx6 = vx + h * (0.0 + a61 * ax + a62 * ax2 + a63 * ax3 + a64 * ax4 + a65 * ax5)
-            vy6 = vy + h * (0.0 + a61 * ay + a62 * ay2 + a63 * ay3 + a64 * ay4 + a65 * ay5)
-            vz6 = vz + h * (0.0 + a61 * az + a62 * az2 + a63 * az3 + a64 * az4 + a65 * az5)
-            dx1 = x6 + mu
-            dx2 = dx1 - 1.0
-            r2_sq = dx2 * dx2 + y6 * y6 + z6 * z6
-            c3 = mu / (r2_sq * sqrt(r2_sq))
-            ax6 = n_sq * x6 - k2 * dx1 - c3 * dx2 + n2 * vy6
-            ay6 = n_sq * y6 - k2 * y6 - c3 * y6 - n2 * vx6
-            az6 = mk2 * z6 - c3 * z6
-
-            # the fifth-order solution; its slope is the next step's first (FSAL)
-            x7 = x + h * (0.0 + b1 * vx + b3 * vx3 + b4 * vx4 + b5 * vx5 + b6 * vx6)
-            y7 = y + h * (0.0 + b1 * vy + b3 * vy3 + b4 * vy4 + b5 * vy5 + b6 * vy6)
-            z7 = z + h * (0.0 + b1 * vz + b3 * vz3 + b4 * vz4 + b5 * vz5 + b6 * vz6)
-            vx7 = vx + h * (0.0 + b1 * ax + b3 * ax3 + b4 * ax4 + b5 * ax5 + b6 * ax6)
-            vy7 = vy + h * (0.0 + b1 * ay + b3 * ay3 + b4 * ay4 + b5 * ay5 + b6 * ay6)
-            vz7 = vz + h * (0.0 + b1 * az + b3 * az3 + b4 * az4 + b5 * az5 + b6 * az6)
-            dx1 = x7 + mu
-            dx2 = dx1 - 1.0
-            r2_sq = dx2 * dx2 + y7 * y7 + z7 * z7
-            c3 = mu / (r2_sq * sqrt(r2_sq))
-            ax7 = n_sq * x7 - k2 * dx1 - c3 * dx2 + n2 * vy7
-            ay7 = n_sq * y7 - k2 * y7 - c3 * y7 - n2 * vx7
-            az7 = mk2 * z7 - c3 * z7
-
-            # RMS of the scaled error estimate.  Each scale picks the larger of
-            # |before| and |after| as max() would (NaN included), with |c| as
-            # c if c >= 0.0 else -c: a -0.0 kept that way enters only through
-            # abs_tol + rel_tol * m with abs_tol > 0, so the bits are abs()'s.
-            # Each error sum is squared, so it need not start from 0.0 for the
-            # sign of a zero.  A term that overflows squares to inf, and an inf
-            # or NaN err rejects the step with the factor 0.2.
-            m0, m1 = x if x >= 0.0 else -x, x7 if x7 >= 0.0 else -x7
-            ex = h * (e1 * vx + e3 * vx3 + e4 * vx4 + e5 * vx5 + e6 * vx6
-                      + e7 * vx7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = y if y >= 0.0 else -y, y7 if y7 >= 0.0 else -y7
-            ey = h * (e1 * vy + e3 * vy3 + e4 * vy4 + e5 * vy5 + e6 * vy6
-                      + e7 * vy7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = z if z >= 0.0 else -z, z7 if z7 >= 0.0 else -z7
-            ez = h * (e1 * vz + e3 * vz3 + e4 * vz4 + e5 * vz5 + e6 * vz6
-                      + e7 * vz7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = vx if vx >= 0.0 else -vx, vx7 if vx7 >= 0.0 else -vx7
-            evx = h * (e1 * ax + e3 * ax3 + e4 * ax4 + e5 * ax5 + e6 * ax6
-                       + e7 * ax7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = vy if vy >= 0.0 else -vy, vy7 if vy7 >= 0.0 else -vy7
-            evy = h * (e1 * ay + e3 * ay3 + e4 * ay4 + e5 * ay5 + e6 * ay6
-                       + e7 * ay7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            m0, m1 = vz if vz >= 0.0 else -vz, vz7 if vz7 >= 0.0 else -vz7
-            evz = h * (e1 * az + e3 * az3 + e4 * az4 + e5 * az5 + e6 * az6
-                       + e7 * az7) / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))
-            err = sqrt((ex * ex + ey * ey + ez * ez + evx * evx + evy * evy + evz * evz) / 6.0)
+            _STEP  # replaced at import by stages 2-7, the error terms and err: _step_source()
 
             if err <= 1.0:
                 t += h
@@ -352,6 +286,9 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
         rejections=rejections,
         status=status or "completed",
     )
+
+
+integrate = _splice(integrate, "_STEP", _STEP)
 
 
 def growth_rate(traj: Trajectory, eq_point) -> float:

@@ -11,6 +11,7 @@ trajectories stop once r2 falls below ``COLLISION_R2``.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -66,7 +67,8 @@ class Params:
     ``triangular_points``, ``char_coeffs`` and the rest of the linear layer
     then work on every cell at once.  Given one array, all fields are
     broadcast against each other and stored as float64 arrays; numbers are
-    kept as given, so a scalar ``Params`` has plain ``float`` fields.
+    kept as given and numpy scalars become the Python numbers they hold, so
+    a scalar ``Params`` has no numpy fields.
 
     Attributes
     ----------
@@ -92,6 +94,10 @@ class Params:
         if any(isinstance(v, np.ndarray) for v in values):
             for name, value in zip(fields, np.broadcast_arrays(*values)):
                 object.__setattr__(self, name, np.array(value, dtype=float))
+        else:  # a numpy scalar divides by 0 without raising, so the float kernels take floats
+            for name, value in zip(fields, values):
+                if isinstance(value, np.generic):
+                    object.__setattr__(self, name, value.item())
         _require((0.0 < self.mu) & (self.mu < 1.0), self.mu,
                  "mass ratio must satisfy 0 < mu < 1, got {}")
         _require(np.isfinite(self.k), self.k, "buoyancy parameter k must be finite, got {}")
@@ -133,10 +139,8 @@ def radii(pos, mu: float) -> tuple[float, float]:
 # Scalar cores for the public wrappers and the integrator's right-hand side.  An
 # r2^3 that rounds to 0 (within about 1e-108 of the second primary) is a
 # SingularityError, and every square is a product (correctly rounded, inf on
-# overflow, unlike libm's pow).  `dynamics.integrate` writes out `_grad_s` in each
-# stage and maps a zero r2^3 once: make an edit here there too, and
-# `tests/test_dynamics.py::_dp5_reference` must match it bit for bit.  `_omega_s` also
-# takes arrays of positions, where numpy's +, -, *, / and sqrt round as floats do.
+# overflow, unlike libm's pow).  `_omega_s` also takes arrays of positions, where
+# numpy's +, -, *, / and sqrt round as floats do.
 _AT_SECOND_PRIMARY = "position coincides with the second primary (r2^3 rounds to 0)"
 
 def _omega_s(x, y, z, mu: float, k: float, n_sq: float):
@@ -151,20 +155,54 @@ def _omega_s(x, y, z, mu: float, k: float, n_sq: float):
     return 0.5 * n_sq * (x * x + y * y) - k * r1_sq + mu / r2
 
 
-def _grad_s(
-    x: float, y: float, z: float, mu: float, k: float, n_sq: float
-) -> tuple[float, float, float]:
-    dx2 = x + mu - 1.0
-    r2_sq = dx2 * dx2 + y * y + z * z
-    r2_cu = r2_sq * math.sqrt(r2_sq)
-    if r2_cu == 0.0:
-        raise SingularityError(_AT_SECOND_PRIMARY)
-    c3 = mu / r2_cu
-    return (
-        n_sq * x - 2.0 * k * (x + mu) - c3 * dx2,
-        n_sq * y - 2.0 * k * y - c3 * y,
-        -2.0 * k * z - c3 * z,
-    )
+def _splice(func, marker: str, block: str):
+    """The module-level def ``func`` recompiled with its statement ``marker``
+    replaced by the lines of ``block``.
+
+    The new source is compiled under the filename ``<robe3bp module.name>`` and
+    kept in ``linecache``, so tracebacks and ``inspect.getsource`` show the
+    generated lines.  ``func``'s module must ship its source.
+    """
+    source = linecache.getlines(func.__code__.co_filename, func.__globals__)
+    start = func.__code__.co_firstlineno - 1
+    # the def ends before the next line that is not blank, a comment or indented
+    end = next(i for i in range(start + 1, len(source) + 1)
+               if i == len(source) or source[i][:1] not in " \t\n#")
+    lines = source[start:end]
+    [i] = [i for i, line in enumerate(lines) if line.split("#")[0].strip() == marker]
+    indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+    lines[i:i + 1] = [indent + line + "\n" if line else "\n" for line in block.splitlines()]
+    filename = f"<robe3bp {func.__module__}.{func.__qualname__}>"
+    linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
+    exec(compile("".join(lines), filename, "exec"), func.__globals__)
+    return func.__globals__[func.__name__]
+
+
+# The slope of stage {j} at (x{j}, y{j}, z{j}): the gradient of Omega, plus the
+# Coriolis terms {cx} and {cy} in `dynamics.integrate`'s step.  This is the one
+# spelling of the gradient: `_grad_s` below and every slope of the step are
+# spliced from it.  2.0 * k * (x + mu) is k2 * dx1 with k2 = 2.0 * k, bit for bit.
+_SLOPE = """\
+dx1 = x{j} + mu
+dx2 = dx1 - 1.0
+r2_sq = dx2 * dx2 + y{j} * y{j} + z{j} * z{j}
+c3 = mu / (r2_sq * sqrt(r2_sq))
+ax{j} = n_sq * x{j} - k2 * dx1 - c3 * dx2{cx}
+ay{j} = n_sq * y{j} - k2 * y{j} - c3 * y{j}{cy}
+az{j} = mk2 * z{j} - c3 * z{j}
+"""
+
+
+def _grad_s(x, y, z, mu, k, n_sq):
+    k2, mk2, sqrt = 2.0 * k, -2.0 * k, math.sqrt
+    try:
+        _SLOPE  # with j = "" and no Coriolis terms
+    except ZeroDivisionError:  # r2^3 rounds to 0
+        raise SingularityError(_AT_SECOND_PRIMARY) from None
+    return ax, ay, az
+
+
+_grad_s = _splice(_grad_s, "_SLOPE", _SLOPE.format(j="", cx="", cy=""))
 
 
 def omega(pos, params: Params) -> float:

@@ -1,6 +1,9 @@
 import hashlib
+import inspect
 import math
 import sys
+import textwrap
+import traceback
 import warnings
 from fractions import Fraction
 
@@ -29,7 +32,7 @@ from robe3bp import (
     triangular_points,
     unstable_seed,
 )
-from robe3bp import dynamics
+from robe3bp import dynamics, model
 from robe3bp.model import COLLISION_R2
 from conftest import FROZEN
 
@@ -85,6 +88,27 @@ def test_rhs_matches_hand_assembly(canonical):
         n = canonical.n
         expected = [*vel, gx + 2 * n * vel[1], gy - 2 * n * vel[0], gz]
         npt.assert_array_equal(eom_rhs(PhaseState(pos, vel), canonical), expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(vec=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 6),
+       params=st.sampled_from([CONFINING, REPELLING]))
+@example(vec=(1e200, 0.0, 0.0, 0.0, 0.0, 0.0), params=REPELLING)
+def test_eom_rhs_is_rhs_on_floats(vec, params):
+    # eom_rhs hands _rhs Python floats, so it gives _rhs's bits with no numpy
+    # warning: a square that overflows is inf, as in integrate's step
+    args = params.mu, params.k, params.n_sq, params.n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            expected = dynamics._rhs(*vec, *args)
+        except SingularityError:
+            with pytest.raises(SingularityError):
+                eom_rhs(PhaseState.from_vector(vec), params)
+            return
+        deriv = eom_rhs(PhaseState.from_vector(vec), params)
+    assert all(type(v) is float for v in expected)
+    assert deriv.tobytes() == np.array(expected).tobytes()
 
 
 def test_jacobi_zero_velocity(canonical):
@@ -492,6 +516,40 @@ def test_stage_on_the_second_primary_raises_like_the_reference(mu, vx, y, z, vy,
         _dp5_reference(state0, params, IntegratorConfig(t_end=1.0))
     with pytest.raises(SingularityError):
         integrate(state0, params, IntegratorConfig(t_end=1.0))
+
+
+def test_generated_code_shows_in_source_and_tracebacks(canonical):
+    # integrate's step and _grad_s are spliced from model._SLOPE at import,
+    # under filenames kept in linecache
+    source = inspect.getsource(integrate)
+    assert "            ax7 = n_sq * x7 - k2 * dx1 - c3 * dx2 + n2 * vy7\n" in source
+    stage_2 = dynamics.__doc__.split("Stage 2 reads\n\n")[1].split("\n\n")[0]
+    assert textwrap.indent(textwrap.dedent(stage_2), " " * 12) + "\n" in source
+    assert "        ax = n_sq * x - k2 * dx1 - c3 * dx2\n" in inspect.getsource(model._grad_s)
+    # a raise in integrate's own lines: the step-size underflow at A1 = 1e30
+    params = Params(mu=0.1, k=-0.01, a1_oblate=1e30)
+    with pytest.raises(ConvergenceError) as info:
+        integrate(unstable_seed(params, 1e-8), params, IntegratorConfig(t_end=5.0))
+    shown = "".join(traceback.format_exception(info.type, info.value, info.tb))
+    assert '"<robe3bp robe3bp.dynamics.integrate>"' in shown
+    assert "\n    raise ConvergenceError(\n" in shown
+    # a generated line that divides by r2^3 = 0: a stage-2 point on the second
+    # primary, and _grad_s there; the ZeroDivisionError is the context
+    mu, vx, h, a21 = 0.3, 1.0, dynamics._INITIAL_STEP, dynamics._STAGES[0][0]
+    x = 1.0 - mu - h * (0.0 + a21 * vx)
+    for _ in range(8):  # a few ulps of x away at most
+        if x + h * (0.0 + a21 * vx) + mu - 1.0 == 0.0:
+            break
+        x = math.nextafter(x, math.inf)
+    with pytest.raises(SingularityError) as in_step:
+        integrate(PhaseState(pos=(x, 0.0, 0.0), vel=(vx, 0.0, 0.0)), Params(mu=mu, k=-0.01),
+                  IntegratorConfig(t_end=1.0))
+    with pytest.raises(SingularityError) as in_grad:
+        grad_omega((1.0 - canonical.mu, 1e-110, 0.0), canonical)
+    for info, name in ((in_step, "dynamics.integrate"), (in_grad, "model._grad_s")):
+        frame = traceback.extract_tb(info.value.__context__.__traceback__)[-1]
+        assert frame.filename == f"<robe3bp robe3bp.{name}>"
+        assert frame.line == "c3 = mu / (r2_sq * sqrt(r2_sq))"
 
 
 def test_jacobi_conservation_random_bounded():

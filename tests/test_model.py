@@ -137,8 +137,12 @@ def test_grad_reflection_symmetry(canonical):
 
 
 def test_grad_singularity(canonical):
-    with pytest.raises(SingularityError):
-        grad_omega((1 - canonical.mu, 0.0, 0.0), canonical)
+    # numpy scalars are stored as the floats they hold, whose division by r2^3 = 0 raises
+    as_numpy = Params(*map(np.float64, (canonical.mu, canonical.k, canonical.a1_oblate)))
+    assert {type(as_numpy.mu), type(as_numpy.k), type(as_numpy.a1_oblate)} == {float}
+    for params in (canonical, as_numpy):
+        with pytest.raises(SingularityError):
+            grad_omega((1 - params.mu, 0.0, 0.0), params)
 
 
 def _fd_grad(pos, params, h):
