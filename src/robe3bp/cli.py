@@ -192,6 +192,8 @@ def _existing_points(params: Params):
 def _locate(ns, params):
     """triangular points and existence region"""
     pts = triangular_points(params)
+    # the -z point is the mirror image, with the same residual bit for bit
+    residual = float(np.max(np.abs(grad_omega(pts.point(+1), params)))) if pts.exists else None
     out = {
         "command": "locate",
         "mu": params.mu,
@@ -199,21 +201,14 @@ def _locate(ns, params):
         "a1": params.a1_oblate,
         "n_sq": params.n_sq,
         "k_negative": params.k < 0.0,
-        "region_ok": 2.0 * params.k / params.n_sq + params.mu > 0.0,  # implied by exists
-        "radicand_ok": pts.exists,
-        "verdict": pts.exists,
+        "region_ok": 2.0 * params.k / params.n_sq + params.mu > 0.0,  # exists implies it
         "exists": pts.exists,
         "a1_aux": pts.a1_aux,
         "b1_aux": pts.b1_aux,
         "x": pts.x_eq,
         "z_plus": pts.z_plus,
-        "z_minus": None if pts.z_plus is None else -pts.z_plus,
-        "grad_residual_plus": None,
-        "grad_residual_minus": None,
+        "grad_residual_plus": residual,
     }
-    if pts.exists:
-        for key, branch in (("grad_residual_plus", +1), ("grad_residual_minus", -1)):
-            out[key] = float(np.max(np.abs(grad_omega(pts.point(branch), params))))
     code = EX_OK if pts.exists else EX_NO_EQUILIBRIUM
     return code, [(_report_text(out, ns.format), ns.output)]
 

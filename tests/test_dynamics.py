@@ -1,6 +1,9 @@
 import hashlib
 import inspect
 import math
+import os
+import platform
+import subprocess
 import sys
 import textwrap
 import traceback
@@ -319,14 +322,51 @@ _PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
-def test_integrate_bits_pinned(name):
-    start, params, cfg, digest, steps, rejections, status = _PINNED_RUNS[name]
+def _pinned_run(name):
+    """The trajectory of a `_PINNED_RUNS` entry and its digest."""
+    start, params, cfg = _PINNED_RUNS[name][:3]
     state0 = unstable_seed(params, 1e-8) if start is None else PhaseState(*start)
     traj = integrate(state0, params, IntegratorConfig(**cfg))
     data = traj.times.tobytes() + traj.states.tobytes() + traj.jacobi.tobytes()
+    return traj, hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_integrate_bits_pinned(name):
+    digest, steps, rejections, status = _PINNED_RUNS[name][3:]
+    traj, got = _pinned_run(name)
     assert (traj.steps, traj.rejections, traj.status) == (steps, rejections, status)
-    assert hashlib.sha256(data).hexdigest() == digest
+    assert got == digest
+
+
+def _kernel_selectable_openblas():
+    """Whether numpy's BLAS is an x86-64 OpenBLAS that OPENBLAS_CORETYPE can switch."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 returns no dicts
+        return False
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _kernel_selectable_openblas(),
+                    reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+@pytest.mark.parametrize("name", [
+    "bounded_a",  # integrate calls no BLAS, so a literal start has the same bits
+    pytest.param("unstable_seed", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the seed comes from np.linalg.eig, whose last bits follow the OpenBLAS"
+               " kernel (CHANGES.md FOUND: unstable_direction's eig)")),
+])
+def test_pinned_run_bits_under_another_blas_kernel(name):
+    # the oldest x86-64 kernel; the pinned digests hold the in-process bits
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(__file__), os.path.dirname(os.path.dirname(dynamics.__file__))])}
+    code = f"import test_dynamics; print(test_dynamics._pinned_run({name!r})[1])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == _PINNED_RUNS[name][3]
 
 
 # ---------------------------------------------------------------------------

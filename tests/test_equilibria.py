@@ -171,6 +171,21 @@ def test_residual_property_over_grid():
             assert np.abs(grad_omega(pts.point(branch), params)).max() < 1e-10
 
 
+@settings(max_examples=300, deadline=None)
+@given(any_cell)
+def test_gradient_at_minus_z_mirrors_plus_z_property(cell):
+    # the gradient sees z only through z * z and the odd z-component, and
+    # rounding to nearest commutes with negation: so the -z point's gradient is
+    # the +z point's mirrored bit for bit (a zero z-component is +0.0 at both),
+    # and `locate`'s one residual holds for both points
+    mu, k, a1 = cell
+    params = Params(mu=mu, k=k, a1_oblate=a1)
+    pts = triangular_points(params)
+    if pts.exists:
+        gx, gy, gz = grad_omega(pts.point(+1), params).tolist()
+        assert grad_omega(pts.point(-1), params).tolist() == [gx, gy, -gz]
+
+
 def test_boundary_small_k():
     # k -> 0^-: b1 grows without bound while existence and the region hold
     params = Params(mu=0.1, k=-1e-9, a1_oblate=0.0)
