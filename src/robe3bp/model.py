@@ -47,8 +47,8 @@ def mean_motion_sq(a1_oblate):
 
     A1 must also be small enough (at most about 3.76e102) that n^6 is a
     finite float: the characteristic cubic in lambda^2 has roots of size n^2,
-    and the polish of each root evaluates its cube.  Elementwise for an array
-    of coefficients.
+    so its terms there are of size n^6.  Elementwise for an array of
+    coefficients.
     """
     _require((0.0 <= a1_oblate) & (a1_oblate < math.inf), a1_oblate,
              "oblateness coefficient must be finite and >= 0, got {}")

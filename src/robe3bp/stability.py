@@ -29,6 +29,16 @@ unstable throughout the admissible region.  p and q may take either sign
 count of (1, p, q, r), odd as the sequence runs from + to -, is 1 or 3.
 :func:`classify` decides from the coefficients' signs first, so that
 certificate, not a tolerance on the computed roots, gives the verdict there.
+
+The roots come from the cubic in u = lambda^2, solved in real arithmetic
+(:func:`solve_characteristic`): bracketed Newton on one real root, deflation
+to a quadratic, and the quadratic by the cancellation-free formula.  The root
+path makes no LAPACK or BLAS call and no complex product or quotient, which
+numpy's vector loops may fuse into one rounding, so the roots' bits follow
+neither numpy's SIMD dispatch level nor the BLAS kernel, and a grid has the
+bits of its cells taken one by one.  Complex sqrt is the C library's
+``csqrt``, which IEEE 754 does not require to round correctly, so another
+libm may round the pair's square roots differently.
 """
 
 from __future__ import annotations
@@ -134,34 +144,141 @@ def char_coeffs_from_hessian(hess: PotentialHessian, n_sq: float) -> CharCoeffs:
     return CharCoeffs(p, q, r)
 
 
+def _where(cond, a, b):
+    """``np.where`` on arrays; for one cell the plain conditional, which picks
+    the same value without numpy's cost per call on 0-d arrays."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else np.float64(a if cond else b)
+
+
+def _two_product(a, b):
+    """``(p, e)`` with ``p + e == a * b`` exactly (Dekker 1971, without fma)."""
+    p = a * b
+    # Veltkamp's split by 2^27 + 1: each factor as hi + lo, halves of 26 bits
+    c, d = 134217729.0 * a, 134217729.0 * b
+    a_hi, b_hi = c - (c - a), d - (d - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_sum(a, b):
+    """``(s, e)`` with ``s + e == a + b`` exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _cubic_compensated(x, p, q, r):
+    """x^3 + p x^2 + q x + r by compensated Horner: as if in twice the precision
+    (Graillat, Langlois & Louvet 2005)."""
+    s, err = _two_sum(x, p)
+    for c in (q, r):
+        s, e_mul = _two_product(s, x)
+        s, e_add = _two_sum(s, c)
+        err = err * x + (e_mul + e_add)
+    return s + err
+
+
+def _real_root(p, q, r):
+    """A real root of u^3 + p u^2 + q u + r by bracketed Newton, anchored at f(0) = r.
+
+    With s = -1 where r > 0 (and 1 elsewhere), the search is for a root v = s u
+    > 0 of g(v) = v^3 + s p v^2 + q v - |r|, which is negative at 0.  The
+    bracket is (0, hi).  Where q > 0 and s p >= 0, hi is |r|/q, the root of
+    the linear part, where g = v^2 (v + s p) >= 0; elsewhere, or where it is
+    less, hi is Cauchy's bound 1 + max(|p|, |q|, |r|).  Newton starts at hi;
+    a step that leaves the bracket, or divides by a zero slope, is replaced
+    by bisection.
+    The loop runs until no cell changes, so each cell's bits are those it has
+    alone.  r = 0 gives u = 0.
+
+    The plain Horner sum leaves the last iterate within its rounding noise of
+    the root.  One Newton step on the compensated sum, kept where it moves by
+    less than 2^-40 relative (so not at a double root), brings a simple root
+    to about half an ulp: a root that the coefficients hold exactly is found
+    exactly.
+    """
+    s = _where(r > 0.0, -1.0, 1.0)
+    ps, rs = s * p, -np.abs(r)
+    cauchy = 1.0 + np.maximum(np.maximum(np.abs(p), np.abs(q)), -rs)
+    linear = _where((q > 0.0) & (ps >= 0.0), np.minimum(-rs / q, cauchy), cauchy)
+    hi = _where(r == 0.0, 0.0, linear)
+    lo = 0.0 * hi
+    x = hi
+    while True:
+        g = ((x + ps) * x + q) * x + rs
+        lo = _where(g <= 0.0, x, lo)
+        hi = _where(g >= 0.0, x, hi)
+        step = x - g / ((3.0 * x + 2.0 * ps) * x + q)
+        new = _where(((lo < step) & (step < hi)) | (step == x), step, lo + 0.5 * (hi - lo))
+        if not np.count_nonzero(new != x):
+            break
+        x = new
+    step = x - _cubic_compensated(x, ps, q, rs) / ((3.0 * x + 2.0 * ps) * x + q)
+    return s * _where(np.abs(step - x) <= 2.0 ** -40 * np.abs(x), step, x)
+
+
+def _cubic_roots(p, q, r) -> np.ndarray:
+    """The three roots u of u^3 + p u^2 + q u + r, real root first, shape S + (3,).
+
+    The real root u1 comes from :func:`_real_root`; the other two solve the
+    deflated quadratic u^2 + b u + c with c = -r/u1.  b is p + u1 or
+    (c - q)/u1, whichever carries less rounding, so a pair close to 0 beside
+    a larger u1 keeps its digits.  On the p + u1 side the discriminant is
+    expanded as (p^2 - 4q) - u1 (2p + 3u1), with p^2 exact: at tiny |k|, b^2
+    and 4c agree to the last bit, and the digits of the pair lie in u1.  A
+    real pair takes the larger root from the cancellation-free formula and the
+    other as c over it; a complex pair is -b/2 +/- i sqrt(-d)/2.  Real roots
+    have an imaginary part of exactly +0.
+    """
+    # a quotient or product that overflows or divides by 0 is never selected
+    with np.errstate(all="ignore"):
+        u1 = _real_root(p, q, r)
+        c = _where(u1 != 0.0, -r / u1, q)  # u1 = 0 only where r = 0: f = u (u^2 + p u + q)
+        near = (np.abs(p) + np.abs(u1)) * np.abs(u1) <= np.abs(c) + np.abs(q)
+        b = _where(near, p + u1, (c - q) / u1)
+        lead = _where(near, p, b)
+        lead, lead_lo = _two_product(lead, lead)
+        d = (((lead - 4.0 * _where(near, q, c)) + lead_lo)
+             - _where(near, u1 * (2.0 * p + 3.0 * u1), 0.0))
+        half = 0.5 * np.sqrt(np.abs(d))
+        real = d >= 0.0
+        big = -0.5 * b - np.copysign(half, b)
+        u = np.zeros(np.shape(u1) + (3,), dtype=complex)
+        u.real[..., 0] = u1
+        u.real[..., 1] = _where(real, big, -0.5 * b)
+        small = _where(big != 0.0, c / big, 0.0)  # big = 0 only for a double root at 0
+        u.real[..., 2] = _where(real, small, -0.5 * b)
+        u.imag[..., 1] = _where(real, 0.0, half)
+        u.imag[..., 2] = _where(real, 0.0, -half)
+    return u
+
+
 def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
     """Six roots of lambda^6 + p lambda^4 + q lambda^2 + r.
 
-    Solves the cubic u^3 + p u^2 + q u + r = 0 (u = lambda^2) by the companion
-    method (Edelman & Murakami 1995), polishes each u-root with three Newton
-    steps on the cubic (a root stops at a zero derivative), and emits the pair
-    lambda = +/- sqrt(u) per root (principal branch plus its negation, which
-    keeps the set closed under negation regardless of the branch cut).
+    Solves the cubic u^3 + p u^2 + q u + r = 0 (u = lambda^2) in real
+    arithmetic (:func:`_cubic_roots`): bracketed Newton on one real root,
+    deflation to a quadratic, and the quadratic by the cancellation-free
+    formula.  Each u gives the pair lambda = +/- sqrt(u) (principal branch plus
+    its negation, which keeps the set closed under negation regardless of the
+    branch cut).  The arithmetic is real +, -, *, / and sqrt and complex sqrt
+    (besides exact steps: comparisons and signs), which round the same
+    whichever SIMD loops numpy picks, so the roots' bits depend on neither
+    the SIMD level nor the BLAS kernel (see the module docstring on libm).
 
     Coefficients of shape S give roots of shape S + (6,): scalars give six,
-    arrays one stacked eigenvalue call for every cell.
+    arrays are solved in one pass, with the same bits as cell by cell.
+
+    Raises
+    ------
+    ValueError
+        If a coefficient is not finite.
     """
-    p, q, r = (np.asarray(c, dtype=float) for c in coeffs)
-    companion = np.zeros(p.shape + (3, 3))
-    companion[..., 0, 0], companion[..., 0, 1], companion[..., 0, 2] = -p, -q, -r
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    # transposed, the three roots of a cell lie on the first axis and the
-    # coefficients broadcast over them; complex coefficients give the same
-    # sums as real ones, without numpy's slower mixed-type loops
-    u = np.linalg.eigvals(companion).T.astype(complex)
-    p, q, r = (c.T.astype(complex) for c in (p, q, r))
-    p2 = 2.0 * p
-    # a root where d == 0 stays, and so its d stays 0; the unused quotient divides by 0
-    with np.errstate(all="ignore"):
-        for _ in range(3):
-            d = (3.0 * u + p2) * u + q
-            u = np.where(d != 0, u - (((u + p) * u + q) * u + r) / d, u)
-    s = np.sqrt(u).T
+    # one cell runs on numpy scalars, whose arithmetic costs far less than 0-d arrays'
+    p, q, r = (np.asarray(c, dtype=float)[()] for c in coeffs)
+    if not (np.isfinite(p) & np.isfinite(q) & np.isfinite(r)).all():
+        raise ValueError("characteristic coefficients must be finite")
+    s = np.sqrt(_cubic_roots(p, q, r))
     roots = np.empty(s.shape[:-1] + (6,), dtype=complex)
     roots[..., 0::2], roots[..., 1::2] = s, -s
     return roots
@@ -180,9 +297,10 @@ def classify(coeffs: CharCoeffs) -> StabilityVerdict:
       its square roots has a positive real part, however small.  This holds
       for every sign count, even ones; ``r < 0`` is the case of the
       triangular points.
-    - With p, q, r >= 0 a real u is <= 0, and a real root from the eigenvalue
-      solve has an imaginary part of exactly 0, so its +/- sqrt(u) have a real
-      part of exactly 0.  A positive real part then means a complex u.
+    - With p, q, r >= 0 a real u is <= 0, and :func:`solve_characteristic`
+      gives a real root an imaginary part of exactly 0, so its +/- sqrt(u)
+      have a real part of exactly 0.  A positive real part then means a
+      complex u.
 
     ``positive_real_root_count`` counts the roots with imaginary part exactly 0
     and real part > 0.  Coefficients of shape S (nonempty) give a verdict

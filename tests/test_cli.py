@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -540,20 +542,20 @@ _NO_STDOUT = hashlib.sha256(b"").hexdigest()
 _PINNED_OUTPUTS = {
     "sweep_readme_grid": (
         ["sweep", "--grid-mu", "0.05:0.5:10", "--grid-k=-0.3:-0.001:10", "--grid-a1", "0:0.1:2"],
-        "4756e5b8d46c19ee00160c06a67da319c458b432680668c77375183d2305f1b5", _NO_STDOUT),
+        "b1983b0cde8c3eeb89e5d859fe38b855ee56675f28e5234fe88ad97e3ff76080", _NO_STDOUT),
     "sweep_readme_grid_json": (
         ["sweep", "--grid-mu", "0.05:0.5:10", "--grid-k=-0.3:-0.001:10", "--grid-a1", "0:0.1:2",
          "--format", "json"],
-        "e041dbaa75b57ff055ab69612e7161aba79053c168bdce408bf8268c342b49e2", _NO_STDOUT),
+        "3c69966f4b13f9c44d2148c5c2a289db77f490d722be62e005ee75fb38c6c30c", _NO_STDOUT),
     "sweep_without_grid_a1": (
         ["sweep", "--grid-mu=0.02:0.9:7", "--grid-k=-0.4:-1e-6:6", "--a1", "0.03"],
-        "1663989a66ab956ca925ac59db670dc1b5e0612ad5504072a1505a5fe8ff4108", _NO_STDOUT),
+        "acac1ea499a419f1b7f577aed5ae7c5dad6d00cefd721630fc5436ea402a5a39", _NO_STDOUT),
     "sweep_k_reaches_zero": (
         ["sweep", "--grid-mu=0.05:0.5:4", "--grid-k=-0.3:0.1:9", "--grid-a1=0:0.1:2"],
-        "6afa537b25a3e87b59aca58bcd1c69537581bef7944afdfe023f59d4914daa21", _NO_STDOUT),
+        "f94ee4f2c67eb6db7b23bcd5a0dbaee62f91e35f71db8912ff36e0ccef9dd2d4", _NO_STDOUT),
     "sweep_one_cell": (
         ["sweep", "--grid-mu=0.1:0.1:1", "--grid-k=-0.01:-0.01:1", "--grid-a1=0.02:0.02:1"],
-        "7131cd74011192f553e05b08e399bda238cdc454ef0dced51f3516a39fd54daf", _NO_STDOUT),
+        "5d633482f6fc3456ebad902bbf6cf9b48b65eb1d8949e4a92fa3bd220b4ba43f", _NO_STDOUT),
     "sweep_fold": (
         ["sweep", "--grid-mu=0.1:0.1:1", _fold_grid(0.1, 0.0), "--grid-a1=0:0:1"],
         "1d41bfa2e76c5351738e197793319e250e18b4eb4601aed7d463442da2153e9f", _NO_STDOUT),
@@ -563,11 +565,11 @@ _PINNED_OUTPUTS = {
         "f662fb9092051c6659f0eb18da25c90bfcc12397535a33db46e6fffcfb86c4d2"),
     "stability_canonical_json": (
         ["stability", *CANONICAL_ARGS, "--format", "json"],
-        "3cfb72715cc880885e81aa2047afb93a5030484af9a91d7609bfd2b4beafcb20", _NO_STDOUT),
+        "39a739eccf2058e5a97ccee81151e7c4103973ba18f6c685ff105b42ebbed5c7", _NO_STDOUT),
     # r_hessian carries no digit of r here, so coeff_rel_diff is the empty field
     "stability_null_coeff_rel_diff_csv": (
         ["stability", "--mu", "0.1", "--k=-1e-300", "--format", "csv"],
-        "2ab75a59cef0dd26907299ed7f4887697737491ee3fe0388f6347151ac4bdc96", _NO_STDOUT),
+        "109d82c94a93c8be4663a3c51501e31dacc63f1d1a5fa62d573bb439b0cb27bf", _NO_STDOUT),
     "locate_canonical_json": (
         ["locate", *CANONICAL_ARGS, "--format", "json"],
         "80fce8c8e1aa354c83342fec00a27a28488a86d04bdaee20d50a14d558957cc5", _NO_STDOUT),
@@ -582,6 +584,46 @@ def test_output_bytes_pinned(name, tmp_path, monkeypatch, capsys):
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == file_digest
     assert hashlib.sha256(stdout).hexdigest() == stdout_digest
+
+
+# numpy's dispatch targets above the x86-64 baseline, and the features whose
+# loops round differently: an FMA rounds a * b + c once, not twice
+_SIMD_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR X86_V3 AVX2 FMA3"
+
+
+def _simd_features_to_disable():
+    """The features of _SIMD_FEATURES that this CPU has and that
+    NPY_DISABLE_CPU_FEATURES can turn off, if numpy dispatches to any of them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath as umath
+    has = getattr(umath, "__cpu_features__", {})
+    baseline = set(getattr(umath, "__cpu_baseline__", ()))
+    features = [f for f in _SIMD_FEATURES.split() if has.get(f) and f not in baseline]
+    return features if set(features) & set(getattr(umath, "__cpu_dispatch__", ())) else []
+
+
+@pytest.mark.skipif(not _simd_features_to_disable(),
+                    reason=f"numpy dispatches to none of {_SIMD_FEATURES} here")
+@pytest.mark.parametrize("name", sorted(n for n in _PINNED_OUTPUTS
+                                        if n.startswith(("sweep", "stability"))))
+def test_pinned_output_bytes_without_simd_features(name, tmp_path):
+    # the roots come from real +, -, *, / and sqrt and complex sqrt, which give
+    # the same bits whichever vector loops numpy picks
+    features = _simd_features_to_disable()
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features),
+           "PYTHONPATH": os.pathsep.join(
+               [os.path.dirname(__file__), os.path.dirname(os.path.dirname(cli.__file__))])}
+    code = ("import sys, test_cli\n"
+            "assert test_cli._simd_features_to_disable() == [], 'features still on'\n"
+            f"argv = test_cli._PINNED_OUTPUTS[{name!r}][0]\n"
+            "sys.exit(test_cli.main([*argv, '--output', sys.argv[1]]))")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, check=True)
+    _, file_digest, stdout_digest = _PINNED_OUTPUTS[name]
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == file_digest
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == stdout_digest
 
 
 @pytest.mark.parametrize("argv", [

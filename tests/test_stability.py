@@ -1,6 +1,12 @@
+import math
+from fractions import Fraction
+
+import hypothesis
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import strategies as st
 
 from robe3bp import (
     CharCoeffs,
@@ -18,6 +24,7 @@ from robe3bp import (
     unstable_direction,
 )
 from robe3bp.model import PotentialHessian
+from robe3bp.stability import _cubic_roots
 from conftest import FROZEN, acceptance_grid, min_weight_match
 
 
@@ -257,3 +264,147 @@ def test_unstable_direction_is_an_eigenvector(canonical):
 def test_unstable_direction_requires_existence():
     with pytest.raises(ValueError):
         unstable_direction(Params(mu=0.1, k=0.01))
+
+
+def test_solve_characteristic_rejects_non_finite_coefficients():
+    for coeffs in [(np.nan, 1.0, -1.0), (1.0, np.inf, -1.0), ([1.0, 1.0], [1.0, 1.0], [-1.0, -np.inf])]:
+        with pytest.raises(ValueError, match="finite"):
+            solve_characteristic(CharCoeffs(*coeffs))
+
+
+def _max_real_part_mp(mu, k):
+    """Largest real part of the six roots at A1 = 0 (n^2 = 1), from the parameters.
+
+    mpmath at 60 digits plus the log10(1/|k|) digits that b^2 - 4c of the
+    deflated quadratic loses to cancellation as k -> 0.
+    """
+    with mpmath.workdps(60 + int(-math.log10(-k))):
+        mu, k = mpmath.mpf(mu), mpmath.mpf(k)
+        b1 = mpmath.cbrt(mu / (-2 * k))
+        a1 = 2 * k + mu - 1
+        p = 2 * (1 + 3 * k)
+        q = 1 - 6 * k * (3 * a1**2 - 2 * b1**2) / b1**2
+        r = 6 * k * (b1**2 - a1**2) / b1**2
+        u_plus = mpmath.findroot(lambda u: ((u + p) * u + q) * u + r, -r / q)
+        b, c = p + u_plus, -r / u_plus
+        pair = (-b + mpmath.sqrt(b * b - 4 * c)) / 2
+        return max(mpmath.sqrt(u_plus), mpmath.sqrt(pair).real)
+
+
+@pytest.mark.parametrize("k", [-1e-12, -1e-19, -1e-100, -1e-300])
+def test_max_real_part_at_tiny_k(k):
+    # lambda+ and the pair's real part both scale as sqrt|k|; the pair's must
+    # not drown in the rounding of b^2 - 4c (a companion-matrix solve was 70%
+    # off at k = -1e-19)
+    got = classify(char_coeffs(Params(mu=0.1, k=k, a1_oblate=0.0))).max_real_part
+    assert abs(got - _max_real_part_mp(0.1, k)) <= 4 * math.ulp(got)
+
+
+@pytest.mark.parametrize("a1", [1e77, 1e100, 3.7e102])
+def test_roots_at_large_a1(a1):
+    # q ~ n^4 is near 1e205 at the largest accepted A1, so q^2 would overflow;
+    # lambda+ stays near 0.208 while the pair sits near -n^2.  Held against
+    # mpmath roots of the float coefficients.
+    coeffs = char_coeffs(Params(mu=0.1, k=-0.01, a1_oblate=a1))
+    verdict = classify(coeffs)
+    with mpmath.workdps(60):
+        u = mpmath.polyroots([1, *(mpmath.mpf(c) for c in coeffs)], maxsteps=100, extraprec=700)
+        plus = [float(mpmath.sqrt(x)) for x in u if mpmath.im(x) == 0 and x > 0]
+        best = float(max(mpmath.sqrt(x).real for x in u))
+    got = [z.real for z in verdict.roots if z.imag == 0.0 and z.real > 0.0]
+    assert verdict.positive_real_root_count == len(plus) == 1
+    assert abs(got[0] - plus[0]) <= 4 * math.ulp(plus[0])
+    assert abs(verdict.max_real_part - best) <= 4 * math.ulp(best)
+
+
+# ---------------------------------------------------------------------------
+# the solver's contract for any cubic, on cubics built from known roots u
+
+def _coeffs_from_roots(real, pair=None):
+    """Exact (p, q, r), as Fractions, of the monic cubic whose roots are
+    ``real`` and, if given, ``pair`` = x + iy with its conjugate."""
+    if pair is None:
+        a, b, c = map(Fraction, real)
+        return -(a + b + c), a * b + b * c + c * a, -a * b * c
+    a, x, y = Fraction(real[0]), Fraction(pair.real), Fraction(pair.imag)
+    m = x * x + y * y
+    return -(a + 2 * x), 2 * a * x + m, -a * m
+
+
+def _check_cubic_contract(exact, real, pair, counted=True):
+    """Roots closed under negation and conjugation, the count and verdict the
+    roots give (where ``counted``), and a backward error of each u within 16
+    eps of its scale."""
+    coeffs = CharCoeffs(*(float(c) for c in exact))
+    roots = solve_characteristic(coeffs)
+    key = lambda z: (z.real, z.imag)
+    assert sorted(roots.tolist(), key=key) == sorted((-roots).tolist(), key=key)
+    assert sorted(roots.tolist(), key=key) == sorted(roots.conj().tolist(), key=key)
+    verdict = classify(coeffs)
+    if counted:
+        n_pos = sum(v > 0 for v in real)
+        stable = pair is None and all(v <= 0 for v in real)
+        assert verdict.positive_real_root_count == n_pos
+        assert (verdict.classification is Classification.MARGINALLY_STABLE) == stable
+    eps = np.finfo(float).eps
+    # products of these doubles are exact at 120 digits, and sums within
+    # 1e-120 of their largest term: f(u) is exact as far as 16 eps can tell
+    with mpmath.workdps(120):
+        p, q, r = (mpmath.mpf(c) for c in coeffs)
+        for z in _cubic_roots(*(np.asarray(c) for c in coeffs)).tolist():
+            u = mpmath.mpc(z.real, z.imag)
+            size = abs(u)
+            scale = size**3 + abs(p) * size**2 + abs(q) * size + abs(r)
+            assert abs(((u + p) * u + q) * u + r) <= 16 * eps * scale, (coeffs, z)
+
+
+def _exact_in_float(coeffs):
+    """Whether doubles hold the coefficients exactly, so that the float cubic
+    has the drawn roots, double ones included."""
+    return all(Fraction(float(c)) == c for c in coeffs)
+
+
+dyadic = st.builds(math.ldexp, st.integers(-31, 31), st.integers(-14, 14))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.lists(dyadic, min_size=3, max_size=3), st.sampled_from(["", "double", "zero"]))
+def test_cubic_contract_three_real_roots(real, kind):
+    # double roots and a zero root, with coefficients a double holds exactly
+    if kind == "double":
+        real[2] = real[1]
+    elif kind == "zero":
+        real[2] = 0.0
+    exact = _coeffs_from_roots(real)
+    hypothesis.assume(_exact_in_float(exact))
+    # a triple root, even one the coefficients hold exactly, splits: an error
+    # of 1 ulp in the first root found moves the other two by about eps^(1/3)
+    _check_cubic_contract(exact, real, None, counted=len(set(real)) > 1)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(dyadic, dyadic, dyadic.filter(bool))
+def test_cubic_contract_real_root_and_pair(real, x, y):
+    exact = _coeffs_from_roots([real], complex(x, y))
+    hypothesis.assume(_exact_in_float(exact))
+    _check_cubic_contract(exact, [real], complex(x, y))
+
+
+@st.composite
+def _roots_over_decades(draw):
+    """Three roots, or a root and a pair, each in its own decade in 1e-30..1e30."""
+    decades = draw(st.lists(st.integers(-30, 30), min_size=3, max_size=3, unique=True))
+    u = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 9.0)) * 10.0**e
+         for e in decades]
+    if draw(st.booleans()):
+        return u, None
+    return u[:1], complex(u[1], abs(u[1]) * draw(st.floats(0.125, 8.0)))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(_roots_over_decades())
+def test_cubic_contract_roots_over_many_decades(roots):
+    # the coefficients are rounded, but each root is simple and alone in its
+    # decade, so the rounding cannot make a real pair complex
+    real, pair = roots
+    _check_cubic_contract(_coeffs_from_roots(real, pair), real, pair)
