@@ -290,7 +290,7 @@ def _integrate(ns, params):
         "rejections": traj.rejections,
         "status": traj.status,
         "jacobi_initial": float(traj.jacobi[0]),
-        "jacobi_drift": float(np.max(np.abs(traj.jacobi - traj.jacobi[0]))),
+        "jacobi_drift": abs(traj.jacobi - traj.jacobi[0]).max().item(),
         "linear_rate": linear_rate,
         "growth_rate": None,
         "trajectory_file": ns.output,
@@ -456,9 +456,16 @@ def _build_config_parser(command: str) -> _Parser:
     return pre
 
 
+def _may_name_config(tok: str) -> bool:
+    """Whether argparse can read ``tok`` as --config: the flag or an abbreviation
+    of it, alone or with ``=value``."""
+    flag = tok.split("=", 1)[0]
+    return len(flag) > 2 and "--config".startswith(flag)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse the command line with the --config file's flags ahead of it."""
-    if argv and argv[0] in _COMMANDS:
+    if argv and argv[0] in _COMMANDS and any(map(_may_name_config, argv[1:])):
         path = _build_config_parser(argv[0]).parse_known_args(argv[1:])[0].config
         if path:
             argv = [argv[0], *_config_tokens(path, _COMMANDS[argv[0]][1]), *argv[1:]]

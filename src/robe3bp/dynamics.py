@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class PhaseState:
         object.__setattr__(self, "vel", np.asarray(self.vel, dtype=float))
         if self.pos.shape != (3,) or self.vel.shape != (3,):
             raise ValueError("pos and vel must each hold 3 components")
-        if not (np.all(np.isfinite(self.pos)) and np.all(np.isfinite(self.vel))):
+        if not all(map(math.isfinite, self.pos.tolist() + self.vel.tolist())):
             raise ValueError("state components must be finite")
 
     def vector(self) -> np.ndarray:
@@ -298,25 +298,39 @@ def growth_rate(traj: Trajectory, eq_point) -> float:
     displacement, the equilibrium having zero velocity) against time over the
     window where the displacement lies in [GROWTH_FIT_LOWER_FACTOR x initial,
     GROWTH_FIT_UPPER_BOUND].  The lower edge skips transient mode mixing; the
-    upper edge stops before nonlinear saturation.
+    upper edge stops before nonlinear saturation.  The slope is the closed
+    form sum((t - t_mean) (y - y_mean)) / sum((t - t_mean)^2) on Python
+    floats, y = ``math.log`` of the displacement and every sum a ``math.fsum``,
+    so no LAPACK or vector loop enters it; the window's times must not all be
+    equal, which the increasing times of ``integrate`` guarantee.
 
     Raises
     ------
     NoGrowthError
-        If the displacement never reaches the window ("no exponential growth
-        detected").
+        If fewer than two samples lie in the window ("no exponential growth
+        detected"), a zero initial displacement included.
     """
-    eq = np.concatenate([np.asarray(eq_point, dtype=float), np.zeros(3)])
-    disp = np.linalg.norm(traj.states - eq, axis=1)
-    d0 = disp[0]
-    lower = GROWTH_FIT_LOWER_FACTOR * d0
+    times, disps = _growth_window(traj, eq_point)
+    if len(times) < 2:
+        raise NoGrowthError("no exponential growth detected")
+    fsum, count = math.fsum, len(times)
+    logs = list(map(math.log, disps))
+    t_mean, y_mean = fsum(times) / count, fsum(logs) / count
+    dts = [t - t_mean for t in times]
+    return fsum([dt * (y - y_mean) for dt, y in zip(dts, logs)]) / fsum([dt * dt for dt in dts])
+
+
+def _growth_window(traj: Trajectory, eq_point) -> tuple[list[float], list[float]]:
+    """The times and displacement norms of the samples that ``growth_rate`` fits;
+    none where the initial displacement is 0."""
+    eq = np.zeros(6)
+    eq[:3] = eq_point
+    disp = np.linalg.norm(traj.states - eq, axis=1).tolist()
+    lower = GROWTH_FIT_LOWER_FACTOR * disp[0]
     if lower <= 0.0:
-        raise NoGrowthError("no exponential growth detected")
-    window = (disp >= lower) & (disp <= GROWTH_FIT_UPPER_BOUND)
-    if window.sum() < 2:
-        raise NoGrowthError("no exponential growth detected")
-    slope = np.polyfit(traj.times[window], np.log(disp[window]), 1)[0]
-    return float(slope)
+        return [], []
+    window = [lower <= d <= GROWTH_FIT_UPPER_BOUND for d in disp]
+    return list(compress(traj.times.tolist(), window)), list(compress(disp, window))
 
 
 def equilibrium_state(params: Params) -> PhaseState:
@@ -336,6 +350,5 @@ def unstable_seed(params: Params, offset: float) -> PhaseState:
     if not 0.0 < offset < math.inf:
         raise ValueError(f"offset must be positive and finite, got {offset}")
     eq = equilibrium_state(params)
-    _, direction = unstable_direction(params)
-    vec = eq.vector() + offset * direction
-    return PhaseState.from_vector(vec)
+    step = offset * unstable_direction(params)[1]
+    return PhaseState(pos=eq.pos + step[:3], vel=eq.vel + step[3:])

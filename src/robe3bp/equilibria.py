@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
-from .model import COLLISION_R2, Params, _require, grad_omega, hessian_omega, radii
+from .model import COLLISION_R2, Params, _errstate, _require, grad_omega, hessian_omega, radii
 
 __all__ = [
     "TriangularPoints",
@@ -99,8 +99,9 @@ def triangular_points(params: Params) -> TriangularPoints:
     is an input error (``ValueError``).
     """
     mu, k, n_sq = params.mu, params.k, params.n_sq
+    array = isinstance(k, np.ndarray)
     negative = k < 0.0
-    with np.errstate(all="ignore"):  # as with Python floats: inf on overflow
+    with _errstate(k, all="ignore"):  # as with Python floats: inf on overflow
         x = 2.0 * k / n_sq
         a1 = _where(negative, x + mu - 1.0)
         b1 = _cube_root(-mu / (2.0 * _where(negative, k)))
@@ -110,9 +111,9 @@ def triangular_points(params: Params) -> TriangularPoints:
         _require(a1 != -math.inf, k, "a1 = 2k/n^2 + mu - 1 overflows for k={}")
         radicand = b1 * b1 - a1 * a1
         exists = radicand > 0.0
-        z = np.sqrt(_where(exists, radicand))
+        z = (np.sqrt if array else math.sqrt)(_where(exists, radicand))
     x = _where(exists, x)
-    if isinstance(exists, np.ndarray):
+    if array:
         return TriangularPoints(exists, a1, b1, x, z)
     return TriangularPoints(bool(exists), *(None if v != v else float(v) for v in (a1, b1, x, z)))
 

@@ -11,6 +11,7 @@ trajectories stop once r2 falls below ``COLLISION_R2``.
 
 from __future__ import annotations
 
+import contextlib
 import linecache
 import math
 from dataclasses import dataclass, field
@@ -42,6 +43,14 @@ def _require(ok, value, message: str) -> None:
         raise ValueError(message.format(np.asarray(value)[np.logical_not(ok)][0].item()))
 
 
+def _errstate(value, **kwargs):
+    """``np.errstate(**kwargs)`` for numpy ``value``; Python floats give inf and NaN
+    without a warning, so they need none."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return np.errstate(**kwargs)
+    return contextlib.nullcontext()
+
+
 def mean_motion_sq(a1_oblate):
     """Mean-motion squared n^2 = 1 + (3/2) A1 for a finite oblateness coefficient A1 >= 0.
 
@@ -52,7 +61,7 @@ def mean_motion_sq(a1_oblate):
     """
     _require((0.0 <= a1_oblate) & (a1_oblate < math.inf), a1_oblate,
              "oblateness coefficient must be finite and >= 0, got {}")
-    with np.errstate(over="ignore"):  # as with Python floats: inf on overflow
+    with _errstate(a1_oblate, over="ignore"):  # as with Python floats: inf on overflow
         n_sq = 1.0 + 1.5 * a1_oblate
         _require(n_sq * n_sq * n_sq < math.inf, a1_oblate,
                  "oblateness coefficient A1={} is too large: n^6 overflows above about 3.76e102")
@@ -91,7 +100,8 @@ class Params:
     def __post_init__(self) -> None:
         fields = ("mu", "k", "a1_oblate")
         values = [getattr(self, name) for name in fields]
-        if any(isinstance(v, np.ndarray) for v in values):
+        array = any(isinstance(v, np.ndarray) for v in values)
+        if array:
             for name, value in zip(fields, np.broadcast_arrays(*values)):
                 object.__setattr__(self, name, np.array(value, dtype=float))
         else:  # a numpy scalar divides by 0 without raising, so the float kernels take floats
@@ -100,7 +110,8 @@ class Params:
                     object.__setattr__(self, name, value.item())
         _require((0.0 < self.mu) & (self.mu < 1.0), self.mu,
                  "mass ratio must satisfy 0 < mu < 1, got {}")
-        _require(np.isfinite(self.k), self.k, "buoyancy parameter k must be finite, got {}")
+        _require(np.isfinite(self.k) if array else math.isfinite(self.k), self.k,
+                 "buoyancy parameter k must be finite, got {}")
         object.__setattr__(self, "n_sq", mean_motion_sq(self.a1_oblate))
 
     @property

@@ -43,6 +43,7 @@ libm may round the pair's square roots differently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -340,7 +341,7 @@ def linearization_matrix(hess: PotentialHessian, n_sq: float) -> np.ndarray:
     """
     if n_sq <= 0.0:
         raise ValueError(f"mean-motion squared must be positive, got {n_sq}")
-    n = float(np.sqrt(n_sq))
+    n = math.sqrt(n_sq)
     m = np.zeros((6, 6))
     m[0:3, 3:6] = np.eye(3)
     m[3:6, 0:3] = hess.matrix()
@@ -367,5 +368,7 @@ def unstable_direction(params: Params) -> tuple[float, np.ndarray]:
     rate = float(eigvals[i].real)
     v = eigvecs[:, i]
     v = v / v[int(np.argmax(np.abs(v)))]  # rotate phase so the vector is real
-    v = v.real
-    return rate, v / np.linalg.norm(v)
+    # np.linalg.norm(v) is sqrt(v.dot(v)) on a contiguous copy: a strided dot
+    # sums in another order
+    v = v.real.copy()
+    return rate, v / math.sqrt(v @ v)

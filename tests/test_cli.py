@@ -464,6 +464,34 @@ def test_config_key_of_another_command_is_skipped(tmp_path, capsys):
     assert rep["mu"] == 0.1 and rep["k"] == -0.01 and rep["a1"] == 0.0
 
 
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--conf", "{}"], ["--co={}"]])
+def test_config_flag_and_its_abbreviations_read_the_file(spelling, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu = 0.1\nk = -0.01\na1 = 0.02\n")
+    assert main(["stability", *CANONICAL_ARGS, "--format", "csv"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["stability", *(t.format(cfg) for t in spelling), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("tok, names", [
+    ("--config", True), ("--config=f", True), ("--c", True), ("--co=f", True),
+    ("--", False), ("--=f", False), ("-c", False), ("--configs", False), ("--k", False),
+    ("f", False),
+])
+def test_may_name_config(tok, names):
+    assert cli._may_name_config(tok) is names
+
+
+def test_command_line_without_config_builds_no_config_parser(monkeypatch, capsys):
+    def refuse(command):
+        raise AssertionError("the --config pre-parser was built")
+
+    monkeypatch.setattr(cli, "_build_config_parser", refuse)
+    code, rep = _run_json(capsys, ["locate", *CANONICAL_ARGS])
+    assert code == 0 and rep["exists"] is True
+
+
 def _as_config(flags):
     """`--key value`, `--key=value` and `--switch` tokens as config lines."""
     lines, i = [], 0
@@ -562,7 +590,7 @@ _PINNED_OUTPUTS = {
     "integrate_offset": (
         ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8"],
         "cd24f220f65b5d575025f427ea1e25f49b43438771c7f45b41334ad2894c1ebe",
-        "f662fb9092051c6659f0eb18da25c90bfcc12397535a33db46e6fffcfb86c4d2"),
+        "1a6f280d4f66cd390c32ad4c3e9af47c0d0f4d4ae203d410aa03cbd9f9978113"),
     "stability_canonical_json": (
         ["stability", *CANONICAL_ARGS, "--format", "json"],
         "39a739eccf2058e5a97ccee81151e7c4103973ba18f6c685ff105b42ebbed5c7", _NO_STDOUT),
@@ -607,10 +635,11 @@ def _simd_features_to_disable():
 @pytest.mark.skipif(not _simd_features_to_disable(),
                     reason=f"numpy dispatches to none of {_SIMD_FEATURES} here")
 @pytest.mark.parametrize("name", sorted(n for n in _PINNED_OUTPUTS
-                                        if n.startswith(("sweep", "stability"))))
+                                        if n.startswith(("sweep", "stability", "integrate"))))
 def test_pinned_output_bytes_without_simd_features(name, tmp_path):
-    # the roots come from real +, -, *, / and sqrt and complex sqrt, which give
-    # the same bits whichever vector loops numpy picks
+    # the roots come from real +, -, *, / and sqrt and complex sqrt, and the
+    # growth rate from math.log and math.fsum, which give the same bits
+    # whichever vector loops numpy picks
     features = _simd_features_to_disable()
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features),
            "PYTHONPATH": os.pathsep.join(
@@ -618,8 +647,9 @@ def test_pinned_output_bytes_without_simd_features(name, tmp_path):
     code = ("import sys, test_cli\n"
             "assert test_cli._simd_features_to_disable() == [], 'features still on'\n"
             f"argv = test_cli._PINNED_OUTPUTS[{name!r}][0]\n"
-            "sys.exit(test_cli.main([*argv, '--output', sys.argv[1]]))")
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+            "sys.exit(test_cli.main([*argv, '--output', 'out']))")
+    # in tmp_path, as test_output_bytes_pinned: the integrate summary names its output file
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, check=True)
     _, file_digest, stdout_digest = _PINNED_OUTPUTS[name]
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == file_digest

@@ -33,11 +33,12 @@ from robe3bp import (
     linearization_matrix,
     omega,
     triangular_points,
+    unstable_direction,
     unstable_seed,
 )
 from robe3bp import dynamics, model
 from robe3bp.model import COLLISION_R2
-from conftest import FROZEN
+from conftest import FROZEN, acceptance_grid
 
 # k > n^2/2 makes the energy surface compact, so these orbits stay bounded
 CONFINING = Params(mu=0.1, k=0.6, a1_oblate=0.02)
@@ -687,6 +688,82 @@ def test_growth_rate_non_growing_direction(canonical):
         except NoGrowthError:
             continue
         assert rate < 0.01 * FROZEN["lambda_plus"]
+
+
+@pytest.fixture(scope="module")
+def offset_runs():
+    """(trajectory, equilibrium position) of a 1e-8 offset run on each admissible
+    cell of the acceptance grid, to the canonical cell's lambda+ t_end = 60,
+    just past the fit window."""
+    exponent = 60.0 * FROZEN["lambda_plus"]
+    runs = []
+    for mu, k, a1 in acceptance_grid():
+        params = Params(mu=mu, k=k, a1_oblate=a1)
+        if triangular_points(params).exists:
+            cfg = IntegratorConfig(t_end=exponent / unstable_direction(params)[0])
+            runs.append((integrate(unstable_seed(params, 1e-8), params, cfg),
+                         equilibrium_state(params).pos))
+    return runs
+
+
+def _polyfit_window(traj, eq_point):
+    """The fit window as a boolean mask, by numpy's array steps."""
+    disp = np.linalg.norm(traj.states - np.concatenate([eq_point, np.zeros(3)]), axis=1)
+    return disp, (disp >= dynamics.GROWTH_FIT_LOWER_FACTOR * disp[0]) & (
+        disp <= dynamics.GROWTH_FIT_UPPER_BOUND)
+
+
+def test_growth_rate_agrees_with_polyfit(offset_runs):
+    worst = 0.0
+    for traj, eq in offset_runs:
+        disp, window = _polyfit_window(traj, eq)
+        oracle = np.polyfit(traj.times[window], np.log(disp[window]), 1)[0]
+        worst = max(worst, abs(growth_rate(traj, eq) - oracle) / oracle)
+    assert worst < 1e-13
+
+
+def test_growth_window_holds_the_masked_samples(offset_runs):
+    for traj, eq in offset_runs:
+        disp, window = _polyfit_window(traj, eq)
+        assert dynamics._growth_window(traj, eq) == (traj.times[window].tolist(),
+                                                     disp[window].tolist())
+
+
+def _displacement_run(times, disps):
+    """A Trajectory whose displacement from the origin is ``disps`` along x."""
+    times = np.asarray(times, dtype=float)
+    states = np.zeros((len(times), 6))
+    states[:, 0] = disps
+    return Trajectory(times=times, states=states, jacobi=np.zeros(len(times)),
+                      steps=len(times) - 1, rejections=0, status="completed")
+
+
+@pytest.mark.parametrize("rate, d0", [(0.2, 1e-8), (3.0, 1e-12), (1e-3, 1e-5)])
+def test_growth_rate_of_an_exact_exponential(rate, d0):
+    t_end = math.log(2e-3 / d0) / rate  # past the window's upper edge
+    times = np.linspace(0.0, t_end, 300)
+    traj = _displacement_run(times, d0 * np.exp(rate * times))
+    assert abs(growth_rate(traj, (0.0, 0.0, 0.0)) - rate) <= 1e-12 * rate
+
+
+def test_growth_rate_of_a_two_sample_window():
+    # samples exactly at the window's edges are in it
+    d0, upper = 1e-8, dynamics.GROWTH_FIT_UPPER_BOUND
+    lower = dynamics.GROWTH_FIT_LOWER_FACTOR * d0
+    traj = _displacement_run([0.0, 1.0, 2.5, 3.0], [d0, lower, upper, 2.0 * upper])
+    slope = (math.log(upper) - math.log(lower)) / 1.5
+    assert growth_rate(traj, (0.0, 0.0, 0.0)) == pytest.approx(slope, rel=1e-15)
+
+
+@pytest.mark.parametrize("disps", [
+    [1e-8, 5e-8, 3e-7, 2e-3],  # one sample in the window
+    [1e-8, 5e-8, 2e-3, 3e-3],  # none
+    [0.0, 1e-6, 1e-5, 1e-4],  # zero initial displacement
+])
+def test_growth_rate_needs_two_samples_and_a_displacement(disps):
+    traj = _displacement_run([0.0, 1.0, 2.0, 3.0], disps)
+    with pytest.raises(NoGrowthError, match="no exponential growth detected"):
+        growth_rate(traj, (0.0, 0.0, 0.0))
 
 
 def test_unstable_seed_offset_norm(canonical):

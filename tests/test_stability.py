@@ -261,6 +261,21 @@ def test_unstable_direction_is_an_eigenvector(canonical):
     npt.assert_allclose(m @ vec, rate * vec, atol=1e-8)
 
 
+def test_unstable_direction_has_the_bits_of_linalg_norm():
+    # sqrt(v @ v) on a contiguous copy is np.linalg.norm(v); on the strided
+    # view eigvecs[:, i].real the dot would sum in another order
+    for mu, k, a1 in acceptance_grid():
+        params = Params(mu=mu, k=k, a1_oblate=a1)
+        pts = triangular_points(params)
+        if not pts.exists:
+            continue
+        m = linearization_matrix(hessian_omega(pts.point(+1), params), params.n_sq)
+        eigvals, eigvecs = np.linalg.eig(m)
+        v = eigvecs[:, int(np.argmax(eigvals.real))]
+        v = (v / v[int(np.argmax(np.abs(v)))]).real
+        npt.assert_array_equal(unstable_direction(params)[1], v / np.linalg.norm(v))
+
+
 def test_unstable_direction_requires_existence():
     with pytest.raises(ValueError):
         unstable_direction(Params(mu=0.1, k=0.01))
