@@ -368,7 +368,7 @@ _COMMANDS = {
                    "help": "displacement along the unstable eigendirection"},
         "t_end": {"type": _positive, "default": 60.0,
                   "help": "integration span (default %(default)g)"},
-        "tol": {"type": _positive, "default": 1e-12,
+        "tol": {"type": _positive, "default": IntegratorConfig.rel_tol,
                 "help": "relative and absolute integration tolerance (default %(default)g)"},
         "output": {"default": "trajectory.csv", "help": "trajectory CSV (default %(default)s)"},
     }),

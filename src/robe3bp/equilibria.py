@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
-from .model import COLLISION_R2, Params, _errstate, _require, grad_omega, hessian_omega, radii
+from .model import (COLLISION_R2, Params, _errstate, _require, _where, grad_omega,
+                    hessian_omega, radii)
 
 __all__ = [
     "TriangularPoints",
@@ -65,15 +66,9 @@ class TriangularPoints:
 
 
 # The kernels below run on a scalar cell and on arrays of cells alike:
-# arithmetic and comparisons broadcast, and these two helpers do the two steps
-# that do not.
-
-def _where(cond, value):
-    """``value`` where ``cond`` holds and NaN elsewhere."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, value, np.nan)
-    return value if cond else math.nan
-
+# arithmetic and comparisons broadcast, `model._where` selects, and
+# `_cube_root` runs the one step that numpy's vector loops would round
+# differently.
 
 def _cube_root(values):
     """values^(1/3) by the C library's ``pow``, which Python's ``**`` calls.
@@ -103,16 +98,16 @@ def triangular_points(params: Params) -> TriangularPoints:
     negative = k < 0.0
     with _errstate(k, all="ignore"):  # as with Python floats: inf on overflow
         x = 2.0 * k / n_sq
-        a1 = _where(negative, x + mu - 1.0)
-        b1 = _cube_root(-mu / (2.0 * _where(negative, k)))
+        a1 = _where(negative, x + mu - 1.0, math.nan)
+        b1 = _cube_root(-mu / (2.0 * _where(negative, k, math.nan)))
         _require(b1 != math.inf, k, "b1 = (-mu/2k)^(1/3) overflows for k={}")
         _require((k >= 0.0) | (k <= -sys.float_info.min), k,
                  "buoyancy parameter k={} is a negative subnormal float; k < 0 must be normal")
         _require(a1 != -math.inf, k, "a1 = 2k/n^2 + mu - 1 overflows for k={}")
         radicand = b1 * b1 - a1 * a1
         exists = radicand > 0.0
-        z = (np.sqrt if array else math.sqrt)(_where(exists, radicand))
-    x = _where(exists, x)
+        z = (np.sqrt if array else math.sqrt)(_where(exists, radicand, math.nan))
+    x = _where(exists, x, math.nan)
     if array:
         return TriangularPoints(exists, a1, b1, x, z)
     return TriangularPoints(bool(exists), *(None if v != v else float(v) for v in (a1, b1, x, z)))

@@ -51,6 +51,12 @@ def _errstate(value, **kwargs):
     return contextlib.nullcontext()
 
 
+def _where(cond, a, b):
+    """``np.where`` for an array ``cond``; for one cell the plain conditional,
+    which picks the same value without numpy's cost per call."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
 def mean_motion_sq(a1_oblate):
     """Mean-motion squared n^2 = 1 + (3/2) A1 for a finite oblateness coefficient A1 >= 0.
 

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructureError
-from .model import Params, PotentialHessian, _require, hessian_omega
+from .model import Params, PotentialHessian, _errstate, _require, _where, hessian_omega
 from .equilibria import triangular_points
 
 __all__ = [
@@ -112,7 +112,7 @@ def char_coeffs(params: Params) -> CharCoeffs:
     _require(pts.exists, params.k, "triangular points do not exist for these parameters")
     a1, b1 = pts.a1_aux, pts.b1_aux
     n_sq, k = params.n_sq, params.k
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+    with _errstate(k, over="ignore", invalid="ignore"):  # as Python floats do
         a1_sq, b1_sq = a1 * a1, b1 * b1
         p = 2.0 * (n_sq + 3.0 * k)
         q = n_sq * (n_sq - 6.0 * k * (3.0 * a1_sq - 2.0 * b1_sq) / b1_sq)
@@ -143,12 +143,6 @@ def char_coeffs_from_hessian(hess: PotentialHessian, n_sq: float) -> CharCoeffs:
     q = (a * b + b * c + c * a - e * e) - 4.0 * n_sq * c
     r = -(b * (a * c - e * e))
     return CharCoeffs(p, q, r)
-
-
-def _where(cond, a, b):
-    """``np.where`` on arrays; for one cell the plain conditional, which picks
-    the same value without numpy's cost per call on 0-d arrays."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else np.float64(a if cond else b)
 
 
 def _two_product(a, b):
@@ -275,7 +269,9 @@ def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
     ValueError
         If a coefficient is not finite.
     """
-    # one cell runs on numpy scalars, whose arithmetic costs far less than 0-d arrays'
+    # one cell runs on numpy scalars, the one place it leaves Python floats: a
+    # division by 0 in a branch that _where does not select must give inf or NaN,
+    # as on arrays, not raise, and 0-d arrays cost far more per operation
     p, q, r = (np.asarray(c, dtype=float)[()] for c in coeffs)
     if not (np.isfinite(p) & np.isfinite(q) & np.isfinite(r)).all():
         raise ValueError("characteristic coefficients must be finite")

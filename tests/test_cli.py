@@ -632,28 +632,52 @@ def _simd_features_to_disable():
     return features if set(features) & set(getattr(umath, "__cpu_dispatch__", ())) else []
 
 
-@pytest.mark.skipif(not _simd_features_to_disable(),
-                    reason=f"numpy dispatches to none of {_SIMD_FEATURES} here")
-@pytest.mark.parametrize("name", sorted(n for n in _PINNED_OUTPUTS
-                                        if n.startswith(("sweep", "stability", "integrate"))))
-def test_pinned_output_bytes_without_simd_features(name, tmp_path):
-    # the roots come from real +, -, *, / and sqrt and complex sqrt, and the
-    # growth rate from math.log and math.fsum, which give the same bits
-    # whichever vector loops numpy picks
-    features = _simd_features_to_disable()
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features),
+# run in the child interpreter with the SIMD features off: each pin in its own
+# directory, as test_output_bytes_pinned (the integrate summary names its
+# output file), and the file and stdout digests of each as JSON
+_PINS_WITHOUT_SIMD = """\
+import contextlib, hashlib, io, json, os
+import test_cli
+assert test_cli._simd_features_to_disable() == [], "features still on"
+digests, top = {}, os.getcwd()
+for name, (argv, _, _) in test_cli._PINNED_OUTPUTS.items():
+    os.mkdir(os.path.join(top, name))
+    os.chdir(os.path.join(top, name))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert test_cli.main([*argv, "--output", "out"]) == 0, name
+    with open("out", "rb") as out:
+        digests[name] = [hashlib.sha256(out.read()).hexdigest(),
+                         hashlib.sha256(stdout.getvalue().encode()).hexdigest()]
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="module")
+def digests_without_simd_features(tmp_path_factory):
+    """Every pin's (file, stdout) digests from one interpreter under
+    NPY_DISABLE_CPU_FEATURES."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(_simd_features_to_disable()),
            "PYTHONPATH": os.pathsep.join(
                [os.path.dirname(__file__), os.path.dirname(os.path.dirname(cli.__file__))])}
-    code = ("import sys, test_cli\n"
-            "assert test_cli._simd_features_to_disable() == [], 'features still on'\n"
-            f"argv = test_cli._PINNED_OUTPUTS[{name!r}][0]\n"
-            "sys.exit(test_cli.main([*argv, '--output', 'out']))")
-    # in tmp_path, as test_output_bytes_pinned: the integrate summary names its output file
-    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", _PINS_WITHOUT_SIMD], env=env,
+                          cwd=tmp_path_factory.mktemp("without_simd"),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(not _simd_features_to_disable(),
+                    reason=f"numpy dispatches to none of {_SIMD_FEATURES} here")
+@pytest.mark.parametrize("name", sorted(_PINNED_OUTPUTS))
+def test_pinned_output_bytes_without_simd_features(name, digests_without_simd_features):
+    # the roots come from real +, -, *, / and sqrt and complex sqrt, the
+    # growth rate from math.log and math.fsum, and locate's point from Python
+    # floats, which give the same bits whichever vector loops numpy picks
     _, file_digest, stdout_digest = _PINNED_OUTPUTS[name]
-    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == file_digest
-    assert hashlib.sha256(done.stdout.encode()).hexdigest() == stdout_digest
+    got_file, got_stdout = digests_without_simd_features[name]
+    assert got_file == file_digest
+    assert got_stdout == stdout_digest
 
 
 @pytest.mark.parametrize("argv", [

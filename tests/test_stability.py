@@ -346,16 +346,32 @@ def _coeffs_from_roots(real, pair=None):
     return -(a + 2 * x), 2 * a * x + m, -a * m
 
 
+_FIXED_CUBIC = (6.0, 11.0, 6.0)  # u = -1, -2, -3
+
+
+def _check_cell_of_grid(coeffs, roots, verdict):
+    """The cubic as one cell of a two-cell grid, beside a fixed cubic, has the
+    root bytes and the verdict of the one-cell call."""
+    grid = CharCoeffs(*(np.array([c, f]) for c, f in zip(coeffs, _FIXED_CUBIC)))
+    both = classify(grid)  # its roots are solve_characteristic's
+    assert both.roots[0].tobytes() == roots.tobytes(), coeffs
+    assert both.classification[0] == verdict.classification.value
+    assert both.max_real_part[0].tobytes() == np.float64(verdict.max_real_part).tobytes()
+    assert both.positive_real_root_count[0] == verdict.positive_real_root_count
+    assert both.sign_changes[0] == verdict.sign_changes
+
+
 def _check_cubic_contract(exact, real, pair, counted=True):
-    """Roots closed under negation and conjugation, the count and verdict the
-    roots give (where ``counted``), and a backward error of each u within 16
-    eps of its scale."""
+    """Roots closed under negation and conjugation, the bits of a grid cell,
+    the count and verdict the roots give (where ``counted``), and a backward
+    error of each u within 16 eps of its scale."""
     coeffs = CharCoeffs(*(float(c) for c in exact))
     roots = solve_characteristic(coeffs)
     key = lambda z: (z.real, z.imag)
     assert sorted(roots.tolist(), key=key) == sorted((-roots).tolist(), key=key)
     assert sorted(roots.tolist(), key=key) == sorted(roots.conj().tolist(), key=key)
     verdict = classify(coeffs)
+    _check_cell_of_grid(coeffs, roots, verdict)
     if counted:
         n_pos = sum(v > 0 for v in real)
         stable = pair is None and all(v <= 0 for v in real)
