@@ -32,14 +32,13 @@ import numpy as np
 from .errors import ConvergenceError, NoGrowthError, SingularityError
 from .model import Params, grad_omega, hessian_omega
 from .equilibria import triangular_points
-from .stability import char_coeffs, char_coeffs_from_hessian, classify
+from .stability import char_coeffs, char_coeffs_from_hessian, classify, unstable_direction
 from .dynamics import (
     ESCAPE_RADIUS,
     IntegratorConfig,
     equilibrium_state,
     growth_rate,
     integrate,
-    unstable_direction,
     unstable_seed,
 )
 
@@ -276,8 +275,8 @@ def _integrate(ns, params):
                                                       t_end=ns.t_end))
     if traj.status == "escape" and traj.steps == 0:
         raise _NothingIntegrated(
-            f"the start lies beyond the escape radius (|pos| = {np.linalg.norm(state0.pos):.3g}"
-            f" > {ESCAPE_RADIUS:g}), so no step was taken")
+            "the start lies beyond the escape radius (|pos| = "
+            f"{math.hypot(*state0.pos.tolist()):.3g} > {ESCAPE_RADIUS:g}), so no step was taken")
     summary = {
         "command": "integrate",
         "mu": params.mu,

@@ -178,9 +178,11 @@ def _splice(func, marker: str, block: str):
 
     The new source is compiled under the filename ``<robe3bp module.name>`` and
     kept in ``linecache``, so tracebacks and ``inspect.getsource`` show the
-    generated lines.  ``func``'s module must ship its source.
+    generated lines.  ``func``'s module must ship its source, or ``ImportError``.
     """
     source = linecache.getlines(func.__code__.co_filename, func.__globals__)
+    if not source:  # a .pyc-only install
+        raise ImportError(f"{func.__module__} needs its .py source to build {func.__name__}")
     start = func.__code__.co_firstlineno - 1
     # the def ends before the next line that is not blank, a comment or indented
     end = next(i for i in range(start + 1, len(source) + 1)

@@ -108,7 +108,11 @@ def char_coeffs(params: Params) -> CharCoeffs:
     ValueError
         If the triangular points do not exist for ``params`` (for any cell).
     """
-    pts = triangular_points(params)
+    return _closed_form(triangular_points(params), params)
+
+
+def _closed_form(pts, params: Params) -> CharCoeffs:
+    """:func:`char_coeffs` from ``pts = triangular_points(params)``, already found."""
     _require(pts.exists, params.k, "triangular points do not exist for these parameters")
     a1, b1 = pts.a1_aux, pts.b1_aux
     n_sq, k = params.n_sq, params.k
@@ -349,22 +353,23 @@ def linearization_matrix(hess: PotentialHessian, n_sq: float) -> np.ndarray:
 def unstable_direction(params: Params) -> tuple[float, np.ndarray]:
     """Dominant growing mode at the +z triangular point.
 
-    Returns the largest-real-part eigenvalue of the linearization matrix and
-    its unit eigenvector (phase-rotated real).  Used to seed nonlinear
+    Returns the root lambda of :func:`solve_characteristic` with the largest
+    real part, as a float (:func:`classify`'s ``max_real_part``, bit for
+    bit), and its mode: the unit real part of (xi, lambda xi), phase-rotated
+    by its largest component.  xi, the null vector of P = H + lambda C -
+    lambda^2 I, is the cross product of P's last two rows, read from
+    :func:`linearization_matrix`, in Python scalars: no bit of the rate or
+    the mode follows numpy's SIMD level or the BLAS kernel.  Seeds nonlinear
     integrations along the direction the linear analysis predicts will grow.
-    The rate is not a verdict, which is :func:`classify`'s: below about
-    |k| = 1e-19 the 6x6 eigen-solve cannot resolve lambda+, and the rate
-    is rounding noise.
     Raises ``ValueError`` if the triangular points do not exist.
     """
-    hess = hessian_omega(triangular_points(params).point(), params)
-    m = linearization_matrix(hess, params.n_sq)
-    eigvals, eigvecs = np.linalg.eig(m)
-    i = int(np.argmax(eigvals.real))
-    rate = float(eigvals[i].real)
-    v = eigvecs[:, i]
-    v = v / v[int(np.argmax(np.abs(v)))]  # rotate phase so the vector is real
-    # np.linalg.norm(v) is sqrt(v.dot(v)) on a contiguous copy: a strided dot
-    # sums in another order
-    v = v.real.copy()
-    return rate, v / math.sqrt(v @ v)
+    pts = triangular_points(params)
+    lam = max(solve_characteristic(_closed_form(pts, params)).tolist(), key=lambda z: z.real)
+    lower = linearization_matrix(hessian_omega(pts.point(), params), params.n_sq)[4:].tolist()
+    y, z = ([row[j] + lam * row[3 + j] - (lam * lam if j == i else 0.0) for j in range(3)]
+            for i, row in enumerate(lower, 1))
+    xi = (y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0])
+    v = [*xi, *(lam * c for c in xi)]
+    top = max(v, key=abs)  # the first of the largest, as np.argmax
+    v = [(c / top).real for c in v]
+    return lam.real, np.array(v) / math.hypot(*v)

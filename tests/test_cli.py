@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from robe3bp import Classification, Params, char_coeffs, classify, triangular_points
 from robe3bp import cli
 from robe3bp.cli import main
-from conftest import FROZEN, any_cell, fold_k
+from conftest import FROZEN, acceptance_grid, any_cell, fold_k
 
 CANONICAL_ARGS = ["--mu", "0.1", "--k", "-0.01", "--a1", "0.02"]
 
@@ -183,7 +183,6 @@ def test_integrate_growth_summary(tmp_path, capsys):
 @pytest.mark.parametrize("offset", [
     ["--offset", "1e-8"],
     [],
-    # the 6x6 rate is rounding noise at this |k|; it is reported, not a verdict
     ["--a1", "1", "--offset", "1e-8"],
 ])
 def test_integrate_starting_beyond_escape_radius_exits_1(offset, tmp_path, capsys):
@@ -196,6 +195,31 @@ def test_integrate_starting_beyond_escape_radius_exits_1(offset, tmp_path, capsy
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("robe3bp: error:")
     assert "|pos| = 1.71e+06 > 1000" in captured.err
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
+def test_integrate_escape_error_reports_a_finite_radius(tmp_path, capsys):
+    # an offset of 1e300 puts the start far past ESCAPE_RADIUS, where the sum
+    # of squares of the position overflows
+    code = main(["integrate", "--mu", "0.1", "--k=-0.01", "--from-equilibrium",
+                 "--offset", "1e300", "--t-end", "0.5", "--output", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    radius = float(err.split("|pos| = ")[1].split()[0])
+    assert 1e299 < radius < math.inf
+
+
+def test_integrate_linear_rate_is_stabilitys_max_real_part(tmp_path, capsys):
+    for mu, k, a1 in acceptance_grid():
+        if not triangular_points(Params(mu=mu, k=k, a1_oblate=a1)).exists:
+            continue
+        cell = ["--mu", repr(mu), f"--k={k!r}", "--a1", repr(a1)]
+        assert main(["stability", *cell, "--format", "json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert main(["integrate", *cell, "--from-equilibrium", "--offset", "1e-8",
+                     "--t-end", "1", "--output", str(tmp_path / "t.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["linear_rate"] == verdict["max_real_part"], cell
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,13 +240,14 @@ def test_integrate_overflow_ends_in_step_size_underflow(argv, tmp_path, capsys):
 
 def test_step_size_underflow_names_the_error_estimate(tmp_path, capsys):
     # at A1 = 1e30 the frame turns at n ~ 1.2e15, far from the second primary
-    # (r2 = b1 ~ 1.71), so every try fails the tolerance down to the step floor
+    # (r2 = b1 ~ 1.71), so every try fails the tolerance down to the step
+    # floor; along lambda+ = 0.208 the seed takes a few steps before that
     out = tmp_path / "t.csv"
     code = main(["integrate", "--mu", "0.1", "--k=-0.01", "--a1", "1e30", "--from-equilibrium",
                  "--offset", "1e-8", "--t-end", "5", "--output", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("robe3bp: error: step size underflow at t=0 ")
+    assert err.startswith("robe3bp: error: step size underflow at t=1.27212e-13 ")
     assert "error estimate stayed above the tolerance" in err and "singularity" not in err
 
 
@@ -589,8 +614,8 @@ _PINNED_OUTPUTS = {
         "1d41bfa2e76c5351738e197793319e250e18b4eb4601aed7d463442da2153e9f", _NO_STDOUT),
     "integrate_offset": (
         ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8"],
-        "cd24f220f65b5d575025f427ea1e25f49b43438771c7f45b41334ad2894c1ebe",
-        "1a6f280d4f66cd390c32ad4c3e9af47c0d0f4d4ae203d410aa03cbd9f9978113"),
+        "5a32c5505201adc3ede4fd1e3b2912a10344f5eaaa5390671b25a97edf42156d",
+        "4f054d35855e3a2d23f2bedd824a6156630acedbe9a0c8f8637bbfc365c6de44"),
     "stability_canonical_json": (
         ["stability", *CANONICAL_ARGS, "--format", "json"],
         "39a739eccf2058e5a97ccee81151e7c4103973ba18f6c685ff105b42ebbed5c7", _NO_STDOUT),

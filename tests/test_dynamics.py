@@ -303,7 +303,7 @@ _PINNED_RUNS = {
         "d550af85aad34d86d8e51754f0e982b848a0c67ca7a2b5f0264c785f9203dd02", 1575, 0, "completed"),
     "unstable_seed": (
         None, Params(mu=0.1, k=-0.01, a1_oblate=0.02), dict(t_end=60.0),
-        "f1ed21658fecdc2d3052b3644693ae144f3f64e8487ef952b740cc86beb5e047", 67, 4, "completed"),
+        "41de42870b252ec69b95f7fd383738b66853917b2ae8e51fcaa05228fcfd2d3f", 67, 4, "completed"),
     "escape": (
         ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Params(mu=0.1, k=-0.01),
         dict(t_end=50.0, rel_tol=1e-9, abs_tol=1e-9),
@@ -355,10 +355,7 @@ def _kernel_selectable_openblas():
                     reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
 @pytest.mark.parametrize("name", [
     "bounded_a",  # integrate calls no BLAS, so a literal start has the same bits
-    pytest.param("unstable_seed", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the seed comes from np.linalg.eig, whose last bits follow the OpenBLAS"
-               " kernel (CHANGES.md FOUND: unstable_direction's eig)")),
+    "unstable_seed",  # and the seed comes from the cubic solver and Python scalars
 ])
 def test_pinned_run_bits_under_another_blas_kernel(name):
     # the oldest x86-64 kernel; the pinned digests hold the in-process bits
@@ -591,6 +588,13 @@ def test_generated_code_shows_in_source_and_tracebacks(canonical):
         frame = traceback.extract_tb(info.value.__context__.__traceback__)[-1]
         assert frame.filename == f"<robe3bp robe3bp.{name}>"
         assert frame.line == "c3 = mu / (r2_sq * sqrt(r2_sq))"
+
+
+def test_splice_without_source_names_the_missing_file(monkeypatch):
+    # a .pyc-only install: linecache finds no lines for the def to splice
+    monkeypatch.setattr(model.linecache, "getlines", lambda *args: [])
+    with pytest.raises(ImportError, match=r"model needs its \.py source to build _grad_s"):
+        model._splice(model._grad_s, "_SLOPE", model._SLOPE)
 
 
 def test_jacobi_conservation_random_bounded():

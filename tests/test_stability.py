@@ -25,7 +25,7 @@ from robe3bp import (
 )
 from robe3bp.model import PotentialHessian
 from robe3bp.stability import _cubic_roots
-from conftest import FROZEN, acceptance_grid, min_weight_match
+from conftest import FROZEN, acceptance_grid, min_weight_match, whole_region_cells
 
 
 def test_char_coeffs_canonical(canonical):
@@ -261,10 +261,11 @@ def test_unstable_direction_is_an_eigenvector(canonical):
     npt.assert_allclose(m @ vec, rate * vec, atol=1e-8)
 
 
-def test_unstable_direction_has_the_bits_of_linalg_norm():
-    # sqrt(v @ v) on a contiguous copy is np.linalg.norm(v); on the strided
-    # view eigvecs[:, i].real the dot would sum in another order
-    for mu, k, a1 in acceptance_grid():
+@pytest.mark.parametrize("cells, tol", [(acceptance_grid, 1e-12), (whole_region_cells, 1e-10)])
+def test_unstable_direction_matches_eig(cells, tol):
+    # np.linalg.eig of the 6x6 matrix as the oracle: its dominant eigenvector,
+    # phase-rotated by its largest component as unstable_direction's mode
+    for mu, k, a1 in cells():
         params = Params(mu=mu, k=k, a1_oblate=a1)
         pts = triangular_points(params)
         if not pts.exists:
@@ -273,7 +274,8 @@ def test_unstable_direction_has_the_bits_of_linalg_norm():
         eigvals, eigvecs = np.linalg.eig(m)
         v = eigvecs[:, int(np.argmax(eigvals.real))]
         v = (v / v[int(np.argmax(np.abs(v)))]).real
-        npt.assert_array_equal(unstable_direction(params)[1], v / np.linalg.norm(v))
+        npt.assert_allclose(unstable_direction(params)[1], v / np.linalg.norm(v),
+                            rtol=0, atol=tol)
 
 
 def test_unstable_direction_requires_existence():
@@ -311,8 +313,10 @@ def test_max_real_part_at_tiny_k(k):
     # lambda+ and the pair's real part both scale as sqrt|k|; the pair's must
     # not drown in the rounding of b^2 - 4c (a companion-matrix solve was 70%
     # off at k = -1e-19)
-    got = classify(char_coeffs(Params(mu=0.1, k=k, a1_oblate=0.0))).max_real_part
+    params = Params(mu=0.1, k=k, a1_oblate=0.0)
+    got = classify(char_coeffs(params)).max_real_part
     assert abs(got - _max_real_part_mp(0.1, k)) <= 4 * math.ulp(got)
+    assert unstable_direction(params)[0] == got
 
 
 @pytest.mark.parametrize("a1", [1e77, 1e100, 3.7e102])
