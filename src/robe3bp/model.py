@@ -123,7 +123,7 @@ class Params:
     @property
     def n(self) -> float:
         """Mean motion n = sqrt(n_sq)."""
-        return np.sqrt(self.n_sq) if np.ndim(self.n_sq) else math.sqrt(self.n_sq)
+        return np.sqrt(self.n_sq) if isinstance(self.n_sq, np.ndarray) else math.sqrt(self.n_sq)
 
 
 class PotentialHessian(NamedTuple):

@@ -32,18 +32,21 @@ certificate, not a tolerance on the computed roots, gives the verdict there.
 
 The roots come from the cubic in u = lambda^2, solved in real arithmetic
 (:func:`solve_characteristic`): bracketed Newton on one real root, deflation
-to a quadratic, and the quadratic by the cancellation-free formula.  The root
-path makes no LAPACK or BLAS call and no complex product or quotient, which
-numpy's vector loops may fuse into one rounding, so the roots' bits follow
-neither numpy's SIMD dispatch level nor the BLAS kernel, and a grid has the
-bits of its cells taken one by one.  Complex sqrt is the C library's
-``csqrt``, which IEEE 754 does not require to round correctly, so another
-libm may round the pair's square roots differently.
+to a quadratic, and the quadratic by the cancellation-free formula.  The
+solver is one template, ``_CUBIC``, rendered at import in two spellings: numpy
+for arrays of cells, Python floats for one cell.  The root path makes no
+LAPACK or BLAS call and no complex product or quotient, which numpy's vector
+loops may fuse into one rounding, so the roots' bits follow neither numpy's
+SIMD dispatch level nor the BLAS kernel, and a grid has the bits of its cells
+taken one by one.  Complex sqrt is the C library's ``csqrt``, which IEEE 754
+does not require to round correctly, so another libm may round the pair's
+square roots differently.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -51,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructureError
-from .model import Params, PotentialHessian, _errstate, _require, _where, hessian_omega
+from .model import Params, PotentialHessian, _errstate, _require, _splice, hessian_omega
 from .equilibria import triangular_points
 
 __all__ = [
@@ -177,109 +180,181 @@ def _cubic_compensated(x, p, q, r):
     return s + err
 
 
-def _real_root(p, q, r):
-    """A real root of u^3 + p u^2 + q u + r by bracketed Newton, anchored at f(0) = r.
+# The cubic u^3 + p u^2 + q u + r, solved once over a small vocabulary that
+# `_spell` renders twice: on arrays of cells (`_NUMPY`) and on the Python
+# floats of one cell (`_FLOATS`).  WHERE(c, a, b) selects, ABS, MAX, MIN, SQRT
+# and COPYSIGN are what they say, QUOTIENT(a, b) divides the name a by the
+# name b, which may be 0, and SETTLED(new, x) ends a loop once no cell
+# changes.  Each word is one IEEE 754 operation or an exact select in either
+# spelling, so a grid has the bits of its cells taken one by one.
+#
+# The real root u1: with s = -1 where r > 0 (and 1 elsewhere), bracketed Newton
+# searches for a root v = s u > 0 of g(v) = v^3 + s p v^2 + q v - |r|, which is
+# negative at 0.  The bracket is (0, hi).  Where q > 0 and s p >= 0, hi is
+# |r|/q, the root of the linear part, where g = v^2 (v + s p) >= 0; elsewhere,
+# or where it is less, hi is Cauchy's bound 1 + max(|p|, |q|, |r|).  Newton
+# starts at hi; a step that leaves the bracket, or divides by a zero slope, is
+# replaced by bisection.  r = 0 gives u = 0.  The plain Horner sum leaves the
+# last iterate within its rounding noise of the root.  One Newton step on the
+# compensated sum, kept where it moves by less than 2^-40 relative (so not at
+# a double root), brings a simple root to about half an ulp: a root that the
+# coefficients hold exactly is found exactly.
+#
+# The other two roots solve the deflated quadratic u^2 + b u + c with
+# c = -r/u1.  b is p + u1 or (c - q)/u1, whichever carries less rounding, so a
+# pair close to 0 beside a larger u1 keeps its digits.  On the p + u1 side the
+# discriminant is expanded as (p^2 - 4q) - u1 (2p + 3u1), with p^2 exact: at
+# tiny |k|, b^2 and 4c agree to the last bit, and the digits of the pair lie in
+# u1.  A real pair takes the larger root from the cancellation-free formula and
+# the other as c over it; a complex pair is -b/2 +/- i sqrt(-d)/2.  u1 = 0 only
+# where r = 0, where f = u (u^2 + p u + q); big = 0 only for a double root at 0.
+_CUBIC = """\
+s = WHERE(r > 0.0, -1.0, 1.0)
+ps, rs = s * p, -ABS(r)
+cauchy = 1.0 + MAX(MAX(ABS(p), ABS(q)), -rs)
+linear = WHERE((q > 0.0) & (ps >= 0.0), MIN(-rs / q, cauchy), cauchy)
+hi = WHERE(r == 0.0, 0.0, linear)
+lo = 0.0 * hi
+x = hi
+while True:
+    g = ((x + ps) * x + q) * x + rs
+    lo = WHERE(g <= 0.0, x, lo)
+    hi = WHERE(g >= 0.0, x, hi)
+    slope = (3.0 * x + 2.0 * ps) * x + q
+    step = x - QUOTIENT(g, slope)
+    new = WHERE(((lo < step) & (step < hi)) | (step == x), step, lo + 0.5 * (hi - lo))
+    if SETTLED(new, x):
+        break
+    x = new
+g = _cubic_compensated(x, ps, q, rs)
+slope = (3.0 * x + 2.0 * ps) * x + q
+step = x - QUOTIENT(g, slope)
+u1 = s * WHERE(ABS(step - x) <= 2.0 ** -40 * ABS(x), step, x)
+c = WHERE(u1 != 0.0, -r / u1, q)
+near = (ABS(p) + ABS(u1)) * ABS(u1) <= ABS(c) + ABS(q)
+b = WHERE(near, p + u1, (c - q) / u1)
+lead = WHERE(near, p, b)
+lead, lead_lo = _two_product(lead, lead)
+d = (((lead - 4.0 * WHERE(near, q, c)) + lead_lo)
+     - WHERE(near, u1 * (2.0 * p + 3.0 * u1), 0.0))
+half = 0.5 * SQRT(ABS(d))
+real = d >= 0.0
+big = -0.5 * b - COPYSIGN(half, b)
+re2 = WHERE(real, big, -0.5 * b)
+im2 = WHERE(real, 0.0, half)
+re3 = WHERE(real, WHERE(big != 0.0, c / big, 0.0), -0.5 * b)
+im3 = WHERE(real, 0.0, -half)
+"""
+# Each spelling's words, with {0}, {1}, {2} for the arguments.  A spelling
+# that is not a call is bracketed, so it binds as one operand where it stands;
+# SETTLED stands alone, as an `if` test
+_NUMPY = {
+    "WHERE": "np.where({0}, {1}, {2})", "ABS": "np.abs({0})",
+    "MAX": "np.maximum({0}, {1})", "MIN": "np.minimum({0}, {1})",
+    "SQRT": "np.sqrt({0})", "COPYSIGN": "np.copysign({0}, {1})",
+    "QUOTIENT": "({0} / {1})", "SETTLED": "not np.count_nonzero({0} != {1})",
+}
+# a conditional evaluates only the branch it selects, so no quotient that
+# WHERE leaves out runs; a slope of 0 gives the quotient IEEE 754 gives.  max
+# and min differ from np.maximum and np.minimum only on a NaN or on zeros of
+# both signs, and MAX and MIN in _CUBIC see neither
+_FLOATS = {
+    "WHERE": "({1} if {0} else {2})", "ABS": "abs({0})",
+    "MAX": "max({0}, {1})", "MIN": "min({0}, {1})",
+    "SQRT": "math.sqrt({0})", "COPYSIGN": "math.copysign({0}, {1})",
+    "QUOTIENT": "({0} / {1} if {1} else _over_zero({0}, {1}))", "SETTLED": "{0} == {1}",
+}
 
-    With s = -1 where r > 0 (and 1 elsewhere), the search is for a root v = s u
-    > 0 of g(v) = v^3 + s p v^2 + q v - |r|, which is negative at 0.  The
-    bracket is (0, hi).  Where q > 0 and s p >= 0, hi is |r|/q, the root of
-    the linear part, where g = v^2 (v + s p) >= 0; elsewhere, or where it is
-    less, hi is Cauchy's bound 1 + max(|p|, |q|, |r|).  Newton starts at hi;
-    a step that leaves the bracket, or divides by a zero slope, is replaced
-    by bisection.
-    The loop runs until no cell changes, so each cell's bits are those it has
-    alone.  r = 0 gives u = 0.
 
-    The plain Horner sum leaves the last iterate within its rounding noise of
-    the root.  One Newton step on the compensated sum, kept where it moves by
-    less than 2^-40 relative (so not at a double root), brings a simple root
-    to about half an ulp: a root that the coefficients hold exactly is found
-    exactly.
-    """
-    s = _where(r > 0.0, -1.0, 1.0)
-    ps, rs = s * p, -np.abs(r)
-    cauchy = 1.0 + np.maximum(np.maximum(np.abs(p), np.abs(q)), -rs)
-    linear = _where((q > 0.0) & (ps >= 0.0), np.minimum(-rs / q, cauchy), cauchy)
-    hi = _where(r == 0.0, 0.0, linear)
-    lo = 0.0 * hi
-    x = hi
-    while True:
-        g = ((x + ps) * x + q) * x + rs
-        lo = _where(g <= 0.0, x, lo)
-        hi = _where(g >= 0.0, x, hi)
-        step = x - g / ((3.0 * x + 2.0 * ps) * x + q)
-        new = _where(((lo < step) & (step < hi)) | (step == x), step, lo + 0.5 * (hi - lo))
-        if not np.count_nonzero(new != x):
-            break
-        x = new
-    step = x - _cubic_compensated(x, ps, q, rs) / ((3.0 * x + 2.0 * ps) * x + q)
-    return s * _where(np.abs(step - x) <= 2.0 ** -40 * np.abs(x), step, x)
+def _spell(template: str, words: dict[str, str]) -> str:
+    """``template`` with each call of a word of ``words``, its arguments spelled
+    first, written out in its spelling; the lines stay the template's lines."""
+    call = re.compile(r"\b(%s)\(" % "|".join(words))
+    out = []
+    while match := call.search(template):
+        depth, args, start = 0, [], match.end()
+        for end in range(start, len(template)):  # to the call's closing bracket
+            ch = template[end]
+            if ch == "(":
+                depth += 1
+            elif ch == ")" and depth:
+                depth -= 1
+            elif ch in ",)" and not depth:
+                args.append(_spell(template[start:end].strip(), words))
+                start = end + 1
+                if ch == ")":
+                    break
+        out.append(template[:match.start()] + words[match[1]].format(*args))
+        template = template[end + 1:]
+    return "".join(out) + template
+
+
+def _over_zero(a: float, b: float) -> float:
+    """``a / b`` for a ``b`` of +/-0, as IEEE 754 has it: NaN if ``a`` is 0 or NaN,
+    else an infinity with the sign of the quotient."""
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _cubic_roots(p, q, r) -> np.ndarray:
-    """The three roots u of u^3 + p u^2 + q u + r, real root first, shape S + (3,).
+    """The three roots u of u^3 + p u^2 + q u + r for arrays of cells, shape S + (3,).
 
-    The real root u1 comes from :func:`_real_root`; the other two solve the
-    deflated quadratic u^2 + b u + c with c = -r/u1.  b is p + u1 or
-    (c - q)/u1, whichever carries less rounding, so a pair close to 0 beside
-    a larger u1 keeps its digits.  On the p + u1 side the discriminant is
-    expanded as (p^2 - 4q) - u1 (2p + 3u1), with p^2 exact: at tiny |k|, b^2
-    and 4c agree to the last bit, and the digits of the pair lie in u1.  A
-    real pair takes the larger root from the cancellation-free formula and the
-    other as c over it; a complex pair is -b/2 +/- i sqrt(-d)/2.  Real roots
-    have an imaginary part of exactly +0.
+    The real root comes first.  Real roots have an imaginary part of exactly +0.
     """
-    # a quotient or product that overflows or divides by 0 is never selected
-    with np.errstate(all="ignore"):
-        u1 = _real_root(p, q, r)
-        c = _where(u1 != 0.0, -r / u1, q)  # u1 = 0 only where r = 0: f = u (u^2 + p u + q)
-        near = (np.abs(p) + np.abs(u1)) * np.abs(u1) <= np.abs(c) + np.abs(q)
-        b = _where(near, p + u1, (c - q) / u1)
-        lead = _where(near, p, b)
-        lead, lead_lo = _two_product(lead, lead)
-        d = (((lead - 4.0 * _where(near, q, c)) + lead_lo)
-             - _where(near, u1 * (2.0 * p + 3.0 * u1), 0.0))
-        half = 0.5 * np.sqrt(np.abs(d))
-        real = d >= 0.0
-        big = -0.5 * b - np.copysign(half, b)
-        u = np.zeros(np.shape(u1) + (3,), dtype=complex)
-        u.real[..., 0] = u1
-        u.real[..., 1] = _where(real, big, -0.5 * b)
-        small = _where(big != 0.0, c / big, 0.0)  # big = 0 only for a double root at 0
-        u.real[..., 2] = _where(real, small, -0.5 * b)
-        u.imag[..., 1] = _where(real, 0.0, half)
-        u.imag[..., 2] = _where(real, 0.0, -half)
+    with np.errstate(all="ignore"):  # a quotient that WHERE leaves out may be inf or NaN
+        _CUBIC  # replaced at import by _spell(_CUBIC, _NUMPY)
+    u = np.zeros(np.shape(u1) + (3,), dtype=complex)
+    u.real[..., 0] = u1
+    u.real[..., 1], u.imag[..., 1] = re2, im2
+    u.real[..., 2], u.imag[..., 2] = re3, im3
     return u
+
+
+def _cubic_roots_s(p: float, q: float, r: float) -> tuple[complex, complex, complex]:
+    """:func:`_cubic_roots` of one cell on Python floats, with its bits."""
+    _CUBIC  # replaced at import by _spell(_CUBIC, _FLOATS)
+    return complex(u1, 0.0), complex(re2, im2), complex(re3, im3)
+
+
+_cubic_roots = _splice(_cubic_roots, "_CUBIC", _spell(_CUBIC, _NUMPY))
+_cubic_roots_s = _splice(_cubic_roots_s, "_CUBIC", _spell(_CUBIC, _FLOATS))
 
 
 def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
     """Six roots of lambda^6 + p lambda^4 + q lambda^2 + r.
 
     Solves the cubic u^3 + p u^2 + q u + r = 0 (u = lambda^2) in real
-    arithmetic (:func:`_cubic_roots`): bracketed Newton on one real root,
-    deflation to a quadratic, and the quadratic by the cancellation-free
-    formula.  Each u gives the pair lambda = +/- sqrt(u) (principal branch plus
-    its negation, which keeps the set closed under negation regardless of the
-    branch cut).  The arithmetic is real +, -, *, / and sqrt and complex sqrt
-    (besides exact steps: comparisons and signs), which round the same
-    whichever SIMD loops numpy picks, so the roots' bits depend on neither
-    the SIMD level nor the BLAS kernel (see the module docstring on libm).
+    arithmetic: bracketed Newton on one real root, deflation to a quadratic,
+    and the quadratic by the cancellation-free formula.  Each u gives the pair
+    lambda = +/- sqrt(u) (principal branch plus its negation, which keeps the
+    set closed under negation regardless of the branch cut).  The arithmetic
+    is real +, -, *, / and sqrt and complex sqrt (besides exact steps:
+    comparisons, selects and signs), which round the same whichever SIMD
+    loops numpy picks, so the roots' bits depend on neither the SIMD level
+    nor the BLAS kernel (see the module docstring on libm).
 
-    Coefficients of shape S give roots of shape S + (6,): scalars give six,
-    arrays are solved in one pass, with the same bits as cell by cell.
+    Coefficients of shape S give roots of shape S + (6,).  Scalars (numbers,
+    numpy scalars, 0-d arrays) give six, from the cubic on Python floats;
+    arrays are solved in one numpy pass.  Both are spelled from one source
+    and give the same bits, and one ``np.sqrt`` takes the u to lambda.
 
     Raises
     ------
     ValueError
         If a coefficient is not finite.
     """
-    # one cell runs on numpy scalars, the one place it leaves Python floats: a
-    # division by 0 in a branch that _where does not select must give inf or NaN,
-    # as on arrays, not raise, and 0-d arrays cost far more per operation
-    p, q, r = (np.asarray(c, dtype=float)[()] for c in coeffs)
-    if not (np.isfinite(p) & np.isfinite(q) & np.isfinite(r)).all():
-        raise ValueError("characteristic coefficients must be finite")
-    s = np.sqrt(_cubic_roots(p, q, r))
+    if any(np.ndim(c) for c in coeffs if not isinstance(c, float)):
+        p, q, r = (np.asarray(c, dtype=float) for c in coeffs)
+        if not (np.isfinite(p) & np.isfinite(q) & np.isfinite(r)).all():
+            raise ValueError("characteristic coefficients must be finite")
+        u = _cubic_roots(p, q, r)
+    else:
+        p, q, r = map(float, coeffs)
+        if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(r)):
+            raise ValueError("characteristic coefficients must be finite")
+        u = np.array(_cubic_roots_s(p, q, r))
+    s = np.sqrt(u)
     roots = np.empty(s.shape[:-1] + (6,), dtype=complex)
     roots[..., 0::2], roots[..., 1::2] = s, -s
     return roots
@@ -365,7 +440,8 @@ def unstable_direction(params: Params) -> tuple[float, np.ndarray]:
     """
     pts = triangular_points(params)
     lam = max(solve_characteristic(_closed_form(pts, params)).tolist(), key=lambda z: z.real)
-    lower = linearization_matrix(hessian_omega(pts.point(), params), params.n_sq)[4:].tolist()
+    hess = hessian_omega((pts.x_eq, 0.0, pts.z_plus), params)  # the +z point
+    lower = linearization_matrix(hess, params.n_sq)[4:].tolist()
     y, z = ([row[j] + lam * row[3 + j] - (lam * lam if j == i else 0.0) for j in range(3)]
             for i, row in enumerate(lower, 1))
     xi = (y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0])

@@ -1,5 +1,15 @@
+import ast
+import compileall
+import inspect
 import math
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis
 import mpmath
@@ -24,7 +34,8 @@ from robe3bp import (
     unstable_direction,
 )
 from robe3bp.model import PotentialHessian
-from robe3bp.stability import _cubic_roots
+from robe3bp import stability
+from robe3bp.stability import _cubic_roots_s
 from conftest import FROZEN, acceptance_grid, min_weight_match, whole_region_cells
 
 
@@ -386,7 +397,7 @@ def _check_cubic_contract(exact, real, pair, counted=True):
     # 1e-120 of their largest term: f(u) is exact as far as 16 eps can tell
     with mpmath.workdps(120):
         p, q, r = (mpmath.mpf(c) for c in coeffs)
-        for z in _cubic_roots(*(np.asarray(c) for c in coeffs)).tolist():
+        for z in _cubic_roots_s(*coeffs):
             u = mpmath.mpc(z.real, z.imag)
             size = abs(u)
             scale = size**3 + abs(p) * size**2 + abs(q) * size + abs(r)
@@ -443,3 +454,103 @@ def test_cubic_contract_roots_over_many_decades(roots):
     # decade, so the rounding cannot make a real pair complex
     real, pair = roots
     _check_cubic_contract(_coeffs_from_roots(real, pair), real, pair)
+
+
+# ---------------------------------------------------------------------------
+# one cubic source, two spellings: a cell on Python floats, a grid on numpy
+
+_EDGE_CUBICS = [
+    (0.0, 0.0, 0.0),  # u = 0 three times: g = 0 where the slope is 0
+    (-0.0, 0.0, -0.0),
+    (-1.0, -0.0, 0.0),  # r = 0: u = 0 twice, and 1
+    (2.0, -3.0, 0.0),
+    (-7.0, 15.0, -9.0),  # (u - 3)^2 (u - 1): Newton from above meets the double root
+    (-5.0, 7.0, -3.0),  # (u - 1)^2 (u - 3)
+    (-3.0, 3.0, -1.0),  # (u - 1)^3
+    (6.0, 12.0, 8.0),  # (u + 2)^3
+    (-3e100, 3e200, -1e300),  # (u - 1e100)^3: the slope overflows from the first step
+    (-(2e100 + 1.0), 1e200 + 2e100, -1e200),  # (u - 1e100)^2 (u - 1)
+    (1e308, -1e308, 1e308),
+    (5e-324, -5e-324, 5e-324),
+]
+
+
+def _check_one_cell(coeffs):
+    """The one-cell roots are the cubic's row in a two-cell grid, bit for bit,
+    and a numpy scalar or 0-d array of each coefficient gives them too; no
+    ZeroDivisionError or RuntimeWarning escapes."""
+    coeffs = CharCoeffs(*coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = solve_characteristic(coeffs)
+        _check_cell_of_grid(coeffs, roots, classify(coeffs))
+        for wrap in (np.float64, np.asarray):
+            same = solve_characteristic(CharCoeffs(*map(wrap, coeffs)))
+            assert same.tobytes() == roots.tobytes(), (wrap, coeffs)
+
+
+def test_edge_cubics_one_cell_is_its_grid_row(monkeypatch):
+    divided = []
+    over_zero = stability._over_zero
+    monkeypatch.setattr(stability, "_over_zero",
+                        lambda a, b: divided.append((a, b)) or over_zero(a, b))
+    for coeffs in _EDGE_CUBICS:
+        _check_one_cell(coeffs)
+    assert divided  # a Newton quotient by a slope of 0 was taken on floats
+
+
+_edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e308, -1e308]),
+    st.floats(-1e-300, 1e-300),  # subnormals among them
+    st.floats(-1e308, 1e308),
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(_edge_floats, _edge_floats, _edge_floats)
+def test_one_cell_cubic_is_its_grid_row(p, q, r):
+    _check_one_cell((p, q, r))
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0])
+@pytest.mark.parametrize("a", [1.0, -1.0, 5e-324, 1e308, 0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_quotient_by_zero_on_floats_is_ieee(a, b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.float64(a) / np.float64(b)
+    got = stability._over_zero(a, b)
+    assert math.isnan(got) if math.isnan(want) else got == want
+
+
+def test_float_spelling_is_rendered_without_numpy():
+    # the cubic is written once, in _CUBIC; each spelling's generated lines
+    # show in inspect.getsource, under a filename of their own
+    names = {}
+    for func, words, indent in ((_cubic_roots_s, stability._FLOATS, "    "),
+                                (stability._cubic_roots, stability._NUMPY, "        ")):
+        assert func.__code__.co_filename == f"<robe3bp robe3bp.stability.{func.__name__}>"
+        source = inspect.getsource(func)
+        assert textwrap.indent(stability._spell(stability._CUBIC, words), indent) in source
+        names[func] = {node.id for node in ast.walk(ast.parse(source))
+                       if isinstance(node, ast.Name)}
+        assert not names[func] & set(words)  # every word of the vocabulary spelled out
+    assert "    s = (-1.0 if r > 0.0 else 1.0)\n" in inspect.getsource(_cubic_roots_s)
+    assert not names[_cubic_roots_s] & {"np", "_where"}  # no numpy attribute, no numpy select
+    assert "np" in names[stability._cubic_roots]
+
+
+def test_pyc_only_install_fails_at_the_cubic_splice(tmp_path):
+    # model keeps its .py and splices _grad_s; stability is a .pyc alone, so
+    # the cubic has no source to be spliced from
+    package = tmp_path / "robe3bp"
+    shutil.copytree(Path(stability.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(package, legacy=True, quiet=1)
+    for path in package.glob("*.py"):
+        if path.name != "model.py":
+            path.unlink()
+    result = subprocess.run([sys.executable, "-c", "import robe3bp"], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert ("ImportError: robe3bp.stability needs its .py source to build _cubic_roots\n"
+            in result.stderr)
