@@ -21,10 +21,13 @@ One flag table per command builds its parser and reads its config file;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -101,11 +104,41 @@ def _report_text(report: dict, fmt: str) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    else:
+    """Write ``text`` to stdout, or to the file ``path`` in place.
+
+    A report is ASCII (JSON escapes the rest; CSV and SVG hold numbers and
+    fixed words), so its bytes are the same in any locale.  An existing file
+    is opened without ``O_TRUNC``, written from its start, and cut to the new
+    length only if it was longer: on ext4 (``auto_da_alloc``) a truncate to
+    zero makes the next close start writeback of the new data, which a call
+    that overwrites its report would pay every time; a truncate to a non-zero
+    length does not.  If the write fails (a full disk, EIO, an interrupt),
+    the file is cut to the bytes that reached it before the error goes on, so
+    it holds the written prefix and nothing of an older, longer report, as
+    ``open(path, "w")`` left it.  Devices, FIFOs and terminals are only
+    written: ``O_TRUNC`` does nothing there and ``ftruncate`` fails.
+    """
+    if not path:
         sys.stdout.write(text)
+        return
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
+        rest = memoryview(data)
+        try:
+            while rest:
+                rest = rest[os.write(fd, rest):]
+        except BaseException:
+            if regular:
+                with contextlib.suppress(OSError):  # the write's error is the one to report
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            raise
+        if regular and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -403,6 +406,104 @@ def test_unwritable_output_exits_1(capsys):
     code = main(["locate", *CANONICAL_ARGS, "--output", "/no/such/dir/out.json"])
     assert code == 1
     assert "robe3bp: error" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# --output rewrites an existing file in place
+
+_SWEEP_5X5 = ["sweep", "--grid-mu", "0.05:0.5:5", "--grid-k=-0.2:-0.001:5"]
+_SWEEP_2X2 = ["sweep", "--grid-mu", "0.05:0.5:2", "--grid-k=-0.2:-0.001:2"]
+_LOCATE = ["locate", *CANONICAL_ARGS]
+
+
+def _written(argv, path):
+    """The bytes ``main`` writes to ``path`` for ``argv``."""
+    assert main([*argv, "--output", str(path)]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("before, after", [
+    (_SWEEP_5X5, _SWEEP_2X2),  # shorter over longer: the file is cut
+    (_SWEEP_5X5, _LOCATE),
+    (_SWEEP_2X2, _SWEEP_5X5),  # longer over shorter: the file grows
+])
+def test_rewritten_report_is_the_fresh_report(before, after, tmp_path, capsys):
+    same, link = tmp_path / "same", tmp_path / "link"
+    _written(before, same)
+    os.link(same, link)
+    inode = same.stat().st_ino
+    assert _written(after, same) == _written(after, tmp_path / "fresh")
+    # the same inode is rewritten, so a hard link sees the new report
+    assert same.stat().st_ino == inode
+    assert link.read_bytes() == same.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks here")
+def test_rewrite_through_a_symlink_rewrites_its_target(tmp_path, capsys):
+    target, alias = tmp_path / "target", tmp_path / "alias"
+    _written(_SWEEP_5X5, target)
+    alias.symlink_to(target)
+    assert _written(_LOCATE, alias) == _written(_LOCATE, tmp_path / "fresh")
+    assert alias.is_symlink() and target.read_bytes() == alias.read_bytes()
+
+
+@pytest.mark.parametrize("prefix", [0, 10])
+def test_failed_write_leaves_only_the_written_prefix(prefix, tmp_path, monkeypatch, capsys):
+    report = _written(_LOCATE, tmp_path / "fresh")
+    out = tmp_path / "out"
+    assert len(_written(_SWEEP_5X5, out)) > len(report)
+    capsys.readouterr()
+    real_write, calls = os.write, []
+
+    def write_then_fail(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:prefix])
+
+    monkeypatch.setattr(os, "write", write_then_fail)
+    code = main([*_LOCATE, "--output", str(out)])
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("robe3bp: error: i/o failure: ")
+    # what open(path, "w") left: the prefix, and nothing of the older report
+    assert out.read_bytes() == report[:prefix]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_fifo_output_gets_the_whole_report(tmp_path, capsys):
+    # more than a pipe's 64 KiB buffer, so the writer waits on the reader
+    argv = ["sweep", "--grid-mu", "0.05:0.5:20", "--grid-k=-0.3:-0.001:20", "--grid-a1=0:0.1:2"]
+    report = _written(argv, tmp_path / "fresh")
+    assert len(report) > 1 << 16
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*argv, "--output", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert got == [report]
+    assert capsys.readouterr().err == ""
+
+
+def test_devnull_output_is_written_only(capsys):
+    assert main([*_LOCATE, "--output", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_new_file_mode_is_that_of_open_w(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "by_open", "w"):
+            pass
+        _written(_LOCATE, tmp_path / "by_main")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("by_open", "by_main")}
+    assert len(modes) == 1
 
 
 def test_unallocatable_sweep_grid_exits_1(capsys):
