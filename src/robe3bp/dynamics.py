@@ -6,21 +6,28 @@ The second-order equations are
     y'' + 2n x' = Omega_y
     z''         = Omega_z
 
-integrated here in first-order form with an embedded Dormand-Prince 5(4)
-pair (FSAL, adaptive step control, the fifth-order solution propagated).
-``_STAGES``/``_ERR`` are the one copy of the tableau and ``model._SLOPE`` the
-one spelling of the gradient.  At import, ``_step_source`` writes the step
-out from them on plain Python floats, one statement per component, and
-``model._splice`` puts it into ``integrate``'s loop in place of ``_STEP``,
-under a filename kept in ``linecache``, so tracebacks and
-``inspect.getsource(integrate)`` show the generated lines.  Stage 2 reads
+integrated here in first-order form with DOP853, the embedded Dormand-Prince
+8(5,3) pair: 12 stages, FSAL, the eighth-order solution propagated, and adaptive
+step control on Hairer's combined error estimate
 
-    x2 = x + h * (0.0 + a21 * vx)
-    y2 = y + h * (0.0 + a21 * vy)
-    z2 = z + h * (0.0 + a21 * vz)
-    vx2 = vx + h * (0.0 + a21 * ax)
-    vy2 = vy + h * (0.0 + a21 * ay)
-    vz2 = vz + h * (0.0 + a21 * az)
+    err = h e5^2 / sqrt(6 (e5^2 + 0.01 e3^2)),
+
+where e5^2 and e3^2 sum the squares of the fifth- and third-order estimates,
+each component divided by abs_tol + rel_tol max(|y|, |y_new|).  ``_STAGES``,
+``_E5`` and ``_E3`` are the one copy of the tableau and ``model._SLOPE`` the
+one spelling of the gradient.  At import, ``_step_source`` writes the step
+out from them on plain Python floats, one statement per component and each
+weight as its float literal, and ``model._splice`` puts it into
+``integrate``'s loop in place of ``_STEP``, under a filename kept in
+``linecache``, so tracebacks and ``inspect.getsource(integrate)`` show the
+generated lines.  Stage 2 reads
+
+    x2 = x + h * (0.0 + 0.05260015195876773 * vx)
+    y2 = y + h * (0.0 + 0.05260015195876773 * vy)
+    z2 = z + h * (0.0 + 0.05260015195876773 * vz)
+    vx2 = vx + h * (0.0 + 0.05260015195876773 * ax)
+    vy2 = vy + h * (0.0 + 0.05260015195876773 * ay)
+    vz2 = vz + h * (0.0 + 0.05260015195876773 * az)
     dx1 = x2 + mu
     dx2 = dx1 - 1.0
     r2_sq = dx2 * dx2 + y2 * y2 + z2 * z2
@@ -29,21 +36,26 @@ under a filename kept in ``linecache``, so tracebacks and
     ay2 = n_sq * y2 - k2 * y2 - c3 * y2 - n2 * vx2
     az2 = mk2 * z2 - c3 * z2
 
-and each later stage adds one term per earlier slope.  The generated text is
-the step as it would be written by hand, so it compiles to the same
-instructions and its bits cannot move with how it is produced.  A stage sum
-starts from ``0.0`` and so rounds as a sum from 0 does; an error sum starts
-from its first term, since it is squared and the sign of a zero drops out.
-The zero weights b2 = e2 = 0 are skipped: a finite stage-2 slope adds a zero
-there, and a non-finite one makes err inf or NaN through a32 anyway.  C is
-one ``_jacobi_s`` call on the arrays of accepted states.  A slow reference
-step built from ``_rhs``, ``_jacobi_s`` and the full tableau holds
-``integrate`` to the same bits in the tests.  Every square is a product, as
-in ``model``: it overflows to inf, and an inf or NaN error estimate rejects
-the step.  |c|, ``max`` and ``min`` are spelled as comparisons (``c if c >=
-0.0 else -c``), which give the builtins' bits for -0.0 and NaN as well, so
-apart from ``sqrt`` the step calls no builtin.  The step's only exception is
-at the second primary: a slope divides by r2^3 unguarded, and the
+and each later stage adds one term per earlier slope of nonzero weight, a
+negative weight as a subtraction (``a - w * k`` has the bits of ``a + (-w) *
+k``).  The generated text is the step as it would be written by hand, so it
+compiles to the same instructions and its bits cannot move with how it is
+produced.  A stage sum starts from ``0.0`` and so rounds as a sum from 0 does;
+an error sum starts from its first term, since it is squared and the sign of a
+zero drops out.  The zero weights are skipped: k2 is weighed only into stage 3
+and k3 only into stages 4 and 5, and k2-k5 not into the solution or the error
+estimates.  A finite slope adds a zero there, and a non-finite one makes a
+later stage and so the error estimate non-finite anyway.  An estimate whose
+root ``6 (e5^2 + 0.01 e3^2)`` is 0 gives err 0; one where it is inf or NaN
+gives err inf and rejects the step, also where e3^2 alone overflows and the
+formula would read ``h e5^2 / inf = 0``.  C is one ``_jacobi_s`` call on the
+arrays of accepted states.  A slow reference step built from ``_rhs``,
+``_jacobi_s`` and the full tableau holds ``integrate`` to the same bits in the
+tests.  Every square is a product, as in ``model``: it overflows to inf.
+|c|, ``max`` and ``min`` are spelled as comparisons (``c if c >= 0.0 else
+-c``), which give the builtins' bits for -0.0 and NaN as well, so apart from
+``sqrt`` the step calls no builtin.  The step's only exception is at the
+second primary: a slope divides by r2^3 unguarded, and the
 ``ZeroDivisionError`` where r2^3 rounds to 0 is mapped once to the
 ``SingularityError`` that ``_grad_s`` raises there.
 The system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its
@@ -164,39 +176,85 @@ def _rhs(x, y, z, vx, vy, vz, mu, k, n_sq, n):
     return (vx, vy, vz, gx + 2.0 * n * vy, gy - 2.0 * n * vx, gz)
 
 
-# Dormand-Prince 5(4) tableau.  Each _STAGES row weighs the stages so far into
-# the next point; the last gives the solution, whose derivative is the next k1 (FSAL).
-_A2 = (1 / 5,)
-_A3 = (3 / 40, 9 / 40)
-_A4 = (44 / 45, -56 / 15, 32 / 9)
-_A5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
-_A6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_STAGES = (_A2, _A3, _A4, _A5, _A6, _B5)
-_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# DOP853, the Dormand-Prince 8(5,3) pair of Hairer, Nørsett & Wanner (§II.5 and
+# their code DOP853), digits as there.  Each _STAGES row weighs the slopes so far
+# into the next point, zeros included; the last, b, gives the eighth-order
+# solution, whose slope is the next k1 (FSAL).  _E5 and _E3 weigh k1..k12 into
+# the fifth- and third-order error estimates; _E3 is b less the third-order weights.
+_STAGES = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+     1.89151789931450038304281599044, -5.8012039600105847814672114227,
+     3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+     2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2),
+)
+_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+       -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+       0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+       0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+       -0.2235530786388629525884427845e-1)
+_E3 = tuple(b - w for b, w in zip(_STAGES[-1], (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1)))
 
 
 def _step_source() -> str:
     """The statements of one attempted step after its first slope, from ``_STAGES``,
-    ``_ERR`` and ``model._SLOPE``: stages 2-7, the scaled error terms and err."""
+    ``_E5``, ``_E3`` and ``model._SLOPE``: stages 2-13, the scaled error estimates and err."""
     comps = ("x", "y", "z", "vx", "vy", "vz")
     rates = ("vx", "vy", "vz", "ax", "ay", "az")  # the slope of each component
 
-    def weighed(row, name, rate):  # "a31 * vx + a32 * vx2" for row (a31, a32) and rate vx
-        return " + ".join(f"{name}{m} * {rate}{m if m > 1 else ''}"
-                          for m, w in enumerate(row, 1) if w)
+    def weighed(row, text=""):  # "0.0 + 0.1 * {r} - 0.2 * {r}3" from "0.0", (0.1, 0.0, -0.2)
+        for m, w in enumerate(row, 1):
+            if w:
+                term = f"{abs(w)!r} * {{r}}{m if m > 1 else ''}"
+                sign = "-" if w < 0 else "+" if text else ""
+                text = f"{text} {sign} {term}" if text else sign + term
+        return text
 
     lines = []
     for j, row in enumerate(_STAGES, 2):
-        a = f"a{j}" if j < 7 else "b"
-        lines += [f"{c}{j} = {c} + h * (0.0 + {weighed(row, a, r)})" for c, r in zip(comps, rates)]
+        stage = weighed(row, "0.0")
+        lines += [f"{c}{j} = {c} + h * ({stage.format(r=r)})" for c, r in zip(comps, rates)]
         lines += _SLOPE.format(j=j, cx=f" + n2 * vy{j}", cy=f" - n2 * vx{j}").splitlines()
         lines.append("")
+    e5, e3 = weighed(_E5), weighed(_E3)
     for c, r in zip(comps, rates):  # |c| and max() as comparisons
-        lines.append(f"m0, m1 = {c} if {c} >= 0.0 else -{c}, {c}7 if {c}7 >= 0.0 else -{c}7")
-        lines.append(f"e{c} = h * ({weighed(_ERR, 'e', r)})"
-                     " / (abs_tol + rel_tol * (m1 if m1 > m0 else m0))")
-    lines.append(f"err = sqrt(({' + '.join(f'e{c} * e{c}' for c in comps)}) / 6.0)")
+        lines.append(f"m0, m1 = {c} if {c} >= 0.0 else -{c}, {c}13 if {c}13 >= 0.0 else -{c}13")
+        lines.append("sc = abs_tol + rel_tol * (m1 if m1 > m0 else m0)")
+        lines.append(f"e5{c} = ({e5.format(r=r)}) / sc")
+        lines.append(f"e3{c} = ({e3.format(r=r)}) / sc")
+    for e in ("e5", "e3"):
+        lines.append(f"{e}sq = {' + '.join(f'{e}{c} * {e}{c}' for c in comps)}")
+    lines.append("den = 6.0 * (e5sq + 0.01 * e3sq)")
+    lines.append("err = h * e5sq / sqrt(den) if 0.0 < den < inf else 0.0 if den == 0.0 else inf")
     return "\n".join(lines)
 
 
@@ -217,10 +275,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     collision_sq = COLLISION_R2 * COLLISION_R2
     escape_sq = ESCAPE_RADIUS * ESCAPE_RADIUS
     abs_tol, rel_tol, t_end = cfg.abs_tol, cfg.rel_tol, cfg.t_end
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _STAGES
-    e1, _, e3, e4, e5, e6, e7 = _ERR
-    sqrt = math.sqrt
+    sqrt, inf = math.sqrt, math.inf
 
     t = 0.0
     s = x, y, z, vx, vy, vz = tuple(state0.vector().tolist())
@@ -251,12 +306,12 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     "step, 1e-14 * max(1, t)"
                 )
 
-            _STEP  # replaced at import by stages 2-7, the error terms and err: _step_source()
+            _STEP  # replaced at import by stages 2-13, the error estimates and err: _step_source()
 
             if err <= 1.0:
                 t += h
-                s = x, y, z, vx, vy, vz = x7, y7, z7, vx7, vy7, vz7
-                ax, ay, az = ax7, ay7, az7
+                s = x, y, z, vx, vy, vz = x13, y13, z13, vx13, vy13, vz13
+                ax, ay, az = ax13, ay13, az13
                 steps += 1
                 times.append(t)
                 states.append(s)
@@ -267,9 +322,9 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     status = "escape"
             else:
                 rejections += 1
-            # min(5.0, max(0.2, f)) as comparisons: a NaN f (a NaN err) fails
-            # both and gives 0.2, as max(0.2, nan) does; 0.0 ** -0.2 would raise
-            f = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+            # min(5.0, max(0.2, f)) as comparisons: an inf err gives f = 0 and
+            # so 0.2; 0.0 ** -0.125 would raise
+            f = 5.0 if err == 0.0 else 0.9 * err ** -0.125
             h *= 5.0 if f > 5.0 else f if f > 0.2 else 0.2
     except ZeroDivisionError:
         raise SingularityError(_AT_SECOND_PRIMARY) from None

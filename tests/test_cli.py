@@ -250,7 +250,7 @@ def test_step_size_underflow_names_the_error_estimate(tmp_path, capsys):
                  "--offset", "1e-8", "--t-end", "5", "--output", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("robe3bp: error: step size underflow at t=1.27212e-13 ")
+    assert err.startswith("robe3bp: error: step size underflow at t=3.79928e-14 ")
     assert "error estimate stayed above the tolerance" in err and "singularity" not in err
 
 
@@ -715,8 +715,8 @@ _PINNED_OUTPUTS = {
         "1d41bfa2e76c5351738e197793319e250e18b4eb4601aed7d463442da2153e9f", _NO_STDOUT),
     "integrate_offset": (
         ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8"],
-        "5a32c5505201adc3ede4fd1e3b2912a10344f5eaaa5390671b25a97edf42156d",
-        "4f054d35855e3a2d23f2bedd824a6156630acedbe9a0c8f8637bbfc365c6de44"),
+        "a7c6f4019bd4602d45c16b8a9d1893bd85d03d380ee6c5e5878ecd4a67397c3d",
+        "f1fa0f440029ee914fd353295c7830b08f241e964fb5bc6ca70e42bc33c55b10"),
     "stability_canonical_json": (
         ["stability", *CANONICAL_ARGS, "--format", "json"],
         "39a739eccf2058e5a97ccee81151e7c4103973ba18f6c685ff105b42ebbed5c7", _NO_STDOUT),

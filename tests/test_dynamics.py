@@ -9,6 +9,7 @@ import textwrap
 import traceback
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import numpy.testing as npt
@@ -267,7 +268,7 @@ def test_start_on_the_second_primary_raises_like_the_reference(pos):
     params = Params(mu=0.1, k=-0.01)
     assert pos[0] + params.mu - 1.0 == 0.0
     state0 = PhaseState(pos=pos, vel=(0.0, 0.0, 0.0))
-    for run in (integrate, _dp5_reference):
+    for run in (integrate, _dop853_reference):
         with pytest.raises(SingularityError, match=r"\(r2 = 0\)"):
             run(state0, params, IntegratorConfig(t_end=1.0))
 
@@ -297,29 +298,29 @@ def test_integrate_step_underflow(canonical):
 _PINNED_RUNS = {
     "bounded_a": (
         ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING, dict(t_end=20.0),
-        "111a2b2624b0a50c4ee444b608a20ff19368c077a38f59149e6da75204c47e72", 1447, 0, "completed"),
+        "7d4f970f335ef3f246a9af783a0c5a5892c8b92e01a6c6d4682d2f1fc6b65321", 158, 0, "completed"),
     "bounded_b": (
         ((-0.3, 0.25, -0.1), (0.1, 0.05, -0.15)), CONFINING, dict(t_end=20.0),
-        "d550af85aad34d86d8e51754f0e982b848a0c67ca7a2b5f0264c785f9203dd02", 1575, 0, "completed"),
+        "5ab3b0f65e721d96153dd6bdbb4a16e972751825beddba8b078844581d8a8281", 168, 0, "completed"),
     "unstable_seed": (
         None, Params(mu=0.1, k=-0.01, a1_oblate=0.02), dict(t_end=60.0),
-        "41de42870b252ec69b95f7fd383738b66853917b2ae8e51fcaa05228fcfd2d3f", 67, 4, "completed"),
+        "d09c1e94e2cea2d115d472130c7ad22e65c08ad4628c312876f231362ddcb730", 20, 7, "completed"),
     "escape": (
         ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Params(mu=0.1, k=-0.01),
         dict(t_end=50.0, rel_tol=1e-9, abs_tol=1e-9),
-        "94365459006b56ed7691b9bdf0cabbfb895e30d75724084c84ba8152a8eb300e", 632, 25, "escape"),
+        "adc070d4013d3d4f155c81b9835cc64339710675f84695833761bb581a3ed8b8", 92, 14, "escape"),
     "collision": (
         ((1 - 0.1 + 1e-4, 0.0, 0.0), (-0.05, 0.0, 0.0)), CONFINING,
         dict(t_end=1.0, rel_tol=1e-9, abs_tol=1e-9),
-        "a01ebdeb726ec1eea8a251f7c182d97e4d74ee77bdde0d6ae8768f8f50644f30", 94, 9, "collision"),
+        "ff14b1b439edacfbc8b9688dd93676d75ab30b76986a98abe2761156dcdcf6fa", 34, 37, "collision"),
     "loose_tolerance": (
         ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING,
         dict(rel_tol=1e-3, abs_tol=1e-3, t_end=20.0),
-        "dd0cdff05e5eb0b5129a1c5539cd6e4751c1b6f38cbd96870b50f4eca1125762", 30, 0, "completed"),
+        "537db9106bb5e422f2f9cfdcb2c3d3cb5b295ba6b819b83f50676cd4a4aca02e", 19, 1, "completed"),
     # the signed zeros flip to +0.0 on the first step, as the stage sums start from 0
     "planar_negative_zero": (
         ((0.3, -0.2, -0.0), (0.1, 0.05, -0.0)), CONFINING, dict(t_end=10.0),
-        "d4df2bb80b6d0e3ec90e0ba90dae91f14dc73b0aee91ad85265b0da9230baa11", 828, 0, "completed"),
+        "e2eba1e464ee8eae63301723dfb2ba41df69fbc1a3d338fceff843751948264b", 110, 14, "completed"),
 }
 
 
@@ -368,12 +369,47 @@ def test_pinned_run_bits_under_another_blas_kernel(name):
 
 
 # ---------------------------------------------------------------------------
-# the written-out step against a slow Dormand-Prince 5(4) reference
+# the written-out step against a slow DOP853 reference
 
-def _dp5_reference(state0, params, cfg):
-    """integrate's method with loops over ``_STAGES`` and ``_ERR``, ``_rhs`` as
-    the slope and ``_jacobi_s`` as C: the same sums in the same order, so the
-    same bits."""
+def _reference_attempt(s, first, h, params, cfg):
+    """One attempted DOP853 step from ``s`` with first slope ``first``, by loops over
+    ``_STAGES``, ``_E5`` and ``_E3`` with ``_rhs`` as the slope: the slopes k1..k13,
+    the new point and the error norms e5^2 and e3^2."""
+    mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
+    slopes = [first]
+    for row in dynamics._STAGES:
+        point = []
+        for i in range(6):
+            acc = 0.0
+            for a, slope in zip(row, slopes):
+                acc += a * slope[i]
+            point.append(s[i] + h * acc)
+        slopes.append(dynamics._rhs(*point, mu, k, n_sq, n))
+    norms = []
+    for weights in (dynamics._E5, dynamics._E3):
+        sq = 0.0
+        for i in range(6):
+            acc = weights[0] * slopes[0][i]
+            for e, slope in zip(weights[1:], slopes[1:]):
+                acc += e * slope[i]
+            scaled = acc / (cfg.abs_tol + cfg.rel_tol * max(abs(s[i]), abs(point[i])))
+            sq += scaled * scaled
+        norms.append(sq)
+    return slopes, tuple(point), *norms
+
+
+def _reference_err(h, e5sq, e3sq):
+    """Hairer's err = h e5^2 / sqrt(6 (e5^2 + 0.01 e3^2)): 0 where that root is 0,
+    and inf, a rejection, where it is inf or NaN."""
+    den = 6.0 * (e5sq + 0.01 * e3sq)
+    if den == 0.0:
+        return 0.0
+    return h * e5sq / math.sqrt(den) if math.isfinite(den) else math.inf
+
+
+def _dop853_reference(state0, params, cfg):
+    """integrate's method with ``_reference_attempt`` as the step and ``_jacobi_s``
+    as C: the same sums in the same order, so the same bits."""
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
 
     def stop(s):
@@ -394,41 +430,33 @@ def _dp5_reference(state0, params, cfg):
             h = cfg.t_end - t
         if h < 1e-14 * max(1.0, abs(t)) and h < cfg.t_end - t:
             raise ConvergenceError("step size underflow")
-        slopes = [first]
-        for row in dynamics._STAGES:
-            point = []
-            for i in range(6):
-                acc = 0.0
-                for a, slope in zip(row, slopes):
-                    acc += a * slope[i]
-                point.append(s[i] + h * acc)
-            slopes.append(dynamics._rhs(*point, mu, k, n_sq, n))
-        err_sq = 0.0
-        for i in range(6):
-            acc = dynamics._ERR[0] * slopes[0][i]
-            for e, slope in zip(dynamics._ERR[1:], slopes[1:]):
-                acc += e * slope[i]
-            scaled = h * acc / (cfg.abs_tol + cfg.rel_tol * max(abs(s[i]), abs(point[i])))
-            err_sq += scaled * scaled
-        err = math.sqrt(err_sq / 6.0)
+        slopes, point, e5sq, e3sq = _reference_attempt(s, first, h, params, cfg)
+        err = _reference_err(h, e5sq, e3sq)
         if err <= 1.0:
-            t, s, first, steps = t + h, tuple(point), slopes[-1], steps + 1
+            t, s, first, steps = t + h, point, slopes[-1], steps + 1
             times.append(t)
             states.append(s)
             jacobi.append(dynamics._jacobi_s(*s, mu, k, n_sq))
             status = stop(s)
-            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
         else:
             rejections += 1
-            h *= 0.2 if math.isnan(err) else max(0.2, 0.9 * err ** -0.2)
+            h *= max(0.2, 0.9 * err ** -0.125)
     return Trajectory(np.array(times), np.array(states), np.array(jacobi), steps, rejections,
                       status or "completed")
+
+
+def _first_try_norms(state0, params, cfg):
+    """e5^2 and e3^2 of integrate's first try from ``state0``, by the reference."""
+    s = tuple(state0.vector().tolist())
+    first = dynamics._rhs(*s, params.mu, params.k, params.n_sq, params.n)
+    return _reference_attempt(s, first, min(dynamics._INITIAL_STEP, cfg.t_end), params, cfg)[2:]
 
 
 def _assert_matches_reference(state0, params, cfg):
     """integrate gives the reference's bits, or raises where the reference does."""
     try:
-        ref = _dp5_reference(state0, params, cfg)
+        ref = _dop853_reference(state0, params, cfg)
     except (ConvergenceError, SingularityError) as exc:
         with pytest.raises(type(exc)):
             integrate(state0, params, cfg)
@@ -485,17 +513,21 @@ def test_integrate_matches_dp5_reference_to_an_escape(x, vx, vy):
     assert _assert_matches_reference(state0, REPELLING, ESCAPE_CFG).status == "escape"
 
 
-@pytest.mark.parametrize("margin, nan_tries, rejections", [(1e-8, 5, 5), (1e-7, 4, 10)])
+@pytest.mark.parametrize("margin, nan_tries, rejections", [(1e-8, 6, 6), (1e-7, 4, 16)])
 def test_integrate_matches_dp5_reference_after_nan_error_estimates(margin, nan_tries, rejections):
-    # 2n vy sits a relative margin below max_float / |a52|, so the first tries'
-    # stage-2 slope 2n vy2 passes it, a52 * ax2 overflows in the stage-5 sum,
-    # a later slope is 0 * inf = nan and err is NaN: each such try is rejected
-    # with the factor 0.2, until a smaller h keeps every stage sum finite
+    # 2n vy sits a relative margin below max_float / P, P = 44.1 the largest
+    # partial sum of stage 9's weights, so on the first tries the slopes 2n vy_j
+    # of the earlier stages pass it, stage 9's sum overflows, stage 10's slope is
+    # NaN and so is the error estimate: each such try is rejected with the
+    # factor 0.2, until a smaller h keeps every stage sum finite
     params = Params(mu=0.1, k=-0.01)
-    a52 = dynamics._STAGES[3][1]
-    vy = sys.float_info.max / (-a52 * 2.0 * params.n) * (1.0 - margin)
+    peak = max(map(abs, accumulate(dynamics._STAGES[7])))
+    vy = sys.float_info.max / (peak * 2.0 * params.n) * (1.0 - margin)
     state0 = PhaseState(pos=(0.1, 0.2, 0.3), vel=(-vy, vy, 0.0))
-    traj = _assert_matches_reference(state0, params, IntegratorConfig(t_end=1.0))
+    cfg = IntegratorConfig(t_end=1.0)
+    e5sq, e3sq = _first_try_norms(state0, params, cfg)
+    assert math.isnan(e5sq) and math.isnan(e3sq)
+    traj = _assert_matches_reference(state0, params, cfg)
     assert (traj.steps, traj.rejections, traj.status) == (1, rejections, "escape")
     # a finite rejected err shrinks h by less than 1, so the accepted step is at
     # most 1e-4 shrunk by 0.2 per NaN try, and equal to it when every try was NaN
@@ -506,15 +538,16 @@ def test_integrate_matches_dp5_reference_after_nan_error_estimates(margin, nan_t
 
 
 @pytest.mark.parametrize("k, tol, outcome", [
-    (1e12, 1e-12, (1, 8)), (-1e16, 1e-6, (1, 8)), (1e20, 1e-2, (1, 10)),
-    (-1e20, 1e-12, (1, 13)), (1e24, 1e-12, ConvergenceError)])
+    (1e12, 1e-12, (1, 5)), (-1e16, 1e-6, (1, 8)), (1e20, 1e-2, (1, 9)),
+    (-1e20, 1e-12, (1, 12)), (1e24, 1e-12, (1, 14)), (1e26, 1e-12, ConvergenceError)])
 def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol, outcome):
     # x + mu = 0 keeps 2k (x + mu) finite at the start, and a velocity of
     # 4 max_float / (2 |k| a21 h) carries the first try's stage-2 point to
     # where it overflows: k1 is finite, and k2 is not.  integrate skips the
-    # terms b2 k2 and e2 k2 of weight 0, the reference keeps them.  Each try
-    # with a non-finite k2 is rejected; a smaller h escapes on its first
-    # accepted step, unless no h above 1e-14 meets the tolerance.
+    # terms of weight 0 on k2 in stages 4-13 and the error sums, the reference
+    # keeps them.  Each try with a non-finite k2 is rejected; a smaller h
+    # escapes on its first accepted step, unless no h above 1e-14 meets the
+    # tolerance.
     params = Params(mu=0.1, k=k)
     h, a21 = dynamics._INITIAL_STEP, dynamics._STAGES[0][0]
     s = (-params.mu, 0.0, 0.0, sys.float_info.max / (2.0 * abs(k) * a21 * h) * 4.0, 0.0, 0.0)
@@ -533,14 +566,101 @@ def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol,
         assert traj.jacobi[0] == -np.inf and np.isnan(traj.jacobi[1])
 
 
+def test_overflowing_third_order_estimate_rejects_the_step():
+    # at tolerances of 1e-170 the first try's e3^2 overflows while e5^2 stays
+    # finite, where h e5^2 / sqrt(6 (e5^2 + 0.01 e3^2)) reads h e5^2 / inf = 0
+    # and would accept the step.  It is rejected with the factor 0.2, as is every
+    # later try, down to the step floor: 1e-4 * 0.2^15 = 3.277e-15
+    state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
+    cfg = IntegratorConfig(1e-170, 1e-170, t_end=1.0)
+    e5sq, e3sq = _first_try_norms(state0, CONFINING, cfg)
+    assert e3sq == math.inf and math.isfinite(e5sq)
+    assert dynamics._INITIAL_STEP * e5sq / math.sqrt(6.0 * (e5sq + 0.01 * e3sq)) == 0.0
+    assert _assert_matches_reference(state0, CONFINING, cfg) is None
+    with pytest.raises(ConvergenceError, match=r"at t=0 \(h=3\.277e-15\)"):
+        integrate(state0, CONFINING, cfg)
+
+
+def test_zero_error_estimate_accepts_with_factor_5():
+    # at tolerances of 1e300 every scaled estimate squares to 0, so the root
+    # 6 (e5^2 + 0.01 e3^2) is 0: err is 0, never 0 / 0, and each step is
+    # accepted and the next tried 5 times as long
+    state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
+    cfg = IntegratorConfig(1e300, 1e300, t_end=0.01)
+    assert _first_try_norms(state0, CONFINING, cfg) == (0.0, 0.0)
+    traj = _assert_matches_reference(state0, CONFINING, cfg)
+    assert (traj.steps, traj.rejections, traj.status) == (4, 0, "completed")
+    t, h = 0.0, dynamics._INITIAL_STEP
+    for got in traj.times[1:4].tolist():
+        t += h
+        h *= 5.0
+        assert got == t
+    assert traj.times[-1] == 0.01
+
+
+# DOP853's nodes c2..c13 (Hairer, Nørsett & Wanner): c2..c5 to Hairer's 30
+# digits, exact elsewhere; b2..b5 = 0, so the quadrature sums use exact nodes only
+_NODES = tuple(map(Fraction, (
+    "0.526001519587677318785587544488e-01", "0.789002279381515978178381316732e-01",
+    "0.118350341907227396726757197510", "0.281649658092772603273242802490",
+    "1/3", "1/4", "4/13", "127/195", "3/5", "6/7", "1", "1")))
+
+
+def _residual_within_rounding(terms, exact):
+    """|sum(terms) - exact| in exact arithmetic, asserted within 2^-52 of
+    sum |terms|, about what rounding each weight to a float can leave."""
+    residual = abs(sum(terms) - exact)
+    assert residual <= Fraction(1, 2 ** 52) * sum(map(abs, terms))
+    return residual
+
+
+def test_tableau_conditions_hold_in_exact_arithmetic():
+    # each stage's row sums to its node, b integrates c^(q-1) exactly for
+    # q = 1..8 (order 8), and the error weights vanish on c^(q-1) for q = 1..5
+    # (e5, a fifth-order estimate) and q = 1..3 (e3, third order) but not beyond
+    rows = [list(map(Fraction, row)) for row in dynamics._STAGES]
+    assert len(rows) == len(_NODES) and [len(row) for row in rows] == list(range(1, 13))
+    worst = max(_residual_within_rounding(row, c) for row, c in zip(rows, _NODES))
+    nodes = (Fraction(0),) + _NODES[:-1]  # c1 = 0 and the nodes of k2..k12
+    b = rows[-1]
+    assert b[1:5] == [0, 0, 0, 0]
+    for q in range(1, 9):
+        terms = [w * c ** (q - 1) for w, c in zip(b, nodes)]
+        worst = max(worst, _residual_within_rounding(terms, Fraction(1, q)))
+    for weights, order in ((dynamics._E5, 5), (dynamics._E3, 3)):
+        weights = list(map(Fraction, weights))
+        for q in range(1, order + 2):
+            terms = [w * c ** (q - 1) for w, c in zip(weights, nodes)]
+            if q <= order:
+                worst = max(worst, _residual_within_rounding(terms, 0))
+            else:
+                assert abs(sum(terms)) > 1e-4
+    assert worst < 2e-15
+
+
+def test_tableau_is_scipys_dop853_bit_for_bit():
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    stages = coeffs.N_STAGES
+    assert stages == len(dynamics._STAGES) == len(dynamics._E5) == len(dynamics._E3)
+    for i, row in enumerate(dynamics._STAGES[:-1], 1):
+        assert np.array(row).tobytes() == coeffs.A[i, :i].tobytes()
+        assert not coeffs.A[i, i:stages].any()
+    assert not coeffs.A[0, :stages].any()
+    assert np.array(dynamics._STAGES[-1]).tobytes() == coeffs.B.tobytes()
+    # scipy's estimates weigh k13 too, by 0
+    for ours, theirs in ((dynamics._E5, coeffs.E5), (dynamics._E3, coeffs.E3)):
+        assert np.array(ours + (0.0,)).tobytes() == theirs.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
-@given(mu=st.floats(0.05, 0.95), vx=st.floats(0.1, 2.0), y=_zeros, z=_zeros, vy=_zeros,
+@given(mu=st.floats(0.05, 0.95), vx=st.floats(0.25, 2.0), y=_zeros, z=_zeros, vy=_zeros,
        vz=_zeros)
 @example(mu=0.3, vx=1.0, y=0.0, z=0.0, vy=5e-111, vz=0.0)
 def test_stage_on_the_second_primary_raises_like_the_reference(mu, vx, y, z, vy, vz):
     # the first step's stage-2 point x + h (0.0 + a21 vx) lands exactly on the
-    # second primary's x, where r2^3 is 0: both raise.  With vy = 5e-111 its y
-    # is 1e-115, so r2^2 = 1e-230 is positive but r2^3 underflows to 0.
+    # second primary's x, where r2^3 is 0: both raise.  vx >= 0.25 starts it
+    # h a21 vx > 1e-6 away, outside the collision radius.  With vy = 5e-111 the
+    # stage's y is 2.6e-116, so r2^2 = 6.9e-232 is positive but r2^3 underflows to 0.
     h, a21 = dynamics._INITIAL_STEP, dynamics._STAGES[0][0]
     x = 1.0 - mu - h * (0.0 + a21 * vx)
     for _ in range(8):  # a few ulps of x away at most
@@ -551,7 +671,7 @@ def test_stage_on_the_second_primary_raises_like_the_reference(mu, vx, y, z, vy,
     state0 = PhaseState(pos=(x, y, z), vel=(vx, vy, vz))
     params = Params(mu=mu, k=-0.01)
     with pytest.raises(SingularityError):
-        _dp5_reference(state0, params, IntegratorConfig(t_end=1.0))
+        _dop853_reference(state0, params, IntegratorConfig(t_end=1.0))
     with pytest.raises(SingularityError):
         integrate(state0, params, IntegratorConfig(t_end=1.0))
 
@@ -560,7 +680,7 @@ def test_generated_code_shows_in_source_and_tracebacks(canonical):
     # integrate's step and _grad_s are spliced from model._SLOPE at import,
     # under filenames kept in linecache
     source = inspect.getsource(integrate)
-    assert "            ax7 = n_sq * x7 - k2 * dx1 - c3 * dx2 + n2 * vy7\n" in source
+    assert "            ax13 = n_sq * x13 - k2 * dx1 - c3 * dx2 + n2 * vy13\n" in source
     stage_2 = dynamics.__doc__.split("Stage 2 reads\n\n")[1].split("\n\n")[0]
     assert textwrap.indent(textwrap.dedent(stage_2), " " * 12) + "\n" in source
     assert "        ax = n_sq * x - k2 * dx1 - c3 * dx2\n" in inspect.getsource(model._grad_s)
@@ -619,15 +739,16 @@ def test_jacobi_drift_against_tightened_tolerance():
     assert np.max(np.abs(tight.jacobi - tight.jacobi[0])) < 1e-9
 
 
-def test_integrate_matches_dop853_oracle():
-    # an independent integrator (scipy's 8th-order Dormand-Prince) on the same
-    # right-hand side, evaluated at this integrator's sample times
+def test_integrate_matches_lsoda_oracle():
+    # an independent integrator of another family (scipy's LSODA, Adams and BDF
+    # multistep methods) on the same right-hand side, evaluated at this
+    # integrator's sample times
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
     traj = integrate(state0, CONFINING, IntegratorConfig(t_end=20.0))
     assert traj.status == "completed"
     ref = solve_ivp(lambda t, y: eom_rhs(PhaseState.from_vector(y), CONFINING),
-                    (0.0, 20.0), state0.vector(), method="DOP853",
+                    (0.0, 20.0), state0.vector(), method="LSODA",
                     t_eval=traj.times, rtol=1e-13, atol=1e-13)
     assert ref.success
     npt.assert_allclose(traj.states, ref.y.T, rtol=0.0, atol=1e-8)
