@@ -58,6 +58,16 @@ tests.  Every square is a product, as in ``model``: it overflows to inf.
 second primary: a slope divides by r2^3 unguarded, and the
 ``ZeroDivisionError`` where r2^3 rounds to 0 is mapped once to the
 ``SingularityError`` that ``_grad_s`` raises there.
+
+The step size follows DOP853's own rules (Hairer, Nørsett & Wanner §II.4 and
+their code).  The first step is ``_first_step``, their starting rule HINIT for
+order 8: one Euler probe, one extra slope, and the eighth root taken as three
+``sqrt``.  Where a norm it forms or its derivative estimate is not finite, or
+the probe lands on the second primary, it falls back to HINIT's 1e-6, capped at
+t_end.  After each try the step is scaled by 0.9 err^(-1/8), kept within
+[0.333, 6] (6 where err is 0), and it does not grow right after a rejection:
+a step accepted after a rejected one is followed by one no longer.
+
 The system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its
 drift along a trajectory is the accuracy audit for the integrator.  Trajectories
 terminate early with a flagged status on close approach to the second primary
@@ -95,7 +105,6 @@ __all__ = [
 ESCAPE_RADIUS = 1e3
 GROWTH_FIT_LOWER_FACTOR = 10.0
 GROWTH_FIT_UPPER_BOUND = 1e-3
-_INITIAL_STEP = 1e-4  # the first step tried; integrate shrinks or grows it from there
 
 
 @dataclass(frozen=True)
@@ -261,6 +270,54 @@ def _step_source() -> str:
 _STEP = _step_source()
 
 
+def _first_step(s, f0, mu, k, n_sq, n, abs_tol, rel_tol, t_end):
+    """The first step tried from ``s`` with slope ``f0``: DOP853's starting rule
+    (HINIT, order 8), with sk = abs_tol + rel_tol |y| per component.
+
+    h = 0.01 sqrt(dny / dnf) from dny = sum (y/sk)^2 and dnf = sum (f0/sk)^2, or
+    1e-6 where either is at most 1e-10, capped at t_end.  An Euler probe to
+    y + h f0 gives der2 = sqrt(sum ((f1 - f0)/sk)^2) / h and der12 = max(der2,
+    sqrt(dnf)); then h1 = (0.01 / der12)^(1/8), or max(1e-6, 1e-3 h) where der12
+    is at most 1e-15, and the step is min(100 h, h1, t_end).  Where dnf or dny is
+    not finite, der12 is not finite (a NaN included) or the probe lands on the
+    second primary, it is HINIT's 1e-6 capped at t_end: the probe is no
+    trajectory point, so the rule never raises.
+    """
+    sqrt, inf = math.sqrt, math.inf
+    fallback = 1e-6 if 1e-6 < t_end else t_end
+    sks = [abs_tol + rel_tol * (y if y >= 0.0 else -y) for y in s]
+    dnf = dny = 0.0
+    for y, f, sk in zip(s, f0, sks):
+        a, b = f / sk, y / sk
+        dnf += a * a
+        dny += b * b
+    if not (dnf < inf and dny < inf):
+        return fallback
+    h = 1e-6 if dnf <= 1e-10 or dny <= 1e-10 else 0.01 * sqrt(dny / dnf)
+    if h > t_end:
+        h = t_end
+    try:
+        f1 = _rhs(*[y + h * f for y, f in zip(s, f0)], mu, k, n_sq, n)
+    except SingularityError:
+        return fallback
+    d2 = 0.0
+    for f, g, sk in zip(f0, f1, sks):
+        q = (g - f) / sk
+        d2 += q * q
+    der2, der1 = sqrt(d2) / h, sqrt(dnf)
+    der12 = der1 if der1 > der2 else der2  # max(der2, der1), which keeps a NaN der2
+    if not der12 < inf:
+        return fallback
+    if der12 <= 1e-15:
+        h1 = 1e-3 * h if 1e-3 * h > 1e-6 else 1e-6
+    else:
+        h1 = sqrt(sqrt(sqrt(0.01 / der12)))  # the eighth root without libm pow
+    h *= 100.0
+    if h1 < h:
+        h = h1
+    return t_end if t_end < h else h
+
+
 def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the equations of motion from ``state0`` over [0, cfg.t_end].
 
@@ -288,10 +345,11 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     else:
         status = None
     steps = rejections = 0
+    rejected = False  # whether the last try was rejected
 
     if status is None:
-        h = min(_INITIAL_STEP, t_end)
         ax, ay, az = _rhs(*s, mu, k, n_sq, n)[3:]
+        h = _first_step(s, (vx, vy, vz, ax, ay, az), mu, k, n_sq, n, abs_tol, rel_tol, t_end)
     # A float division raises exactly where its divisor is 0, and in the loop
     # only a stage's r2^3 can be: the second primary, as _grad_s reports it.
     try:
@@ -308,6 +366,10 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
 
             _STEP  # replaced at import by stages 2-13, the error estimates and err: _step_source()
 
+            # min(6.0, max(0.333, f)) as comparisons: an inf err gives f = 0 and
+            # so 0.333; 0.0 ** -0.125 would raise
+            f = 6.0 if err == 0.0 else 0.9 * err ** -0.125
+            f = 6.0 if f > 6.0 else f if f > 0.333 else 0.333
             if err <= 1.0:
                 t += h
                 s = x, y, z, vx, vy, vz = x13, y13, z13, vx13, vy13, vz13
@@ -320,12 +382,13 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     status = "collision"
                 elif x * x + y * y + z * z > escape_sq:
                     status = "escape"
+                if rejected and f > 1.0:  # no growth on the step after a rejection
+                    f = 1.0
+                rejected = False
             else:
                 rejections += 1
-            # min(5.0, max(0.2, f)) as comparisons: an inf err gives f = 0 and
-            # so 0.2; 0.0 ** -0.125 would raise
-            f = 5.0 if err == 0.0 else 0.9 * err ** -0.125
-            h *= 5.0 if f > 5.0 else f if f > 0.2 else 0.2
+                rejected = True
+            h *= f
     except ZeroDivisionError:
         raise SingularityError(_AT_SECOND_PRIMARY) from None
 

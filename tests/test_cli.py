@@ -250,7 +250,7 @@ def test_step_size_underflow_names_the_error_estimate(tmp_path, capsys):
                  "--offset", "1e-8", "--t-end", "5", "--output", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("robe3bp: error: step size underflow at t=3.79928e-14 ")
+    assert err.startswith("robe3bp: error: step size underflow at t=3.46828e-14 ")
     assert "error estimate stayed above the tolerance" in err and "singularity" not in err
 
 
@@ -715,8 +715,8 @@ _PINNED_OUTPUTS = {
         "1d41bfa2e76c5351738e197793319e250e18b4eb4601aed7d463442da2153e9f", _NO_STDOUT),
     "integrate_offset": (
         ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8"],
-        "a7c6f4019bd4602d45c16b8a9d1893bd85d03d380ee6c5e5878ecd4a67397c3d",
-        "f1fa0f440029ee914fd353295c7830b08f241e964fb5bc6ca70e42bc33c55b10"),
+        "f1c60ab52adbefa388d6f23310fd131a3ced3451fb4b958f783dcdaa3ca261d3",
+        "10737f3c40902f49b54618b925d7531cce5bf0a1413e11600848015c39bcfa28"),
     "stability_canonical_json": (
         ["stability", *CANONICAL_ARGS, "--format", "json"],
         "39a739eccf2058e5a97ccee81151e7c4103973ba18f6c685ff105b42ebbed5c7", _NO_STDOUT),

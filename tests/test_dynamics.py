@@ -252,13 +252,19 @@ def test_integrate_start_whose_square_overflows_escapes():
     traj = integrate(state0, Params(mu=0.1, k=-0.01), IntegratorConfig(t_end=1.0))
     assert (traj.steps, traj.status) == (0, "escape")
     assert traj.jacobi[0] == np.inf
-    # and a first step that lands there: the start's C is -inf (v^2 overflows),
-    # the accepted step's r1^2 overflows as well and its C is inf - inf = nan
-    state0 = PhaseState(pos=(0.1, 0.2, 0.3), vel=(1e159, 0.0, 0.0))
+    # and a first step that escapes: the start's C is -inf (v^2 overflows), and
+    # (f0 / sk)^2 overflows, so the first step is the start rule's 1e-6.  From
+    # v = 1e159 it ends at x = 1e153, whose square is finite, and C stays -inf;
+    # from v = 1e161 the step's r1^2 overflows as well and its C is inf - inf = nan
+    params = Params(mu=0.1, k=-0.01, a1_oblate=0.02)
     cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3, t_end=1.0)
-    traj = _assert_matches_reference(state0, Params(mu=0.1, k=-0.01, a1_oblate=0.02), cfg)
-    assert (traj.steps, traj.status) == (1, "escape")
-    assert traj.jacobi[0] == -np.inf and np.isnan(traj.jacobi[1])
+    for vx, after in ((1e159, -np.inf), (1e161, np.nan)):
+        state0 = PhaseState(pos=(0.1, 0.2, 0.3), vel=(vx, 0.0, 0.0))
+        assert _first_try(state0, params, cfg) == 1e-6
+        traj = _assert_matches_reference(state0, params, cfg)
+        assert (traj.steps, traj.status) == (1, "escape")
+        assert traj.jacobi[0] == -np.inf
+        npt.assert_array_equal(traj.jacobi[1], after)
 
 
 @pytest.mark.parametrize("pos", [(0.9, 0.0, 0.0), (0.9, 1e-170, 0.0)])
@@ -298,29 +304,29 @@ def test_integrate_step_underflow(canonical):
 _PINNED_RUNS = {
     "bounded_a": (
         ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING, dict(t_end=20.0),
-        "7d4f970f335ef3f246a9af783a0c5a5892c8b92e01a6c6d4682d2f1fc6b65321", 158, 0, "completed"),
+        "7e5d0696bf55262c988213a60ea3628407db3c28b52f0d76e3c3135ad0bb29ea", 154, 0, "completed"),
     "bounded_b": (
         ((-0.3, 0.25, -0.1), (0.1, 0.05, -0.15)), CONFINING, dict(t_end=20.0),
-        "5ab3b0f65e721d96153dd6bdbb4a16e972751825beddba8b078844581d8a8281", 168, 0, "completed"),
+        "f9684ab6a47761eb9cb7436eebd0748d8a9252e938a6ce21d833b19fcd032037", 164, 0, "completed"),
     "unstable_seed": (
         None, Params(mu=0.1, k=-0.01, a1_oblate=0.02), dict(t_end=60.0),
-        "d09c1e94e2cea2d115d472130c7ad22e65c08ad4628c312876f231362ddcb730", 20, 7, "completed"),
+        "89260d78631ce63681fef4f9f7d7f104f94edd2e5b3ecf6d5b415309f96fe5d6", 15, 6, "completed"),
     "escape": (
         ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Params(mu=0.1, k=-0.01),
         dict(t_end=50.0, rel_tol=1e-9, abs_tol=1e-9),
-        "adc070d4013d3d4f155c81b9835cc64339710675f84695833761bb581a3ed8b8", 92, 14, "escape"),
+        "518666367d002288fb89967113b5a96c2c4b82a0c62f49975c24dcf19c722aad", 89, 18, "escape"),
     "collision": (
         ((1 - 0.1 + 1e-4, 0.0, 0.0), (-0.05, 0.0, 0.0)), CONFINING,
         dict(t_end=1.0, rel_tol=1e-9, abs_tol=1e-9),
-        "ff14b1b439edacfbc8b9688dd93676d75ab30b76986a98abe2761156dcdcf6fa", 34, 37, "collision"),
+        "76aee38ef37b83f57a968f31d924fced02aa2b3fd45c2b05b62ca325ebe34878", 35, 33, "collision"),
     "loose_tolerance": (
         ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING,
         dict(rel_tol=1e-3, abs_tol=1e-3, t_end=20.0),
-        "537db9106bb5e422f2f9cfdcb2c3d3cb5b295ba6b819b83f50676cd4a4aca02e", 19, 1, "completed"),
+        "0a110cfd970a67c53509aa959de200c60d893f6922d25816f11873a472afff8e", 14, 0, "completed"),
     # the signed zeros flip to +0.0 on the first step, as the stage sums start from 0
     "planar_negative_zero": (
         ((0.3, -0.2, -0.0), (0.1, 0.05, -0.0)), CONFINING, dict(t_end=10.0),
-        "e2eba1e464ee8eae63301723dfb2ba41df69fbc1a3d338fceff843751948264b", 110, 14, "completed"),
+        "16d2816ea2ce90b643d340e28a6e833dfca2cf6ca212d1b2fb18ddbff63a353d", 106, 13, "completed"),
 }
 
 
@@ -407,9 +413,46 @@ def _reference_err(h, e5sq, e3sq):
     return h * e5sq / math.sqrt(den) if math.isfinite(den) else math.inf
 
 
-def _dop853_reference(state0, params, cfg):
-    """integrate's method with ``_reference_attempt`` as the step and ``_jacobi_s``
-    as C: the same sums in the same order, so the same bits."""
+def _reference_first_step(s, first, params, cfg):
+    """DOP853's starting step (HINIT, order 8) from ``s`` with slope ``first``, by
+    loops over the components with ``_rhs`` as the probe's slope; HINIT's 1e-6,
+    capped at t_end, where a norm or der12 is not finite or the probe raises."""
+    fallback = min(1e-6, cfg.t_end)
+    sk = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in s]
+    dnf = dny = 0.0
+    for i in range(6):
+        dnf += (first[i] / sk[i]) * (first[i] / sk[i])
+        dny += (s[i] / sk[i]) * (s[i] / sk[i])
+    if not (math.isfinite(dnf) and math.isfinite(dny)):
+        return fallback
+    if dnf <= 1e-10 or dny <= 1e-10:
+        h = 1e-6
+    else:
+        h = 0.01 * math.sqrt(dny / dnf)
+    h = min(h, cfg.t_end)
+    probe = [s[i] + h * first[i] for i in range(6)]
+    try:
+        slope = dynamics._rhs(*probe, params.mu, params.k, params.n_sq, params.n)
+    except SingularityError:
+        return fallback
+    sq = 0.0
+    for i in range(6):
+        sq += ((slope[i] - first[i]) / sk[i]) * ((slope[i] - first[i]) / sk[i])
+    der12 = max(math.sqrt(sq) / h, math.sqrt(dnf))
+    if not math.isfinite(der12):
+        return fallback
+    if der12 <= 1e-15:
+        h1 = max(1e-6, 1e-3 * h)
+    else:
+        h1 = math.sqrt(math.sqrt(math.sqrt(0.01 / der12)))
+    return min(100.0 * h, h1, cfg.t_end)
+
+
+def _dop853_reference(state0, params, cfg, tries=None):
+    """integrate's method with ``_reference_first_step`` as the start,
+    ``_reference_attempt`` as the step and ``_jacobi_s`` as C: the same sums in the
+    same order, so the same bits.  Each try is logged to ``tries``, if given, as
+    (h, accepted, whether h was cut to t_end - t)."""
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
 
     def stop(s):
@@ -423,40 +466,57 @@ def _dop853_reference(state0, params, cfg):
 
     t, s = 0.0, tuple(state0.vector().tolist())
     times, states, jacobi = [t], [s], [dynamics._jacobi_s(*s, mu, k, n_sq)]
-    status, steps, rejections = stop(s), 0, 0
-    h, first = min(dynamics._INITIAL_STEP, cfg.t_end), dynamics._rhs(*s, mu, k, n_sq, n)
+    status, steps, rejections, rejected = stop(s), 0, 0, False
+    if status is None:
+        first = dynamics._rhs(*s, mu, k, n_sq, n)
+        h = _reference_first_step(s, first, params, cfg)
     while status is None and t < cfg.t_end:
-        if h > cfg.t_end - t:
+        cut = h > cfg.t_end - t
+        if cut:
             h = cfg.t_end - t
         if h < 1e-14 * max(1.0, abs(t)) and h < cfg.t_end - t:
             raise ConvergenceError("step size underflow")
         slopes, point, e5sq, e3sq = _reference_attempt(s, first, h, params, cfg)
         err = _reference_err(h, e5sq, e3sq)
+        if tries is not None:
+            tries.append((h, err <= 1.0, cut))
+        factor = 6.0 if err == 0.0 else min(6.0, max(0.333, 0.9 * err ** -0.125))
         if err <= 1.0:
             t, s, first, steps = t + h, point, slopes[-1], steps + 1
             times.append(t)
             states.append(s)
             jacobi.append(dynamics._jacobi_s(*s, mu, k, n_sq))
             status = stop(s)
-            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
+            if rejected:  # the step after a rejection does not grow
+                factor = min(factor, 1.0)
+            rejected = False
         else:
             rejections += 1
-            h *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        h *= factor
     return Trajectory(np.array(times), np.array(states), np.array(jacobi), steps, rejections,
                       status or "completed")
+
+
+def _first_try(state0, params, cfg):
+    """The first step integrate tries from ``state0``, by the reference's rule."""
+    s = tuple(state0.vector().tolist())
+    first = dynamics._rhs(*s, params.mu, params.k, params.n_sq, params.n)
+    return _reference_first_step(s, first, params, cfg)
 
 
 def _first_try_norms(state0, params, cfg):
     """e5^2 and e3^2 of integrate's first try from ``state0``, by the reference."""
     s = tuple(state0.vector().tolist())
     first = dynamics._rhs(*s, params.mu, params.k, params.n_sq, params.n)
-    return _reference_attempt(s, first, min(dynamics._INITIAL_STEP, cfg.t_end), params, cfg)[2:]
+    return _reference_attempt(s, first, _reference_first_step(s, first, params, cfg),
+                              params, cfg)[2:]
 
 
-def _assert_matches_reference(state0, params, cfg):
+def _assert_matches_reference(state0, params, cfg, tries=None):
     """integrate gives the reference's bits, or raises where the reference does."""
     try:
-        ref = _dop853_reference(state0, params, cfg)
+        ref = _dop853_reference(state0, params, cfg, tries)
     except (ConvergenceError, SingularityError) as exc:
         with pytest.raises(type(exc)):
             integrate(state0, params, cfg)
@@ -513,13 +573,14 @@ def test_integrate_matches_dp5_reference_to_an_escape(x, vx, vy):
     assert _assert_matches_reference(state0, REPELLING, ESCAPE_CFG).status == "escape"
 
 
-@pytest.mark.parametrize("margin, nan_tries, rejections", [(1e-8, 6, 6), (1e-7, 4, 16)])
-def test_integrate_matches_dp5_reference_after_nan_error_estimates(margin, nan_tries, rejections):
+@pytest.mark.parametrize("margin, nan_tries, rejections", [(1e-9, 6, 6), (1e-7, 2, 13)])
+def test_integrate_matches_dop853_reference_after_nan_error_estimates(margin, nan_tries,
+                                                                      rejections):
     # 2n vy sits a relative margin below max_float / P, P = 44.1 the largest
     # partial sum of stage 9's weights, so on the first tries the slopes 2n vy_j
     # of the earlier stages pass it, stage 9's sum overflows, stage 10's slope is
     # NaN and so is the error estimate: each such try is rejected with the
-    # factor 0.2, until a smaller h keeps every stage sum finite
+    # factor 0.333, until a smaller h keeps every stage sum finite
     params = Params(mu=0.1, k=-0.01)
     peak = max(map(abs, accumulate(dynamics._STAGES[7])))
     vy = sys.float_info.max / (peak * 2.0 * params.n) * (1.0 - margin)
@@ -530,16 +591,19 @@ def test_integrate_matches_dp5_reference_after_nan_error_estimates(margin, nan_t
     traj = _assert_matches_reference(state0, params, cfg)
     assert (traj.steps, traj.rejections, traj.status) == (1, rejections, "escape")
     # a finite rejected err shrinks h by less than 1, so the accepted step is at
-    # most 1e-4 shrunk by 0.2 per NaN try, and equal to it when every try was NaN
-    h = dynamics._INITIAL_STEP
+    # most the first try shrunk by 0.333 per NaN try, and equal to it when every
+    # try was NaN.  (f0 / sk)^2 overflows here, so the first try is the start
+    # rule's 1e-6
+    h = _first_try(state0, params, cfg)
+    assert h == 1e-6
     for _ in range(nan_tries):
-        h *= 0.2
+        h *= 0.333
     assert traj.times[1] == h if nan_tries == rejections else traj.times[1] < h
 
 
 @pytest.mark.parametrize("k, tol, outcome", [
-    (1e12, 1e-12, (1, 5)), (-1e16, 1e-6, (1, 8)), (1e20, 1e-2, (1, 9)),
-    (-1e20, 1e-12, (1, 12)), (1e24, 1e-12, (1, 14)), (1e26, 1e-12, ConvergenceError)])
+    (1e12, 1e-12, (1, 7)), (-1e16, 1e-6, (1, 7)), (1e20, 1e-2, (1, 9)),
+    (-1e20, 1e-12, (1, 12)), (1e24, 1e-12, (1, 16)), (1e26, 1e-12, ConvergenceError)])
 def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol, outcome):
     # x + mu = 0 keeps 2k (x + mu) finite at the start, and a velocity of
     # 4 max_float / (2 |k| a21 h) carries the first try's stage-2 point to
@@ -547,15 +611,17 @@ def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol,
     # terms of weight 0 on k2 in stages 4-13 and the error sums, the reference
     # keeps them.  Each try with a non-finite k2 is rejected; a smaller h
     # escapes on its first accepted step, unless no h above 1e-14 meets the
-    # tolerance.
+    # tolerance.  (f0 / sk)^2 overflows at such a velocity, so the first try h
+    # is the start rule's 1e-6.
     params = Params(mu=0.1, k=k)
-    h, a21 = dynamics._INITIAL_STEP, dynamics._STAGES[0][0]
+    h, a21 = 1e-6, dynamics._STAGES[0][0]
     s = (-params.mu, 0.0, 0.0, sys.float_info.max / (2.0 * abs(k) * a21 * h) * 4.0, 0.0, 0.0)
+    state0, cfg = PhaseState.from_vector(s), IntegratorConfig(tol, tol, t_end=1.0)
+    assert _first_try(state0, params, cfg) == h
     args = params.mu, params.k, params.n_sq, params.n
     k1 = dynamics._rhs(*s, *args)
     k2 = dynamics._rhs(*(si + h * (0.0 + a21 * ki) for si, ki in zip(s, k1)), *args)
     assert all(map(math.isfinite, k1)) and not all(map(math.isfinite, k2))
-    state0, cfg = PhaseState.from_vector(s), IntegratorConfig(tol, tol, t_end=1.0)
     traj = _assert_matches_reference(state0, params, cfg)
     if outcome is ConvergenceError:
         with pytest.raises(ConvergenceError):
@@ -567,33 +633,38 @@ def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol,
 
 
 def test_overflowing_third_order_estimate_rejects_the_step():
-    # at tolerances of 1e-170 the first try's e3^2 overflows while e5^2 stays
+    # at tolerances of 2e-170 the first try's e3^2 overflows while e5^2 stays
     # finite, where h e5^2 / sqrt(6 (e5^2 + 0.01 e3^2)) reads h e5^2 / inf = 0
-    # and would accept the step.  It is rejected with the factor 0.2, as is every
-    # later try, down to the step floor: 1e-4 * 0.2^15 = 3.277e-15
+    # and would accept the step.  It is rejected with the factor 0.333, as is
+    # every later try, down to the step floor: 1e-6 * 0.333^17 = 7.613e-15, from
+    # the start rule's 1e-6 ((y / sk)^2 overflows)
     state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
-    cfg = IntegratorConfig(1e-170, 1e-170, t_end=1.0)
+    cfg = IntegratorConfig(2e-170, 2e-170, t_end=1.0)
+    h = _first_try(state0, CONFINING, cfg)
+    assert h == 1e-6
     e5sq, e3sq = _first_try_norms(state0, CONFINING, cfg)
     assert e3sq == math.inf and math.isfinite(e5sq)
-    assert dynamics._INITIAL_STEP * e5sq / math.sqrt(6.0 * (e5sq + 0.01 * e3sq)) == 0.0
+    assert h * e5sq / math.sqrt(6.0 * (e5sq + 0.01 * e3sq)) == 0.0
     assert _assert_matches_reference(state0, CONFINING, cfg) is None
-    with pytest.raises(ConvergenceError, match=r"at t=0 \(h=3\.277e-15\)"):
+    with pytest.raises(ConvergenceError, match=r"at t=0 \(h=7\.613e-15\)"):
         integrate(state0, CONFINING, cfg)
 
 
-def test_zero_error_estimate_accepts_with_factor_5():
+def test_zero_error_estimate_accepts_with_factor_6():
     # at tolerances of 1e300 every scaled estimate squares to 0, so the root
     # 6 (e5^2 + 0.01 e3^2) is 0: err is 0, never 0 / 0, and each step is
-    # accepted and the next tried 5 times as long
+    # accepted and the next tried 6 times as long.  Both of the start rule's
+    # norms are at most 1e-10 there, so the first step is 1e-6
     state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
     cfg = IntegratorConfig(1e300, 1e300, t_end=0.01)
     assert _first_try_norms(state0, CONFINING, cfg) == (0.0, 0.0)
     traj = _assert_matches_reference(state0, CONFINING, cfg)
-    assert (traj.steps, traj.rejections, traj.status) == (4, 0, "completed")
-    t, h = 0.0, dynamics._INITIAL_STEP
-    for got in traj.times[1:4].tolist():
+    assert (traj.steps, traj.rejections, traj.status) == (7, 0, "completed")
+    t, h = 0.0, _first_try(state0, CONFINING, cfg)
+    assert h == 1e-6
+    for got in traj.times[1:7].tolist():
         t += h
-        h *= 5.0
+        h *= 6.0
         assert got == t
     assert traj.times[-1] == 0.01
 
@@ -652,28 +723,109 @@ def test_tableau_is_scipys_dop853_bit_for_bit():
         assert np.array(ours + (0.0,)).tobytes() == theirs.tobytes()
 
 
-@settings(max_examples=20, deadline=None)
-@given(mu=st.floats(0.05, 0.95), vx=st.floats(0.25, 2.0), y=_zeros, z=_zeros, vy=_zeros,
-       vz=_zeros)
-@example(mu=0.3, vx=1.0, y=0.0, z=0.0, vy=5e-111, vz=0.0)
-def test_stage_on_the_second_primary_raises_like_the_reference(mu, vx, y, z, vy, vz):
-    # the first step's stage-2 point x + h (0.0 + a21 vx) lands exactly on the
-    # second primary's x, where r2^3 is 0: both raise.  vx >= 0.25 starts it
-    # h a21 vx > 1e-6 away, outside the collision radius.  With vy = 5e-111 the
-    # stage's y is 2.6e-116, so r2^2 = 6.9e-232 is positive but r2^3 underflows to 0.
-    h, a21 = dynamics._INITIAL_STEP, dynamics._STAGES[0][0]
-    x = 1.0 - mu - h * (0.0 + a21 * vx)
-    for _ in range(8):  # a few ulps of x away at most
-        if x + h * (0.0 + a21 * vx) + mu - 1.0 == 0.0:
+def _x_reaching_the_second_primary(mu, dx):
+    """An x from which a move of ``dx`` lands on the second primary's x: one where
+    (x + dx) + mu - 1.0 is exactly 0, within a few ulps of 1 - mu - dx."""
+    x = 1.0 - mu - dx
+    for _ in range(8):
+        if x + dx + mu - 1.0 == 0.0:
             break
         x = math.nextafter(x, math.inf)
-    assert x + h * (0.0 + a21 * vx) + mu - 1.0 == 0.0
+    assert x + dx + mu - 1.0 == 0.0
+    return x
+
+
+# at these tolerances both of the start rule's norms are at most 1e-10, so the
+# first step is 1e-6 wherever the start is
+_LAX = IntegratorConfig(1e300, 1e300, t_end=1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(0.05, 0.95), vx=st.floats(25.0, 200.0), y=_zeros, z=_zeros, vy=_zeros,
+       vz=_zeros)
+@example(mu=0.3, vx=30.0, y=0.0, z=0.0, vy=5e-109, vz=0.0)
+def test_stage_on_the_second_primary_raises_like_the_reference(mu, vx, y, z, vy, vz):
+    # the first step's stage-2 point x + h (0.0 + a21 vx) lands exactly on the
+    # second primary's x, where r2^3 is 0: both raise.  With h = 1e-6, vx >= 25
+    # starts it h a21 vx > 1e-6 away, outside the collision radius.  With
+    # vy = 5e-109 the stage's y is 2.6e-116, so r2^2 = 6.9e-232 is positive but
+    # r2^3 underflows to 0.
+    h, a21 = 1e-6, dynamics._STAGES[0][0]
+    x = _x_reaching_the_second_primary(mu, h * (0.0 + a21 * vx))
     state0 = PhaseState(pos=(x, y, z), vel=(vx, vy, vz))
     params = Params(mu=mu, k=-0.01)
+    assert _first_try(state0, params, _LAX) == h
     with pytest.raises(SingularityError):
-        _dop853_reference(state0, params, IntegratorConfig(t_end=1.0))
+        _dop853_reference(state0, params, _LAX)
     with pytest.raises(SingularityError):
-        integrate(state0, params, IntegratorConfig(t_end=1.0))
+        integrate(state0, params, _LAX)
+
+
+# the start rule's edges: (start, params, cfg, the first step tried)
+_START_RULE_EDGES = {
+    # (y / sk)^2 overflows: the fallback, here capped at t_end
+    "norms_overflow": (((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING,
+                       IntegratorConfig(1e-300, 1e-300, t_end=1e-8), 1e-8),
+    # both norms are at most 1e-10 and der12 at most 1e-15: min(100 h, max(1e-6, 1e-3 h))
+    # with h = 1e-6
+    "norms_vanish": (((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING, _LAX, 1e-6),
+    # at A1 = 1e100, 2n vy overflows: f0 holds inf
+    "slope_overflows": (((0.1, 0.2, 0.3), (0.0, 1e260, 0.0)),
+                        Params(mu=0.1, k=-0.01, a1_oblate=1e100),
+                        IntegratorConfig(t_end=1.0), 1e-6),
+    # (f0 / sk)^2 overflows
+    "velocity_1e159": (((0.1, 0.2, 0.3), (1e159, 0.0, 0.0)),
+                       Params(mu=0.1, k=-0.01, a1_oblate=0.02),
+                       IntegratorConfig(1e-3, 1e-3, t_end=1.0), 1e-6),
+    # the Euler probe x + 1e-6 vx lands on the second primary, where its slope raises
+    "probe_on_the_second_primary": (
+        ((_x_reaching_the_second_primary(0.1, 1e-6 * 2.0), 0.0, 0.0), (2.0, 0.0, 0.0)),
+        REPELLING, _LAX, 1e-6),
+    # x, found by fixed-point iteration, puts the probe 1e-12 from the second
+    # primary: its slope is 1e23 and ((f1 - f0) / sk)^2 overflows, so der12 = inf
+    "probe_slope_overflows": (((0.8947765984511994, 0.0, 0.0), (100.0, 0.0, 0.0)), REPELLING,
+                              IntegratorConfig(1e-150, 1e-150, t_end=1.0), 1e-6),
+    # t_end is below the rule's step, which it caps
+    "t_end_below_the_estimate": (((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING,
+                                 IntegratorConfig(t_end=1e-9), 1e-9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_START_RULE_EDGES))
+def test_start_rule_edges_match_the_reference(name):
+    # a finite first step in (0, t_end], with no warning and no OverflowError,
+    # and integrate from there gives the reference's bits or raises as it does
+    (pos, vel), params, cfg, first = _START_RULE_EDGES[name]
+    state0 = PhaseState(pos, vel)
+    s = tuple(state0.vector().tolist())
+    args = params.mu, params.k, params.n_sq, params.n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f0 = dynamics._rhs(*s, *args)
+        h = dynamics._first_step(s, f0, *args, cfg.abs_tol, cfg.rel_tol, cfg.t_end)
+        assert h == _reference_first_step(s, f0, params, cfg) == first
+        assert type(h) is float and 0.0 < h <= cfg.t_end
+        _assert_matches_reference(state0, params, cfg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(vec=_box, tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]), t_end=st.floats(0.1, 10.0))
+@example(vec=(0.3, -0.2, -0.0, 0.1, 0.05, -0.0), tol=1e-12, t_end=10.0)
+def test_step_sizes_follow_dop853s_rules(vec, tol, t_end):
+    # on the reference's log of tries, which integrate matches bit for bit: the
+    # try after a rejection is no larger than the rejected one, and the step
+    # after that try, once accepted, does not grow; each try is 0.333 to 6 times
+    # the one before, or smaller where it was cut to t_end - t
+    tries = []
+    _assert_matches_reference(PhaseState.from_vector(vec), CONFINING,
+                              IntegratorConfig(tol, tol, t_end), tries)
+    for (h0, ok0, _), (h1, _, cut1) in zip(tries, tries[1:]):
+        assert (h1 if cut1 else 0.333 * h0) <= h1 <= 6.0 * h0
+        if not ok0:
+            assert h1 <= h0
+    for (_, ok0, _), (h1, ok1, _), (h2, _, _) in zip(tries, tries[1:], tries[2:]):
+        if ok1 and not ok0:
+            assert h2 <= h1
 
 
 def test_generated_code_shows_in_source_and_tracebacks(canonical):
@@ -693,15 +845,11 @@ def test_generated_code_shows_in_source_and_tracebacks(canonical):
     assert "\n    raise ConvergenceError(\n" in shown
     # a generated line that divides by r2^3 = 0: a stage-2 point on the second
     # primary, and _grad_s there; the ZeroDivisionError is the context
-    mu, vx, h, a21 = 0.3, 1.0, dynamics._INITIAL_STEP, dynamics._STAGES[0][0]
-    x = 1.0 - mu - h * (0.0 + a21 * vx)
-    for _ in range(8):  # a few ulps of x away at most
-        if x + h * (0.0 + a21 * vx) + mu - 1.0 == 0.0:
-            break
-        x = math.nextafter(x, math.inf)
+    mu, vx, h, a21 = 0.3, 30.0, 1e-6, dynamics._STAGES[0][0]
+    x = _x_reaching_the_second_primary(mu, h * (0.0 + a21 * vx))
     with pytest.raises(SingularityError) as in_step:
         integrate(PhaseState(pos=(x, 0.0, 0.0), vel=(vx, 0.0, 0.0)), Params(mu=mu, k=-0.01),
-                  IntegratorConfig(t_end=1.0))
+                  _LAX)
     with pytest.raises(SingularityError) as in_grad:
         grad_omega((1.0 - canonical.mu, 1e-110, 0.0), canonical)
     for info, name in ((in_step, "dynamics.integrate"), (in_grad, "model._grad_s")):
@@ -817,17 +965,18 @@ def test_growth_rate_non_growing_direction(canonical):
 
 @pytest.fixture(scope="module")
 def offset_runs():
-    """(trajectory, equilibrium position) of a 1e-8 offset run on each admissible
-    cell of the acceptance grid, to the canonical cell's lambda+ t_end = 60,
-    just past the fit window."""
+    """(trajectory, equilibrium position, lambda+) of a 1e-8 offset run on each
+    admissible cell of the acceptance grid, to the canonical cell's lambda+ t_end
+    = 60, just past the fit window, as ``verify`` runs them."""
     exponent = 60.0 * FROZEN["lambda_plus"]
     runs = []
     for mu, k, a1 in acceptance_grid():
         params = Params(mu=mu, k=k, a1_oblate=a1)
         if triangular_points(params).exists:
-            cfg = IntegratorConfig(t_end=exponent / unstable_direction(params)[0])
+            rate = unstable_direction(params)[0]
+            cfg = IntegratorConfig(t_end=exponent / rate)
             runs.append((integrate(unstable_seed(params, 1e-8), params, cfg),
-                         equilibrium_state(params).pos))
+                         equilibrium_state(params).pos, rate))
     return runs
 
 
@@ -840,7 +989,7 @@ def _polyfit_window(traj, eq_point):
 
 def test_growth_rate_agrees_with_polyfit(offset_runs):
     worst = 0.0
-    for traj, eq in offset_runs:
+    for traj, eq, _ in offset_runs:
         disp, window = _polyfit_window(traj, eq)
         oracle = np.polyfit(traj.times[window], np.log(disp[window]), 1)[0]
         worst = max(worst, abs(growth_rate(traj, eq) - oracle) / oracle)
@@ -848,10 +997,20 @@ def test_growth_rate_agrees_with_polyfit(offset_runs):
 
 
 def test_growth_window_holds_the_masked_samples(offset_runs):
-    for traj, eq in offset_runs:
+    for traj, eq, _ in offset_runs:
         disp, window = _polyfit_window(traj, eq)
         assert dynamics._growth_window(traj, eq) == (traj.times[window].tolist(),
                                                      disp[window].tolist())
+
+
+def test_growth_window_keeps_its_samples(offset_runs):
+    # DOP853's steps are long, so a run has few rows: on each of the 241 cells
+    # the fit window still holds at least 8 samples, and the fitted rate is
+    # within criterion 6's 5% of lambda+
+    assert len(offset_runs) > 200
+    for traj, eq, rate in offset_runs:
+        assert len(dynamics._growth_window(traj, eq)[0]) >= 8
+        assert abs(growth_rate(traj, eq) - rate) / rate < 0.05
 
 
 def _displacement_run(times, disps):
