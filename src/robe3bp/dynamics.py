@@ -14,7 +14,7 @@ step control on Hairer's combined error estimate
 
 where e5^2 and e3^2 sum the squares of the fifth- and third-order estimates,
 each component divided by abs_tol + rel_tol max(|y|, |y_new|).  ``_STAGES``,
-``_E5`` and ``_E3`` are the one copy of the tableau and ``model._SLOPE`` the
+``_E5`` and ``_BHH`` are the one copy of the tableau and ``model._SLOPE`` the
 one spelling of the gradient.  At import, ``_step_source`` writes the step
 out from them on plain Python floats, one statement per component and each
 weight as its float literal, and ``model._splice`` puts it into
@@ -22,12 +22,12 @@ weight as its float literal, and ``model._splice`` puts it into
 ``linecache``, so tracebacks and ``inspect.getsource(integrate)`` show the
 generated lines.  Stage 2 reads
 
-    x2 = x + h * (0.0 + 0.05260015195876773 * vx)
-    y2 = y + h * (0.0 + 0.05260015195876773 * vy)
-    z2 = z + h * (0.0 + 0.05260015195876773 * vz)
-    vx2 = vx + h * (0.0 + 0.05260015195876773 * ax)
-    vy2 = vy + h * (0.0 + 0.05260015195876773 * ay)
-    vz2 = vz + h * (0.0 + 0.05260015195876773 * az)
+    x2 = x + h * (0.05260015195876773 * vx)
+    y2 = y + h * (0.05260015195876773 * vy)
+    z2 = z + h * (0.05260015195876773 * vz)
+    vx2 = vx + h * (0.05260015195876773 * ax)
+    vy2 = vy + h * (0.05260015195876773 * ay)
+    vz2 = vz + h * (0.05260015195876773 * az)
     dx1 = x2 + mu
     dx2 = dx1 - 1.0
     r2_sq = dx2 * dx2 + y2 * y2 + z2 * z2
@@ -40,21 +40,29 @@ and each later stage adds one term per earlier slope of nonzero weight, a
 negative weight as a subtraction (``a - w * k`` has the bits of ``a + (-w) *
 k``).  The generated text is the step as it would be written by hand, so it
 compiles to the same instructions and its bits cannot move with how it is
-produced.  A stage sum starts from ``0.0`` and so rounds as a sum from 0 does;
-an error sum starts from its first term, since it is squared and the sign of a
-zero drops out.  The zero weights are skipped: k2 is weighed only into stage 3
-and k3 only into stages 4 and 5, and k2-k5 not into the solution or the error
-estimates.  A finite slope adds a zero there, and a non-finite one makes a
-later stage and so the error estimate non-finite anyway.  An estimate whose
-root ``6 (e5^2 + 0.01 e3^2)`` is 0 gives err 0; one where it is inf or NaN
-gives err inf and rejects the step, also where e3^2 alone overflows and the
-formula would read ``h e5^2 / inf = 0``.  C is one ``_jacobi_s`` call on the
-arrays of accepted states.  A slow reference step built from ``_rhs``,
-``_jacobi_s`` and the full tableau holds ``integrate`` to the same bits in the
-tests.  Every square is a product, as in ``model``: it overflows to inf.
-|c|, ``max`` and ``min`` are spelled as comparisons (``c if c >= 0.0 else
--c``), which give the builtins' bits for -0.0 and NaN as well, so apart from
-``sqrt`` the step calls no builtin.  The step's only exception is at the
+produced.  Every sum starts from its first term and has no term of weight 0,
+as in Hairer's code dop853.f: k2 is weighed only into stage 3 and k3 only into
+stages 4 and 5, and k2-k5 not into the solution or the error estimates.  So a
+sum whose terms are all -0.0 is -0.0, where a start from 0.0 would make it
++0.0.  The solution's slope sum of each component has its own name:
+
+    bx = 0.054293734116568765 * vx + ... + 0.04471061572777259 * vx12
+    x13 = x + h * bx
+
+and the third-order estimate is formed from it as dop853.f forms it, b less
+the three bhh terms of ``_BHH``, not as an 8-term sum over b - bhh:
+
+    e3x = (bx - 0.2440944881889764 * vx - 0.7338466882816118 * vx9 - ...) / sc
+
+An estimate whose root ``6 (e5^2 + 0.01 e3^2)`` is 0 gives err 0; one where it
+is inf or NaN gives err inf and rejects the step, also where e3^2 alone
+overflows and the formula would read ``h e5^2 / inf = 0``.  C is one
+``_jacobi_s`` call on the arrays of accepted states.  A slow reference step
+built from ``_rhs``, ``_jacobi_s`` and the tableau holds ``integrate`` to the
+same bits in the tests.  Every square is a product, as in ``model``: it
+overflows to inf.  |c|, ``max`` and ``min`` are spelled as comparisons (``c if
+c >= 0.0 else -c``), which give the builtins' bits for -0.0 and NaN as well, so
+apart from ``sqrt`` the step calls no builtin.  The step's only exception is at the
 second primary: a slope divides by r2^3 unguarded, and the
 ``ZeroDivisionError`` where r2^3 rounds to 0 is mapped once to the
 ``SingularityError`` that ``_grad_s`` raises there.
@@ -64,8 +72,10 @@ their code).  The first step is ``_first_step``, their starting rule HINIT for
 order 8: one Euler probe, one extra slope, and the eighth root taken as three
 ``sqrt``.  Where a norm it forms or its derivative estimate is not finite, or
 the probe lands on the second primary, it falls back to HINIT's 1e-6, capped at
-t_end.  After each try the step is scaled by 0.9 err^(-1/8), kept within
-[0.333, 6] (6 where err is 0), and it does not grow right after a rejection:
+t_end.  After each try the step is scaled by 0.9 err^(-1/8), the eighth root
+again three ``sqrt`` (``0.9 / sqrt(sqrt(sqrt(err)))``, so the loop calls no
+libm ``pow``), kept within [0.333, 6] (6 where err is 0, 0.333 where it is
+inf), and it does not grow right after a rejection:
 a step accepted after a rejected one is followed by one no longer.
 
 The system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its
@@ -188,8 +198,10 @@ def _rhs(x, y, z, vx, vy, vz, mu, k, n_sq, n):
 # DOP853, the Dormand-Prince 8(5,3) pair of Hairer, Nørsett & Wanner (§II.5 and
 # their code DOP853), digits as there.  Each _STAGES row weighs the slopes so far
 # into the next point, zeros included; the last, b, gives the eighth-order
-# solution, whose slope is the next k1 (FSAL).  _E5 and _E3 weigh k1..k12 into
-# the fifth- and third-order error estimates; _E3 is b less the third-order weights.
+# solution, whose slope is the next k1 (FSAL).  _E5 weighs k1..k12 into the
+# fifth-order error estimate.  _BHH holds the third-order weights BHH1-3 of k1,
+# k9 and k12: the third-order estimate weighs b - bhh, and is formed as
+# dop853.f forms it, from the solution's slope sum less the three bhh terms.
 _STAGES = (
     (5.26001519587677318785587544488e-2,),
     (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
@@ -229,18 +241,17 @@ _E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
        0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
        0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
        -0.2235530786388629525884427845e-1)
-_E3 = tuple(b - w for b, w in zip(_STAGES[-1], (
-    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1)))
+_BHH = (0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1)
 
 
 def _step_source() -> str:
     """The statements of one attempted step after its first slope, from ``_STAGES``,
-    ``_E5``, ``_E3`` and ``model._SLOPE``: stages 2-13, the scaled error estimates and err."""
+    ``_E5``, ``_BHH`` and ``model._SLOPE``: stages 2-13, the scaled error estimates and err."""
     comps = ("x", "y", "z", "vx", "vy", "vz")
     rates = ("vx", "vy", "vz", "ax", "ay", "az")  # the slope of each component
 
-    def weighed(row, text=""):  # "0.0 + 0.1 * {r} - 0.2 * {r}3" from "0.0", (0.1, 0.0, -0.2)
+    def weighed(row, text=""):  # "0.1 * {r} - 0.2 * {r}3" from (0.1, 0.0, -0.2)
         for m, w in enumerate(row, 1):
             if w:
                 term = f"{abs(w)!r} * {{r}}{m if m > 1 else ''}"
@@ -250,16 +261,20 @@ def _step_source() -> str:
 
     lines = []
     for j, row in enumerate(_STAGES, 2):
-        stage = weighed(row, "0.0")
-        lines += [f"{c}{j} = {c} + h * ({stage.format(r=r)})" for c, r in zip(comps, rates)]
+        stage = weighed(row)
+        for c, r in zip(comps, rates):
+            if j <= len(_STAGES):
+                lines.append(f"{c}{j} = {c} + h * ({stage.format(r=r)})")
+            else:  # the solution's slope sum b{c}, which e3 reuses
+                lines += [f"b{c} = {stage.format(r=r)}", f"{c}13 = {c} + h * b{c}"]
         lines += _SLOPE.format(j=j, cx=f" + n2 * vy{j}", cy=f" - n2 * vx{j}").splitlines()
         lines.append("")
-    e5, e3 = weighed(_E5), weighed(_E3)
+    e5, e3 = weighed(_E5), weighed([-w for w in _BHH], "b{c}")
     for c, r in zip(comps, rates):  # |c| and max() as comparisons
         lines.append(f"m0, m1 = {c} if {c} >= 0.0 else -{c}, {c}13 if {c}13 >= 0.0 else -{c}13")
         lines.append("sc = abs_tol + rel_tol * (m1 if m1 > m0 else m0)")
         lines.append(f"e5{c} = ({e5.format(r=r)}) / sc")
-        lines.append(f"e3{c} = ({e3.format(r=r)}) / sc")
+        lines.append(f"e3{c} = ({e3.format(r=r, c=c)}) / sc")
     for e in ("e5", "e3"):
         lines.append(f"{e}sq = {' + '.join(f'{e}{c} * {e}{c}' for c in comps)}")
     lines.append("den = 6.0 * (e5sq + 0.01 * e3sq)")
@@ -358,17 +373,20 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                 h = t_end - t
             # a final sliver h == t_end - t is legitimate however small
             if h < 1e-14 * (t if t > 1.0 else 1.0) and h < t_end - t:
+                reason = ("the error estimate stayed above the tolerance down to"
+                          if steps or rejections else
+                          "no step was tried: the starting step is already below")
                 raise ConvergenceError(
-                    f"step size underflow at t={t:.6g} (h={h:.3e}); the error "
-                    "estimate stayed above the tolerance down to the smallest "
-                    "step, 1e-14 * max(1, t)"
+                    f"step size underflow at t={t:.6g} (h={h:.3e}); {reason} the "
+                    "smallest step, 1e-14 * max(1, t)"
                 )
 
             _STEP  # replaced at import by stages 2-13, the error estimates and err: _step_source()
 
+            # 0.9 err^(-1/8), the eighth root as three sqrt without libm pow, and
             # min(6.0, max(0.333, f)) as comparisons: an inf err gives f = 0 and
-            # so 0.333; 0.0 ** -0.125 would raise
-            f = 6.0 if err == 0.0 else 0.9 * err ** -0.125
+            # so 0.333, and err 0, where 0.9 / 0.0 would raise, gives 6
+            f = 6.0 if err == 0.0 else 0.9 / sqrt(sqrt(sqrt(err)))
             f = 6.0 if f > 6.0 else f if f > 0.333 else 0.333
             if err <= 1.0:
                 t += h

@@ -241,6 +241,19 @@ def test_integrate_overflow_ends_in_step_size_underflow(argv, tmp_path, capsys):
     assert captured.err.startswith("robe3bp: error: step size underflow at t=0")
 
 
+def test_step_size_underflow_before_the_first_try_names_the_starting_step(tmp_path, capsys):
+    # at A1 = 1e100 the start rule's step from the seed, 4.838e-43, is already
+    # below the step floor: no step is tried, so no error estimate is formed
+    out = tmp_path / "t.csv"
+    code = main(["integrate", "--mu", "0.1", "--k=-0.01", "--a1", "1e100", "--from-equilibrium",
+                 "--offset", "1e-8", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("robe3bp: error: step size underflow at t=0 (h=4.838e-43); no step was "
+                   "tried: the starting step is already below the smallest step, "
+                   "1e-14 * max(1, t)\n")
+
+
 def test_step_size_underflow_names_the_error_estimate(tmp_path, capsys):
     # at A1 = 1e30 the frame turns at n ~ 1.2e15, far from the second primary
     # (r2 = b1 ~ 1.71), so every try fails the tolerance down to the step
@@ -715,8 +728,8 @@ _PINNED_OUTPUTS = {
         "1d41bfa2e76c5351738e197793319e250e18b4eb4601aed7d463442da2153e9f", _NO_STDOUT),
     "integrate_offset": (
         ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8"],
-        "f1c60ab52adbefa388d6f23310fd131a3ced3451fb4b958f783dcdaa3ca261d3",
-        "10737f3c40902f49b54618b925d7531cce5bf0a1413e11600848015c39bcfa28"),
+        "7221424f339ac3150ca3867af6d332f4510f713b56974ecba4654386094a5413",
+        "36a70be38f777676abfdef869f3f41caa0a656da713446f5a378451e52287270"),
     "stability_canonical_json": (
         ["stability", *CANONICAL_ARGS, "--format", "json"],
         "39a739eccf2058e5a97ccee81151e7c4103973ba18f6c685ff105b42ebbed5c7", _NO_STDOUT),

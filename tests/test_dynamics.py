@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import math
@@ -298,35 +299,52 @@ def test_integrate_step_underflow(canonical):
         integrate(equilibrium_state(canonical), canonical, cfg)
 
 
+def test_step_size_underflow_before_the_first_try_names_the_starting_step():
+    # at tolerances of 1e-150 the start rule's step from this start is 1.06e-19,
+    # already below the floor 1e-14: no step is tried, so no error estimate is
+    # formed, and the message names the starting step
+    state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
+    cfg = IntegratorConfig(1e-150, 1e-150, t_end=20.0)
+    assert _first_try(state0, CONFINING, cfg) < 1e-14
+    tries = []
+    with pytest.raises(ConvergenceError):
+        _dop853_reference(state0, CONFINING, cfg, tries)
+    assert tries == []
+    with pytest.raises(ConvergenceError, match=r"^step size underflow at t=0 \(h=1\.061e-19\); "
+                       r"no step was tried: the starting step is already below the smallest"):
+        integrate(state0, CONFINING, cfg)
+
+
 # sha256 of times, states and jacobi (tobytes, in that order), steps,
 # rejections and status: a change to the step's arithmetic that moves a single
 # bit of a trajectory shows here
 _PINNED_RUNS = {
     "bounded_a": (
         ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING, dict(t_end=20.0),
-        "7e5d0696bf55262c988213a60ea3628407db3c28b52f0d76e3c3135ad0bb29ea", 154, 0, "completed"),
+        "b651fa81498f3d035c3696f985dea5f4ad384e61b50dcf0386a8dff00158ee72", 154, 0, "completed"),
     "bounded_b": (
         ((-0.3, 0.25, -0.1), (0.1, 0.05, -0.15)), CONFINING, dict(t_end=20.0),
-        "f9684ab6a47761eb9cb7436eebd0748d8a9252e938a6ce21d833b19fcd032037", 164, 0, "completed"),
+        "8a538b88e272616fcdeaa2084c1b8c9ad2373c86cc7269d2d45e58b3e946e569", 164, 0, "completed"),
     "unstable_seed": (
         None, Params(mu=0.1, k=-0.01, a1_oblate=0.02), dict(t_end=60.0),
-        "89260d78631ce63681fef4f9f7d7f104f94edd2e5b3ecf6d5b415309f96fe5d6", 15, 6, "completed"),
+        "b21e24c7fcfb0776f433d8fefdfef5e1b869949365af2f3844b56f6bfc0be5d2", 15, 6, "completed"),
     "escape": (
         ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Params(mu=0.1, k=-0.01),
         dict(t_end=50.0, rel_tol=1e-9, abs_tol=1e-9),
-        "518666367d002288fb89967113b5a96c2c4b82a0c62f49975c24dcf19c722aad", 89, 18, "escape"),
+        "fe6ea2bbce376ef71251c3e4a4fcda19bf26a757e2e36b70c08f70b71418fa82", 89, 18, "escape"),
     "collision": (
         ((1 - 0.1 + 1e-4, 0.0, 0.0), (-0.05, 0.0, 0.0)), CONFINING,
         dict(t_end=1.0, rel_tol=1e-9, abs_tol=1e-9),
-        "76aee38ef37b83f57a968f31d924fced02aa2b3fd45c2b05b62ca325ebe34878", 35, 33, "collision"),
+        "ec2e7a78099d368eccfa192d768b455073f53f5337ccad891d4ea3b836efcd5f", 35, 33, "collision"),
     "loose_tolerance": (
         ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING,
         dict(rel_tol=1e-3, abs_tol=1e-3, t_end=20.0),
-        "0a110cfd970a67c53509aa959de200c60d893f6922d25816f11873a472afff8e", 14, 0, "completed"),
-    # the signed zeros flip to +0.0 on the first step, as the stage sums start from 0
+        "f49ae4932e272415181ee29aa52171ea29dbaa374a674d3e2f26160233b9c411", 14, 0, "completed"),
+    # the signed zeros flip to +0.0 on the first step: the slope mk2 z - c3 z is
+    # +0.0 - -0.0 = +0.0 at z = -0.0, and a sum of -0.0 and +0.0 is +0.0
     "planar_negative_zero": (
         ((0.3, -0.2, -0.0), (0.1, 0.05, -0.0)), CONFINING, dict(t_end=10.0),
-        "16d2816ea2ce90b643d340e28a6e833dfca2cf6ca212d1b2fb18ddbff63a353d", 106, 13, "completed"),
+        "067a12e30111a38073120ca7836d7dc6205851334b9fb380d85e66dd28a31d70", 106, 13, "completed"),
 }
 
 
@@ -377,31 +395,37 @@ def test_pinned_run_bits_under_another_blas_kernel(name):
 # ---------------------------------------------------------------------------
 # the written-out step against a slow DOP853 reference
 
+def _weighed_sum(weights, values, acc=None):
+    """sum w * v over the nonzero weights, from the first term (or ``acc``) on, as
+    dop853.f writes its sums: no 0.0 start, which would turn a sum of -0.0 into
+    +0.0, and so no builtin ``sum``, which starts from int 0."""
+    for w, v in zip(weights, values):
+        if w:
+            acc = w * v if acc is None else acc + w * v
+    return acc
+
+
 def _reference_attempt(s, first, h, params, cfg):
     """One attempted DOP853 step from ``s`` with first slope ``first``, by loops over
-    ``_STAGES``, ``_E5`` and ``_E3`` with ``_rhs`` as the slope: the slopes k1..k13,
-    the new point and the error norms e5^2 and e3^2."""
+    ``_STAGES``, ``_E5`` and ``_BHH`` with ``_rhs`` as the slope: the slopes k1..k13,
+    the new point and the error norms e5^2 and e3^2.  e3 is the solution's slope
+    sum b less the bhh terms, as dop853.f forms it."""
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
     slopes = [first]
     for row in dynamics._STAGES:
-        point = []
-        for i in range(6):
-            acc = 0.0
-            for a, slope in zip(row, slopes):
-                acc += a * slope[i]
-            point.append(s[i] + h * acc)
+        sums = [_weighed_sum(row, [slope[i] for slope in slopes]) for i in range(6)]
+        point = [s[i] + h * sums[i] for i in range(6)]
         slopes.append(dynamics._rhs(*point, mu, k, n_sq, n))
-    norms = []
-    for weights in (dynamics._E5, dynamics._E3):
-        sq = 0.0
-        for i in range(6):
-            acc = weights[0] * slopes[0][i]
-            for e, slope in zip(weights[1:], slopes[1:]):
-                acc += e * slope[i]
-            scaled = acc / (cfg.abs_tol + cfg.rel_tol * max(abs(s[i]), abs(point[i])))
-            sq += scaled * scaled
-        norms.append(sq)
-    return slopes, tuple(point), *norms
+    minus_bhh = [-w for w in dynamics._BHH]
+    e5sq = e3sq = 0.0
+    for i in range(6):
+        column = [slope[i] for slope in slopes]
+        sc = cfg.abs_tol + cfg.rel_tol * max(abs(s[i]), abs(point[i]))
+        # sums holds the last row's, b's, sums: e3 starts from the solution's slope sum
+        e5, e3 = _weighed_sum(dynamics._E5, column), _weighed_sum(minus_bhh, column, sums[i])
+        e5sq += (e5 / sc) * (e5 / sc)
+        e3sq += (e3 / sc) * (e3 / sc)
+    return slopes, tuple(point), e5sq, e3sq
 
 
 def _reference_err(h, e5sq, e3sq):
@@ -480,7 +504,8 @@ def _dop853_reference(state0, params, cfg, tries=None):
         err = _reference_err(h, e5sq, e3sq)
         if tries is not None:
             tries.append((h, err <= 1.0, cut))
-        factor = 6.0 if err == 0.0 else min(6.0, max(0.333, 0.9 * err ** -0.125))
+        factor = 6.0 if err == 0.0 else min(
+            6.0, max(0.333, 0.9 / math.sqrt(math.sqrt(math.sqrt(err)))))
         if err <= 1.0:
             t, s, first, steps = t + h, point, slopes[-1], steps + 1
             times.append(t)
@@ -543,7 +568,7 @@ _zeros = st.sampled_from([0.0, -0.0])
 
 @settings(max_examples=20, deadline=None)
 @given(vec=_box, tol=st.sampled_from([1e-12, 1e-9, 1e-6]), t_end=st.floats(0.1, 2.0))
-def test_integrate_matches_dp5_reference_in_bounded_box(vec, tol, t_end):
+def test_integrate_matches_dop853_reference_in_bounded_box(vec, tol, t_end):
     state0 = PhaseState.from_vector(vec)
     traj = _assert_matches_reference(state0, CONFINING, IntegratorConfig(tol, tol, t_end))
     assert traj.status == "completed"
@@ -554,21 +579,21 @@ def test_integrate_matches_dp5_reference_in_bounded_box(vec, tol, t_end):
                      *[st.one_of(_zeros, st.floats(-0.2, 0.2))] * 3),
        params=st.sampled_from([CONFINING, REPELLING]))
 @example(vec=(0.3, -0.2, -0.0, 0.1, 0.05, -0.0), params=CONFINING)
-def test_integrate_matches_dp5_reference_from_signed_zeros(vec, params):
+def test_integrate_matches_dop853_reference_from_signed_zeros(vec, params):
     _assert_matches_reference(PhaseState.from_vector(vec), params, IntegratorConfig(t_end=1.0))
 
 
 @settings(max_examples=20, deadline=None)
 @given(vec=_box, tol=st.floats(1e-4, 1e-1))
 @example(vec=(0.2, 0.1, 0.3, 0.05, -0.1, 0.02), tol=1e-2)
-def test_integrate_matches_dp5_reference_at_loose_tolerances(vec, tol):
+def test_integrate_matches_dop853_reference_at_loose_tolerances(vec, tol):
     _assert_matches_reference(PhaseState.from_vector(vec), CONFINING,
                               IntegratorConfig(tol, tol, t_end=10.0))
 
 
 @settings(max_examples=5, deadline=None)
 @given(x=st.floats(1.5, 3.0), vx=st.floats(0.8, 1.5), vy=st.floats(-0.1, 0.1))
-def test_integrate_matches_dp5_reference_to_an_escape(x, vx, vy):
+def test_integrate_matches_dop853_reference_to_an_escape(x, vx, vy):
     state0 = PhaseState(pos=(x, 0.0, 0.0), vel=(vx, vy, 0.0))
     assert _assert_matches_reference(state0, REPELLING, ESCAPE_CFG).status == "escape"
 
@@ -607,12 +632,12 @@ def test_integrate_matches_dop853_reference_after_nan_error_estimates(margin, na
 def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol, outcome):
     # x + mu = 0 keeps 2k (x + mu) finite at the start, and a velocity of
     # 4 max_float / (2 |k| a21 h) carries the first try's stage-2 point to
-    # where it overflows: k1 is finite, and k2 is not.  integrate skips the
-    # terms of weight 0 on k2 in stages 4-13 and the error sums, the reference
-    # keeps them.  Each try with a non-finite k2 is rejected; a smaller h
-    # escapes on its first accepted step, unless no h above 1e-14 meets the
-    # tolerance.  (f0 / sk)^2 overflows at such a velocity, so the first try h
-    # is the start rule's 1e-6.
+    # where it overflows: k1 is finite, and k2 is not.  k2 is weighed only into
+    # stage 3, whose non-finite slope makes the later stages and the error
+    # estimate non-finite, so each try with a non-finite k2 is rejected.  A
+    # smaller h escapes on its first accepted step, unless no h above 1e-14
+    # meets the tolerance.  (f0 / sk)^2 overflows at such a velocity, so the
+    # first try h is the start rule's 1e-6.
     params = Params(mu=0.1, k=k)
     h, a21 = 1e-6, dynamics._STAGES[0][0]
     s = (-params.mu, 0.0, 0.0, sys.float_info.max / (2.0 * abs(k) * a21 * h) * 4.0, 0.0, 0.0)
@@ -620,7 +645,7 @@ def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol,
     assert _first_try(state0, params, cfg) == h
     args = params.mu, params.k, params.n_sq, params.n
     k1 = dynamics._rhs(*s, *args)
-    k2 = dynamics._rhs(*(si + h * (0.0 + a21 * ki) for si, ki in zip(s, k1)), *args)
+    k2 = dynamics._rhs(*(si + h * (a21 * ki) for si, ki in zip(s, k1)), *args)
     assert all(map(math.isfinite, k1)) and not all(map(math.isfinite, k2))
     traj = _assert_matches_reference(state0, params, cfg)
     if outcome is ConvergenceError:
@@ -633,13 +658,14 @@ def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol,
 
 
 def test_overflowing_third_order_estimate_rejects_the_step():
-    # at tolerances of 2e-170 the first try's e3^2 overflows while e5^2 stays
-    # finite, where h e5^2 / sqrt(6 (e5^2 + 0.01 e3^2)) reads h e5^2 / inf = 0
+    # at tolerances of 1.58e-170 the first try's e3^2 overflows while e5^2
+    # stays finite (1.75e308), where h e5^2 / sqrt(6 (e5^2 + 0.01 e3^2)) reads
+    # h e5^2 / inf = 0
     # and would accept the step.  It is rejected with the factor 0.333, as is
     # every later try, down to the step floor: 1e-6 * 0.333^17 = 7.613e-15, from
     # the start rule's 1e-6 ((y / sk)^2 overflows)
     state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
-    cfg = IntegratorConfig(2e-170, 2e-170, t_end=1.0)
+    cfg = IntegratorConfig(1.58e-170, 1.58e-170, t_end=1.0)
     h = _first_try(state0, CONFINING, cfg)
     assert h == 1e-6
     e5sq, e3sq = _first_try_norms(state0, CONFINING, cfg)
@@ -698,8 +724,10 @@ def test_tableau_conditions_hold_in_exact_arithmetic():
     for q in range(1, 9):
         terms = [w * c ** (q - 1) for w, c in zip(b, nodes)]
         worst = max(worst, _residual_within_rounding(terms, Fraction(1, q)))
-    for weights, order in ((dynamics._E5, 5), (dynamics._E3, 3)):
-        weights = list(map(Fraction, weights))
+    bhh = list(map(Fraction, dynamics._BHH))
+    assert [m for m, w in enumerate(bhh) if w] == [0, 8, 11]  # k1, k9 and k12
+    for weights, order in ((list(map(Fraction, dynamics._E5)), 5),
+                           ([w - v for w, v in zip(b, bhh)], 3)):
         for q in range(1, order + 2):
             terms = [w * c ** (q - 1) for w, c in zip(weights, nodes)]
             if q <= order:
@@ -712,14 +740,16 @@ def test_tableau_conditions_hold_in_exact_arithmetic():
 def test_tableau_is_scipys_dop853_bit_for_bit():
     coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
     stages = coeffs.N_STAGES
-    assert stages == len(dynamics._STAGES) == len(dynamics._E5) == len(dynamics._E3)
+    assert stages == len(dynamics._STAGES) == len(dynamics._E5) == len(dynamics._BHH)
     for i, row in enumerate(dynamics._STAGES[:-1], 1):
         assert np.array(row).tobytes() == coeffs.A[i, :i].tobytes()
         assert not coeffs.A[i, i:stages].any()
     assert not coeffs.A[0, :stages].any()
     assert np.array(dynamics._STAGES[-1]).tobytes() == coeffs.B.tobytes()
-    # scipy's estimates weigh k13 too, by 0
-    for ours, theirs in ((dynamics._E5, coeffs.E5), (dynamics._E3, coeffs.E3)):
+    # scipy's E3 is b less bhh, each difference rounded to a float; its
+    # estimates weigh k13 too, by 0
+    e3 = tuple(w - v for w, v in zip(dynamics._STAGES[-1], dynamics._BHH))
+    for ours, theirs in ((dynamics._E5, coeffs.E5), (e3, coeffs.E3)):
         assert np.array(ours + (0.0,)).tobytes() == theirs.tobytes()
 
 
@@ -745,13 +775,13 @@ _LAX = IntegratorConfig(1e300, 1e300, t_end=1.0)
        vz=_zeros)
 @example(mu=0.3, vx=30.0, y=0.0, z=0.0, vy=5e-109, vz=0.0)
 def test_stage_on_the_second_primary_raises_like_the_reference(mu, vx, y, z, vy, vz):
-    # the first step's stage-2 point x + h (0.0 + a21 vx) lands exactly on the
+    # the first step's stage-2 point x + h (a21 vx) lands exactly on the
     # second primary's x, where r2^3 is 0: both raise.  With h = 1e-6, vx >= 25
     # starts it h a21 vx > 1e-6 away, outside the collision radius.  With
     # vy = 5e-109 the stage's y is 2.6e-116, so r2^2 = 6.9e-232 is positive but
     # r2^3 underflows to 0.
     h, a21 = 1e-6, dynamics._STAGES[0][0]
-    x = _x_reaching_the_second_primary(mu, h * (0.0 + a21 * vx))
+    x = _x_reaching_the_second_primary(mu, h * (a21 * vx))
     state0 = PhaseState(pos=(x, y, z), vel=(vx, vy, vz))
     params = Params(mu=mu, k=-0.01)
     assert _first_try(state0, params, _LAX) == h
@@ -846,7 +876,7 @@ def test_generated_code_shows_in_source_and_tracebacks(canonical):
     # a generated line that divides by r2^3 = 0: a stage-2 point on the second
     # primary, and _grad_s there; the ZeroDivisionError is the context
     mu, vx, h, a21 = 0.3, 30.0, 1e-6, dynamics._STAGES[0][0]
-    x = _x_reaching_the_second_primary(mu, h * (0.0 + a21 * vx))
+    x = _x_reaching_the_second_primary(mu, h * (a21 * vx))
     with pytest.raises(SingularityError) as in_step:
         integrate(PhaseState(pos=(x, 0.0, 0.0), vel=(vx, 0.0, 0.0)), Params(mu=mu, k=-0.01),
                   _LAX)
@@ -856,6 +886,27 @@ def test_generated_code_shows_in_source_and_tracebacks(canonical):
         frame = traceback.extract_tb(info.value.__context__.__traceback__)[-1]
         assert frame.filename == f"<robe3bp robe3bp.{name}>"
         assert frame.line == "c3 = mu / (r2_sq * sqrt(r2_sq))"
+
+
+def test_step_loop_has_no_power_and_calls_only_sqrt_and_append():
+    # the loop's arithmetic is operators and sqrt: no float power, which calls
+    # libm pow, and no call but sqrt and the samples' append, apart from those
+    # that build the error a raise reports
+    loops = [node for node in ast.walk(ast.parse(inspect.getsource(integrate)))
+             if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    raised = {id(node) for top in ast.walk(loops[0]) if isinstance(top, ast.Raise)
+              for node in ast.walk(top)}
+    powers, calls = [], []
+    for node in ast.walk(loops[0]):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            powers.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and id(node) not in raised:
+            func = node.func
+            if not (isinstance(func, ast.Name) and func.id == "sqrt"
+                    or isinstance(func, ast.Attribute) and func.attr == "append"):
+                calls.append(ast.unparse(node))
+    assert powers == [] and calls == []
 
 
 def test_splice_without_source_names_the_missing_file(monkeypatch):
