@@ -438,10 +438,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 @functools.cache
 def _build_parser() -> _Parser:
+    """The two-level parser; ``commands`` maps each command to its own parser."""
     parser = _Parser(prog="robe3bp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for name, (command, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__)
+        p = parser.commands[name] = sub.add_parser(name, help=command.__doc__)
         for dest, spec in flags.items():
             p.add_argument("--" + dest.replace("_", "-"), **spec)
         p.add_argument("--config", help="key=value file of flags; command-line flags win")
@@ -496,12 +498,27 @@ def _may_name_config(tok: str) -> bool:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse the command line with the --config file's flags ahead of it."""
-    if argv and argv[0] in _COMMANDS and any(map(_may_name_config, argv[1:])):
-        path = _build_config_parser(argv[0]).parse_known_args(argv[1:])[0].config
+    """Parse the command line with the --config file's flags ahead of it.
+
+    A line that starts with a command is parsed by that command's parser
+    alone, as the two-level parser would hand it on, and what that parser
+    leaves over is reported by the top-level parser, as ``parse_args`` does.
+    Help, no arguments, an unknown command or an option before the command
+    take the two-level parse.
+    """
+    parser = _build_parser()
+    if not argv or argv[0] not in _COMMANDS:
+        return parser.parse_args(argv)
+    command, args = argv[0], argv[1:]
+    if any(map(_may_name_config, args)):
+        path = _build_config_parser(command).parse_known_args(args)[0].config
         if path:
-            argv = [argv[0], *_config_tokens(path, _COMMANDS[argv[0]][1]), *argv[1:]]
-    return _build_parser().parse_args(argv)
+            args = [*_config_tokens(path, _COMMANDS[command][1]), *args]
+    ns = argparse.Namespace(command=command)
+    extras = parser.commands[command].parse_known_args(args, ns)[1]
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return ns
 
 
 def main(argv=None) -> int:

@@ -76,7 +76,17 @@ t_end.  After each try the step is scaled by 0.9 err^(-1/8), the eighth root
 again three ``sqrt`` (``0.9 / sqrt(sqrt(sqrt(err)))``, so the loop calls no
 libm ``pow``), kept within [0.333, 6] (6 where err is 0, 0.333 where it is
 inf), and it does not grow right after a rejection:
-a step accepted after a rejected one is followed by one no longer.
+a step accepted after a rejected one is followed by one no longer.  An
+accepted step after an earlier accepted one takes the smaller of that factor
+and Gustafsson's predictive one, as in Hairer & Wanner's code RADAU5 (§IV.8):
+
+    0.9 err^(-1/8) (h / h_acc) (err_acc / err)^(1/8),
+
+kept within [0.333, 6], where h_acc is the last accepted step and err_acc its
+err, at least 0.01.  Along the unstable mode the error grows step by step, and
+the factor from the last err alone alternates accepted and rejected tries; the
+trend of two errors sizes the step to it.  The factor is a product with
+(err_acc / err)^(1/8), so an err whose square underflows divides nothing by 0.
 
 The system is autonomous, so C = 2 Omega - |v|^2 is a first integral; its
 drift along a trajectory is the accuracy audit for the integrator.  Trajectories
@@ -361,6 +371,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
         status = None
     steps = rejections = 0
     rejected = False  # whether the last try was rejected
+    h_acc = err_acc = 1.0  # the last accepted step and its err, at least 0.01, from step 2 on
 
     if status is None:
         ax, ay, az = _rhs(*s, mu, k, n_sq, n)[3:]
@@ -383,11 +394,9 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
 
             _STEP  # replaced at import by stages 2-13, the error estimates and err: _step_source()
 
-            # 0.9 err^(-1/8), the eighth root as three sqrt without libm pow, and
-            # min(6.0, max(0.333, f)) as comparisons: an inf err gives f = 0 and
-            # so 0.333, and err 0, where 0.9 / 0.0 would raise, gives 6
+            # 0.9 err^(-1/8), the eighth root as three sqrt without libm pow: an
+            # inf err gives f = 0, and err 0, where 0.9 / 0.0 would raise, gives 6
             f = 6.0 if err == 0.0 else 0.9 / sqrt(sqrt(sqrt(err)))
-            f = 6.0 if f > 6.0 else f if f > 0.333 else 0.333
             if err <= 1.0:
                 t += h
                 s = x, y, z, vx, vy, vz = x13, y13, z13, vx13, vy13, vz13
@@ -400,13 +409,21 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     status = "collision"
                 elif x * x + y * y + z * z > escape_sq:
                     status = "escape"
+                # Gustafsson's predictive factor, the smaller before the clamp below
+                # as the smaller of the two clamped; it divides by err, not err^2
+                if steps > 1 and err > 0.0:
+                    g = f * (h / h_acc) * sqrt(sqrt(sqrt(err_acc / err)))
+                    if g < f:
+                        f = g
+                h_acc, err_acc = h, err if err > 0.01 else 0.01
                 if rejected and f > 1.0:  # no growth on the step after a rejection
                     f = 1.0
                 rejected = False
             else:
                 rejections += 1
                 rejected = True
-            h *= f
+            # min(6.0, max(0.333, f)) as comparisons, which keep an inf err's 0.333
+            h *= 6.0 if f > 6.0 else f if f > 0.333 else 0.333
     except ZeroDivisionError:
         raise SingularityError(_AT_SECOND_PRIMARY) from None
 

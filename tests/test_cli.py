@@ -631,6 +631,123 @@ def test_command_line_without_config_builds_no_config_parser(monkeypatch, capsys
     assert code == 0 and rep["exists"] is True
 
 
+def _two_level_parse(argv):
+    """The config file's flags ahead of the line, then the two-level parser on
+    all of it: what ``cli._parse`` must match."""
+    if argv and argv[0] in cli._COMMANDS and any(map(cli._may_name_config, argv[1:])):
+        path = cli._build_config_parser(argv[0]).parse_known_args(argv[1:])[0].config
+        if path:
+            argv = [argv[0], *cli._config_tokens(path, cli._COMMANDS[argv[0]][1]), *argv[1:]]
+    return cli._build_parser().parse_args(argv)
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The Namespace's items in order (arrays as lists), or the exit code or
+    error message; and what was written to stdout and stderr."""
+    try:
+        ns = parse(argv)
+        got = [(k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in vars(ns).items()]
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    except ValueError as exc:
+        got = ("ValueError", str(exc))
+    out = capsys.readouterr()
+    return got, out.out, out.err
+
+
+# a value for each dest of the flag tables
+_FLAG_VALUES = {"mu": "0.1", "k": "-0.01", "a1": "0.02", "format": "csv", "output": "out.csv",
+                "offset": "1e-8", "t_end": "5", "tol": "1e-9", "grid_mu": "0.1:0.2:2",
+                "grid_k": "-0.02:-0.01:2", "grid_a1": "0:0.1:2", "svg_region": "r.svg"}
+# read by every command from its own keys; a1 by all, the rest by some
+_CONFIG = ("mu = 0.2\nk = -0.02\na1 = 0.01\nfrom_equilibrium = yes\ngrid_mu = 0.1:0.3:3\n"
+           "grid_k = -0.02:-0.01:2\nformat = json\n")
+
+
+def _flag_tokens(flags, joined):
+    """Every flag of a table with a value, as ``--flag=value`` or ``--flag value``."""
+    tokens = []
+    for dest, spec in flags.items():
+        flag = "--" + dest.replace("_", "-")
+        if "action" in spec:
+            tokens.append(flag)
+        elif joined:
+            tokens.append(f"{flag}={_FLAG_VALUES[dest]}")
+        else:
+            tokens += [flag, _FLAG_VALUES[dest]]
+    return tokens
+
+
+def _parse_cases():
+    """(id, argv) pairs: every flag of each table, abbreviations, --config,
+    help, and usage errors before, in and after a command."""
+    cases = [("empty", []), ("h", ["-h"]), ("help", ["--help"]),
+             ("unknown-command", ["frobnicate"]),
+             ("option-before-command", ["--mu", "0.1", "integrate"]),
+             ("h-before-command", ["-h", "locate"]),
+             ("dashes-before-command", ["--", "locate", "--mu", "0.1", "--k=-0.01"])]
+    for name, (_, flags) in cli._COMMANDS.items():
+        required = [d for d, spec in flags.items() if spec.get("required")]
+        minimal = _flag_tokens({d: flags[d] for d in required}, joined=False)
+        foreign = min(cli._CONFIG_KEYS - set(flags))  # a flag of another command
+        cases += [(f"{name}-{case}", [name, *argv]) for case, argv in [
+            ("joined", _flag_tokens(flags, joined=True)),
+            ("separate", _flag_tokens(flags, joined=False)),
+            ("required", minimal),
+            ("given-twice", [*minimal, minimal[0], "0.3:0.4:2" if name == "sweep" else "0.3"]),
+            ("h", ["-h"]), ("help-after-flags", [*minimal, "--help"]),
+            ("unknown-flag", [*minimal, "--bogus"]),
+            ("unknown-flag-and-values", [*minimal, "--bogus", "1", "extra"]),
+            ("dashes-then-value", [*minimal, "--", "extra"]),
+            ("other-commands-flag", [*minimal, f"--{foreign.replace('_', '-')}=1"]),
+            ("bad-choice", [*minimal, "--format=xml"]),
+            ("config", ["--config", "flags.cfg"]),
+            ("config-abbreviated", ["--conf=flags.cfg", *minimal]),
+            ("config-unknown-key", ["--co", "bad.cfg"]),
+            ("config-missing", ["--config", "missing.cfg"]),
+            ("config-without-path", ["--config"]),
+            *((f"without-{minimal[i][2:]}", minimal[:i] + minimal[i + 2:])
+              for i in range(0, len(minimal), 2)),
+        ]]
+    return cases + [
+        ("integrate-abbreviated", ["integrate", "--mu", "0.1", "--k=-0.01", "--from-eq",
+                                   "--t-e", "5"]),
+        ("integrate-abbreviated-joined", ["integrate", "--mu=0.1", "--k=-0.01",
+                                          "--from-equilibrium", "--t-e=5", "--off=1e-8"]),
+        ("integrate-ambiguous-abbreviation", ["integrate", "--mu", "0.1", "--k=-0.01",
+                                              "--from-equilibrium", "--t", "5"]),
+        ("integrate-bad-value", ["integrate", "--mu", "abc", "--k=-0.01", "--from-equilibrium"]),
+        ("integrate-bad-t-end", ["integrate", "--mu", "0.1", "--k=-0.01", "--from-equilibrium",
+                                 "--t-end=0"]),
+        ("sweep-ambiguous-abbreviation", ["sweep", "--grid-m=0.1:0.2:2",
+                                          "--grid-k=-0.02:-0.01:2", "--grid"]),
+        ("sweep-bad-grid", ["sweep", "--grid-mu=0.1:0.2:0", "--grid-k=-0.02:-0.01:2"]),
+        ("locate-abbreviated", ["locate", "--mu", "0.1", "--k", "-0.01", "--form", "csv",
+                                "--out", "o.csv"]),
+        ("stability-abbreviated", ["stability", "--m", "0.1", "--k", "-0.01"]),
+    ]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=i) for i, argv in _parse_cases()])
+def test_parse_matches_the_two_level_parse(argv, tmp_path, monkeypatch, capsys):
+    # a command's own parser gives the Namespace, exit code, stdout and stderr
+    # of the parser that dispatches to it, usage errors and help included
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flags.cfg").write_text(_CONFIG)
+    (tmp_path / "bad.cfg").write_text("mu = 0.1\nnot_a_flag = 1\n")
+    expected = _parse_outcome(_two_level_parse, argv, capsys)
+    assert _parse_outcome(cli._parse, argv, capsys) == expected
+
+
+def test_leftover_arguments_are_reported_by_the_top_level_parser(capsys):
+    argv = ["integrate", "--mu", "0.1", "--k=-0.01", "--from-equilibrium", "--bogus"]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage: robe3bp [-h] {locate,stability,integrate,sweep} ...\n"
+                            "robe3bp: error: unrecognized arguments: --bogus\n")
+
+
 def _as_config(flags):
     """`--key value`, `--key=value` and `--switch` tokens as config lines."""
     lines, i = [], 0
@@ -728,8 +845,8 @@ _PINNED_OUTPUTS = {
         "1d41bfa2e76c5351738e197793319e250e18b4eb4601aed7d463442da2153e9f", _NO_STDOUT),
     "integrate_offset": (
         ["integrate", *CANONICAL_ARGS, "--from-equilibrium", "--offset", "1e-8"],
-        "7221424f339ac3150ca3867af6d332f4510f713b56974ecba4654386094a5413",
-        "36a70be38f777676abfdef869f3f41caa0a656da713446f5a378451e52287270"),
+        "0101bae51706f3abb5c82bf6463da757717000fb138ff6eb0b4fee2615721877",
+        "22e089fbf7557e7e8018488b05964066df679d2e4d405d5d5a9f4293f9ad43df"),
     "stability_canonical_json": (
         ["stability", *CANONICAL_ARGS, "--format", "json"],
         "39a739eccf2058e5a97ccee81151e7c4103973ba18f6c685ff105b42ebbed5c7", _NO_STDOUT),

@@ -321,30 +321,30 @@ def test_step_size_underflow_before_the_first_try_names_the_starting_step():
 _PINNED_RUNS = {
     "bounded_a": (
         ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING, dict(t_end=20.0),
-        "b651fa81498f3d035c3696f985dea5f4ad384e61b50dcf0386a8dff00158ee72", 154, 0, "completed"),
+        "4d6d00e13bc5ab9fe1fb0b7e89ceb6fcfce3dad3cff8cef38751c24df4423817", 155, 0, "completed"),
     "bounded_b": (
         ((-0.3, 0.25, -0.1), (0.1, 0.05, -0.15)), CONFINING, dict(t_end=20.0),
-        "8a538b88e272616fcdeaa2084c1b8c9ad2373c86cc7269d2d45e58b3e946e569", 164, 0, "completed"),
+        "202d9fb58e8233c687eb12418bdbb8878d047032e5fcf897168132e816a988f4", 165, 0, "completed"),
     "unstable_seed": (
         None, Params(mu=0.1, k=-0.01, a1_oblate=0.02), dict(t_end=60.0),
-        "b21e24c7fcfb0776f433d8fefdfef5e1b869949365af2f3844b56f6bfc0be5d2", 15, 6, "completed"),
+        "e2da3ba3bb0039ac3b2df1c6f889835ee541a89eff506233696598d226ed9ec3", 16, 3, "completed"),
     "escape": (
         ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Params(mu=0.1, k=-0.01),
         dict(t_end=50.0, rel_tol=1e-9, abs_tol=1e-9),
-        "fe6ea2bbce376ef71251c3e4a4fcda19bf26a757e2e36b70c08f70b71418fa82", 89, 18, "escape"),
+        "2386ffefb990cd1979c4713ca1c48d7daaf681be5d60728099f411032509296d", 89, 0, "escape"),
     "collision": (
         ((1 - 0.1 + 1e-4, 0.0, 0.0), (-0.05, 0.0, 0.0)), CONFINING,
         dict(t_end=1.0, rel_tol=1e-9, abs_tol=1e-9),
-        "ec2e7a78099d368eccfa192d768b455073f53f5337ccad891d4ea3b836efcd5f", 35, 33, "collision"),
+        "59e19bec7a21e8d784efd33f7d378b9d0e458718cb4856a7c65288883435c261", 34, 2, "collision"),
     "loose_tolerance": (
         ((0.2, 0.1, 0.3), (0.05, -0.1, 0.02)), CONFINING,
         dict(rel_tol=1e-3, abs_tol=1e-3, t_end=20.0),
-        "f49ae4932e272415181ee29aa52171ea29dbaa374a674d3e2f26160233b9c411", 14, 0, "completed"),
+        "4c26f6042cbfc18e8fbea476b364385a686d7d9e8c32720f72fc56e414db533b", 14, 1, "completed"),
     # the signed zeros flip to +0.0 on the first step: the slope mk2 z - c3 z is
     # +0.0 - -0.0 = +0.0 at z = -0.0, and a sum of -0.0 and +0.0 is +0.0
     "planar_negative_zero": (
         ((0.3, -0.2, -0.0), (0.1, 0.05, -0.0)), CONFINING, dict(t_end=10.0),
-        "067a12e30111a38073120ca7836d7dc6205851334b9fb380d85e66dd28a31d70", 106, 13, "completed"),
+        "27b6279420945b52611e534f02889f62ef571bb33065c387ac358dec12a4ad77", 108, 4, "completed"),
 }
 
 
@@ -476,7 +476,11 @@ def _dop853_reference(state0, params, cfg, tries=None):
     """integrate's method with ``_reference_first_step`` as the start,
     ``_reference_attempt`` as the step and ``_jacobi_s`` as C: the same sums in the
     same order, so the same bits.  Each try is logged to ``tries``, if given, as
-    (h, accepted, whether h was cut to t_end - t)."""
+    (h, err, whether h was cut to t_end - t).  An accepted step after an earlier
+    accepted one takes the smaller of two factors: 0.9 err^(-1/8) and
+    Gustafsson's prediction 0.9 err^(-1/8) (h / h_acc) (err_acc / err)^(1/8)
+    from the last accepted step h_acc and its err_acc = max(err, 0.01), each
+    kept within [0.333, 6]."""
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
 
     def stop(s):
@@ -491,6 +495,7 @@ def _dop853_reference(state0, params, cfg, tries=None):
     t, s = 0.0, tuple(state0.vector().tolist())
     times, states, jacobi = [t], [s], [dynamics._jacobi_s(*s, mu, k, n_sq)]
     status, steps, rejections, rejected = stop(s), 0, 0, False
+    last_accepted = None  # (h_acc, err_acc)
     if status is None:
         first = dynamics._rhs(*s, mu, k, n_sq, n)
         h = _reference_first_step(s, first, params, cfg)
@@ -503,15 +508,23 @@ def _dop853_reference(state0, params, cfg, tries=None):
         slopes, point, e5sq, e3sq = _reference_attempt(s, first, h, params, cfg)
         err = _reference_err(h, e5sq, e3sq)
         if tries is not None:
-            tries.append((h, err <= 1.0, cut))
-        factor = 6.0 if err == 0.0 else min(
-            6.0, max(0.333, 0.9 / math.sqrt(math.sqrt(math.sqrt(err)))))
+            tries.append((h, err, cut))
+        if err == 0.0:
+            factor = 6.0
+        else:
+            base = 0.9 / math.sqrt(math.sqrt(math.sqrt(err)))
+            factor = min(6.0, max(0.333, base))
         if err <= 1.0:
             t, s, first, steps = t + h, point, slopes[-1], steps + 1
             times.append(t)
             states.append(s)
             jacobi.append(dynamics._jacobi_s(*s, mu, k, n_sq))
             status = stop(s)
+            if last_accepted is not None and err != 0.0:
+                h_acc, err_acc = last_accepted
+                predicted = base * (h / h_acc) * math.sqrt(math.sqrt(math.sqrt(err_acc / err)))
+                factor = min(factor, min(6.0, max(0.333, predicted)))
+            last_accepted = h, max(err, 0.01)
             if rejected:  # the step after a rejection does not grow
                 factor = min(factor, 1.0)
             rejected = False
@@ -629,7 +642,7 @@ def test_integrate_matches_dop853_reference_after_nan_error_estimates(margin, na
 @pytest.mark.parametrize("k, tol, outcome", [
     (1e12, 1e-12, (1, 7)), (-1e16, 1e-6, (1, 7)), (1e20, 1e-2, (1, 9)),
     (-1e20, 1e-12, (1, 12)), (1e24, 1e-12, (1, 16)), (1e26, 1e-12, ConvergenceError)])
-def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol, outcome):
+def test_integrate_matches_dop853_reference_after_non_finite_stage_2_slopes(k, tol, outcome):
     # x + mu = 0 keeps 2k (x + mu) finite at the start, and a velocity of
     # 4 max_float / (2 |k| a21 h) carries the first try's stage-2 point to
     # where it overflows: k1 is finite, and k2 is not.  k2 is weighed only into
@@ -657,15 +670,31 @@ def test_integrate_matches_dp5_reference_after_non_finite_stage_2_slopes(k, tol,
         assert traj.jacobi[0] == -np.inf and np.isnan(traj.jacobi[1])
 
 
+def _largest_tolerance_where_e3sq_overflows(state0, params, lo, hi):
+    """Bisection for the largest tolerance at which the first try's e3^2 is inf,
+    from ``lo`` (where it is) and ``hi`` (where it is not); the first try is the
+    start rule's 1e-6 at both, so e3 and sc scale with the tolerance alone."""
+    def overflows(tol):
+        return _first_try_norms(state0, params, IntegratorConfig(tol, tol, t_end=1.0))[1] == math.inf
+
+    assert overflows(lo) and not overflows(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        lo, hi = (mid, hi) if overflows(mid) else (lo, mid)
+
+
 def test_overflowing_third_order_estimate_rejects_the_step():
-    # at tolerances of 1.58e-170 the first try's e3^2 overflows while e5^2
-    # stays finite (1.75e308), where h e5^2 / sqrt(6 (e5^2 + 0.01 e3^2)) reads
-    # h e5^2 / inf = 0
+    # just below the largest tolerance at which the first try's e3^2 overflows
+    # (about 1.588e-170 here), e5^2 stays finite (about 1.74e308), where
+    # h e5^2 / sqrt(6 (e5^2 + 0.01 e3^2)) reads h e5^2 / inf = 0
     # and would accept the step.  It is rejected with the factor 0.333, as is
     # every later try, down to the step floor: 1e-6 * 0.333^17 = 7.613e-15, from
     # the start rule's 1e-6 ((y / sk)^2 overflows)
     state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
-    cfg = IntegratorConfig(1.58e-170, 1.58e-170, t_end=1.0)
+    tol = _largest_tolerance_where_e3sq_overflows(state0, CONFINING, 1e-175, 1e-165)
+    cfg = IntegratorConfig(tol, tol, t_end=1.0)
     h = _first_try(state0, CONFINING, cfg)
     assert h == 1e-6
     e5sq, e3sq = _first_try_norms(state0, CONFINING, cfg)
@@ -674,6 +703,21 @@ def test_overflowing_third_order_estimate_rejects_the_step():
     assert _assert_matches_reference(state0, CONFINING, cfg) is None
     with pytest.raises(ConvergenceError, match=r"at t=0 \(h=7\.613e-15\)"):
         integrate(state0, CONFINING, cfg)
+
+
+def test_accepted_error_whose_square_underflows_predicts_the_next_step():
+    # at tolerances of 1e140 every step is accepted with an err in (0, 1e-146),
+    # and three of those after the first have an err whose square underflows
+    # to 0.  Gustafsson's factor is formed as a product with
+    # (err_acc / err)^(1/8), so it divides by err, never by err^2: no
+    # ZeroDivisionError, which the loop would report as the second primary
+    state0 = PhaseState(pos=(0.2, 0.1, 0.3), vel=(0.05, -0.1, 0.02))
+    tries = []
+    traj = _assert_matches_reference(state0, CONFINING, IntegratorConfig(1e140, 1e140, 1.0),
+                                     tries)
+    assert (traj.steps, traj.rejections, traj.status) == (9, 0, "completed")
+    tiny = [err for _, err, _ in tries[1:] if 0.0 < err < 1e-154 and err * err == 0.0]
+    assert len(tiny) == 3
 
 
 def test_zero_error_estimate_accepts_with_factor_6():
@@ -845,17 +889,25 @@ def test_step_sizes_follow_dop853s_rules(vec, tol, t_end):
     # on the reference's log of tries, which integrate matches bit for bit: the
     # try after a rejection is no larger than the rejected one, and the step
     # after that try, once accepted, does not grow; each try is 0.333 to 6 times
-    # the one before, or smaller where it was cut to t_end - t
+    # the one before, or smaller where it was cut to t_end - t.  A try after an
+    # accepted step that follows an earlier accepted one is no larger than
+    # Gustafsson's predicted step h1 (h1 / h0) (err0 / err1)^(1/8) 0.9 err1^(-1/8),
+    # err0 at least 0.01, kept within [0.333, 6] times h1
     tries = []
     _assert_matches_reference(PhaseState.from_vector(vec), CONFINING,
                               IntegratorConfig(tol, tol, t_end), tries)
-    for (h0, ok0, _), (h1, _, cut1) in zip(tries, tries[1:]):
+    for (h0, err0, _), (h1, _, cut1) in zip(tries, tries[1:]):
         assert (h1 if cut1 else 0.333 * h0) <= h1 <= 6.0 * h0
-        if not ok0:
+        if not err0 <= 1.0:
             assert h1 <= h0
-    for (_, ok0, _), (h1, ok1, _), (h2, _, _) in zip(tries, tries[1:], tries[2:]):
-        if ok1 and not ok0:
+    for (_, err0, _), (h1, err1, _), (h2, _, _) in zip(tries, tries[1:], tries[2:]):
+        if err1 <= 1.0 and not err0 <= 1.0:
             assert h2 <= h1
+    accepted = [(i, h, err) for i, (h, err, _) in enumerate(tries) if err <= 1.0]
+    for (_, h0, err0), (i, h1, err1) in zip(accepted, accepted[1:]):
+        if i + 1 < len(tries) and 0.0 < err1:
+            ratio = (h1 / h0) * (max(err0, 0.01) / err1) ** 0.125 * 0.9 * err1 ** -0.125
+            assert tries[i + 1][0] <= h1 * min(6.0, max(0.333, ratio)) * (1.0 + 1e-12)
 
 
 def test_generated_code_shows_in_source_and_tracebacks(canonical):

@@ -3,7 +3,6 @@ CLI parser, its output schemas match what the commands write, its list of
 ``IntegratorConfig`` settings matches the dataclass, and its Python examples
 run."""
 
-import argparse
 import contextlib
 import dataclasses
 import io
@@ -37,10 +36,9 @@ def _documented_flags() -> dict[str, set[str]]:
 
 
 def _parser_flags() -> dict[str, set[str]]:
-    [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return {cmd: {opt for action in parser._actions for opt in action.option_strings
                   if opt not in ("-h", "--help")}
-            for cmd, parser in sub.choices.items()}
+            for cmd, parser in _build_parser().commands.items()}
 
 
 def test_readme_lists_each_commands_flags():
