@@ -35,7 +35,8 @@ import numpy as np
 from .errors import ConvergenceError, NoGrowthError, SingularityError
 from .model import Params, grad_omega, hessian_omega
 from .equilibria import triangular_points
-from .stability import char_coeffs, char_coeffs_from_hessian, classify, unstable_direction
+from .stability import (_closed_form, char_coeffs, char_coeffs_from_hessian, classify,
+                        unstable_direction)
 from .dynamics import (
     ESCAPE_RADIUS,
     IntegratorConfig,
@@ -265,7 +266,7 @@ def _hessian_r_error(hess, k: float, z: float) -> float:
 def _stability(ns, params):
     """characteristic coefficients, roots and verdict"""
     pts = _existing_points(params)
-    closed = char_coeffs(params)
+    closed = _closed_form(pts, params)
     hess = hessian_omega(pts.point(+1), params)
     oracle = char_coeffs_from_hessian(hess, params.n_sq)
     rel_diff = None  # the Hessian route carries no digit of r: no check to report

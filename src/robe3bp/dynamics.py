@@ -441,7 +441,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     )
 
 
-integrate = _splice(integrate, "_STEP", _STEP)
+integrate = _splice(integrate, _STEP=_STEP)
 
 
 def growth_rate(traj: Trajectory, eq_point) -> float:

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
-from .model import (COLLISION_R2, Params, _errstate, _require, _where, grad_omega,
-                    hessian_omega, radii)
+from .model import (_FLOATS, _NUMPY, COLLISION_R2, Params, _require, _spell, _splice,
+                    grad_omega, hessian_omega, radii)
+from .model import _cube_root  # CBRT in the numpy spelling of _POINTS
 
 __all__ = [
     "TriangularPoints",
@@ -65,22 +66,18 @@ class TriangularPoints:
         return np.array([self.x_eq, 0.0, z])
 
 
-# The kernels below run on a scalar cell and on arrays of cells alike:
-# arithmetic and comparisons broadcast, `model._where` selects, and
-# `_cube_root` runs the one step that numpy's vector loops would round
-# differently.
-
-def _cube_root(values):
-    """values^(1/3) by the C library's ``pow``, which Python's ``**`` calls.
-
-    Arrays go through it element by element: numpy's vectorized power differs
-    from it by an ulp on a few percent of inputs, and near the fold
-    b1^2 = a1^2 cancellation magnifies that ulp in z and r.
-    """
-    if isinstance(values, np.ndarray):
-        roots = [v ** (1.0 / 3.0) for v in values.ravel().tolist()]
-        return np.array(roots).reshape(values.shape)
-    return values ** (1.0 / 3.0)
+# The pair, written once over `model`'s kernel vocabulary and spelled twice in
+# `triangular_points`.  A k >= 0 is NaN before it divides, so a1 and b1 are
+# NaN there and a float k = 0 raises no ZeroDivisionError.
+_POINTS = """\
+x = 2.0 * k / n_sq
+a1 = WHERE(k < 0.0, x + mu - 1.0, math.nan)
+b1 = CBRT(-mu / (2.0 * WHERE(k < 0.0, k, math.nan)))
+radicand = b1 * b1 - a1 * a1
+exists = radicand > 0.0
+z = SQRT(WHERE(exists, radicand, math.nan))
+x = WHERE(exists, x, math.nan)
+"""
 
 
 def triangular_points(params: Params) -> TriangularPoints:
@@ -94,23 +91,21 @@ def triangular_points(params: Params) -> TriangularPoints:
     is an input error (``ValueError``).
     """
     mu, k, n_sq = params.mu, params.k, params.n_sq
-    array = isinstance(k, np.ndarray)
-    negative = k < 0.0
-    with _errstate(k, all="ignore"):  # as with Python floats: inf on overflow
-        x = 2.0 * k / n_sq
-        a1 = _where(negative, x + mu - 1.0, math.nan)
-        b1 = _cube_root(-mu / (2.0 * _where(negative, k, math.nan)))
-        _require(b1 != math.inf, k, "b1 = (-mu/2k)^(1/3) overflows for k={}")
-        _require((k >= 0.0) | (k <= -sys.float_info.min), k,
-                 "buoyancy parameter k={} is a negative subnormal float; k < 0 must be normal")
-        _require(a1 != -math.inf, k, "a1 = 2k/n^2 + mu - 1 overflows for k={}")
-        radicand = b1 * b1 - a1 * a1
-        exists = radicand > 0.0
-        z = (np.sqrt if array else math.sqrt)(_where(exists, radicand, math.nan))
-    x = _where(exists, x, math.nan)
-    if array:
-        return TriangularPoints(exists, a1, b1, x, z)
-    return TriangularPoints(bool(exists), *(None if v != v else float(v) for v in (a1, b1, x, z)))
+    if isinstance(k, np.ndarray):
+        with np.errstate(all="ignore"):  # as with Python floats: inf on overflow
+            _NUMPY  # _POINTS, spelled at import
+    else:
+        _FLOATS  # _POINTS, spelled at import
+        a1, b1, x, z = (None if v != v else v for v in (a1, b1, x, z))
+    _require(b1 != math.inf, k, "b1 = (-mu/2k)^(1/3) overflows for k={}")
+    _require((k >= 0.0) | (k <= -sys.float_info.min), k,
+             "buoyancy parameter k={} is a negative subnormal float; k < 0 must be normal")
+    _require(a1 != -math.inf, k, "a1 = 2k/n^2 + mu - 1 overflows for k={}")
+    return TriangularPoints(exists, a1, b1, x, z)
+
+
+triangular_points = _splice(triangular_points, _NUMPY=_spell(_POINTS, _NUMPY),
+                            _FLOATS=_spell(_POINTS, _FLOATS))
 
 
 _REFINE_TOL = 1e-12  # on |grad_omega|_inf

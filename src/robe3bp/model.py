@@ -12,8 +12,10 @@ trajectories stop once r2 falls below ``COLLISION_R2``.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import linecache
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,12 +51,6 @@ def _errstate(value, **kwargs):
     if isinstance(value, (np.ndarray, np.generic)):
         return np.errstate(**kwargs)
     return contextlib.nullcontext()
-
-
-def _where(cond, a, b):
-    """``np.where`` for an array ``cond``; for one cell the plain conditional,
-    which picks the same value without numpy's cost per call."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 def mean_motion_sq(a1_oblate):
@@ -172,29 +168,95 @@ def _omega_s(x, y, z, mu: float, k: float, n_sq: float):
     return 0.5 * n_sq * (x * x + y * y) - k * r1_sq + mu / r2
 
 
-def _splice(func, marker: str, block: str):
-    """The module-level def ``func`` recompiled with its statement ``marker``
-    replaced by the lines of ``block``.
+def _splice(func, **blocks):
+    """The module-level def ``func`` recompiled with each statement ``name`` of
+    ``blocks`` replaced by the lines of ``blocks[name]``.
 
     The new source is compiled under the filename ``<robe3bp module.name>`` and
     kept in ``linecache``, so tracebacks and ``inspect.getsource`` show the
     generated lines.  ``func``'s module must ship its source, or ``ImportError``.
     """
-    source = linecache.getlines(func.__code__.co_filename, func.__globals__)
-    if not source:  # a .pyc-only install
-        raise ImportError(f"{func.__module__} needs its .py source to build {func.__name__}")
-    start = func.__code__.co_firstlineno - 1
-    # the def ends before the next line that is not blank, a comment or indented
-    end = next(i for i in range(start + 1, len(source) + 1)
-               if i == len(source) or source[i][:1] not in " \t\n#")
-    lines = source[start:end]
-    [i] = [i for i, line in enumerate(lines) if line.split("#")[0].strip() == marker]
-    indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
-    lines[i:i + 1] = [indent + line + "\n" if line else "\n" for line in block.splitlines()]
+    try:
+        lines, _ = inspect.getsourcelines(func)
+    except OSError:  # a .pyc-only install
+        raise ImportError(f"{func.__module__} needs its .py source to build {func.__name__}"
+                          ) from None
+    for marker, block in blocks.items():
+        [i] = [i for i, line in enumerate(lines) if line.split("#")[0].strip() == marker]
+        indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+        lines[i:i + 1] = [indent + line + "\n" if line else "\n" for line in block.splitlines()]
     filename = f"<robe3bp {func.__module__}.{func.__qualname__}>"
     linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
     exec(compile("".join(lines), filename, "exec"), func.__globals__)
     return func.__globals__[func.__name__]
+
+
+# The linear layer's kernels are written once, each as a template over a small
+# vocabulary that `_spell` renders twice: on arrays of cells (`_NUMPY`) and on
+# the Python floats of one cell (`_FLOATS`).  WHERE(c, a, b) selects, ABS,
+# MAX, MIN, SQRT and COPYSIGN are what they say, CBRT is the C library's cube
+# root pow(x, 1/3), QUOTIENT(a, b) divides the name a by the name b, which may
+# be 0, and SETTLED(new, x) ends a loop once no cell changes.  Each word is
+# one IEEE 754 operation, libm's pow or an exact select in either spelling,
+# so a grid has the bits of its cells taken one by one.  A spelling that is
+# not a call is bracketed, so it binds as one operand where it stands;
+# SETTLED stands alone, as an `if` test.  {0}, {1}, {2} are the arguments.
+_NUMPY = {
+    "WHERE": "np.where({0}, {1}, {2})", "ABS": "np.abs({0})",
+    "MAX": "np.maximum({0}, {1})", "MIN": "np.minimum({0}, {1})",
+    "SQRT": "np.sqrt({0})", "COPYSIGN": "np.copysign({0}, {1})", "CBRT": "_cube_root({0})",
+    "QUOTIENT": "({0} / {1})", "SETTLED": "not np.count_nonzero({0} != {1})",
+}
+# a conditional evaluates only the branch it selects, so no quotient that
+# WHERE leaves out runs; a slope of 0 gives the quotient IEEE 754 gives.  max
+# and min differ from np.maximum and np.minimum only on a NaN or on zeros of
+# both signs, and MAX and MIN in `stability._CUBIC` see neither
+_FLOATS = {
+    "WHERE": "({1} if {0} else {2})", "ABS": "abs({0})",
+    "MAX": "max({0}, {1})", "MIN": "min({0}, {1})",
+    "SQRT": "math.sqrt({0})", "COPYSIGN": "math.copysign({0}, {1})",
+    "CBRT": "math.pow({0}, 1.0 / 3.0)",
+    "QUOTIENT": "({0} / {1} if {1} else _over_zero({0}, {1}))", "SETTLED": "{0} == {1}",
+}
+
+
+def _spell(template: str, words: dict[str, str]) -> str:
+    """``template`` with each call of a word of ``words``, its arguments spelled
+    first, written out in its spelling; the lines stay the template's lines."""
+    call = re.compile(r"\b(%s)\(" % "|".join(words))
+    out = []
+    while match := call.search(template):
+        depth, args, start = 0, [], match.end()
+        for end in range(start, len(template)):  # to the call's closing bracket
+            ch = template[end]
+            if ch == "(":
+                depth += 1
+            elif ch == ")" and depth:
+                depth -= 1
+            elif ch in ",)" and not depth:
+                args.append(_spell(template[start:end].strip(), words))
+                start = end + 1
+                if ch == ")":
+                    break
+        out.append(template[:match.start()] + words[match[1]].format(*args))
+        template = template[end + 1:]
+    return "".join(out) + template
+
+
+def _over_zero(a: float, b: float) -> float:
+    """``a / b`` for a ``b`` of +/-0, as IEEE 754 has it: NaN if ``a`` is 0 or NaN,
+    else an infinity with the sign of the quotient."""
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _cube_root(values):
+    """CBRT on numpy: libm ``pow(v, 1/3)`` element by element, as ``math.pow`` on
+    floats.  numpy's vectorized power differs by an ulp on a few percent of
+    inputs, which near the fold b1^2 = a1^2 cancellation magnifies in z and r."""
+    roots = [v ** (1.0 / 3.0) for v in values.ravel().tolist()]
+    return np.array(roots).reshape(values.shape)
 
 
 # The slope of stage {j} at (x{j}, y{j}, z{j}): the gradient of Omega, plus the
@@ -221,7 +283,7 @@ def _grad_s(x, y, z, mu, k, n_sq):
     return ax, ay, az
 
 
-_grad_s = _splice(_grad_s, "_SLOPE", _SLOPE.format(j="", cx="", cy=""))
+_grad_s = _splice(_grad_s, _SLOPE=_SLOPE.format(j="", cx="", cy=""))
 
 
 def omega(pos, params: Params) -> float:

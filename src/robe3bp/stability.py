@@ -33,12 +33,12 @@ certificate, not a tolerance on the computed roots, gives the verdict there.
 The roots come from the cubic in u = lambda^2, solved in real arithmetic
 (:func:`solve_characteristic`): bracketed Newton on one real root, deflation
 to a quadratic, and the quadratic by the cancellation-free formula.  The
-solver is one template, ``_CUBIC``, rendered at import in two spellings: numpy
-for arrays of cells, Python floats for one cell.  The root path makes no
-LAPACK or BLAS call and no complex product or quotient, which numpy's vector
-loops may fuse into one rounding, so the roots' bits follow neither numpy's
-SIMD dispatch level nor the BLAS kernel, and a grid has the bits of its cells
-taken one by one.  Complex sqrt is the C library's ``csqrt``, which IEEE 754
+solver is one template, ``_CUBIC``, spelled at import into the two branches of
+``_cubic_roots``: numpy for arrays of cells, Python floats for one cell.  The
+root path makes no LAPACK or BLAS call and no complex product or quotient,
+which numpy's vector loops may fuse into one rounding, so the roots' bits
+follow neither numpy's SIMD dispatch level nor the BLAS kernel, and a grid has
+the bits of its cells taken one by one.  Complex sqrt is the C library's ``csqrt``, which IEEE 754
 does not require to round correctly, so another libm may round the pair's
 square roots differently.
 """
@@ -46,7 +46,6 @@ square roots differently.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -54,7 +53,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructureError
-from .model import Params, PotentialHessian, _errstate, _require, _splice, hessian_omega
+from .model import (_FLOATS, _NUMPY, Params, PotentialHessian, _errstate, _require, _spell,
+                    _splice, hessian_omega)
+from .model import _over_zero  # QUOTIENT by 0 in the float spelling of _CUBIC
 from .equilibria import triangular_points
 
 __all__ = [
@@ -180,13 +181,8 @@ def _cubic_compensated(x, p, q, r):
     return s + err
 
 
-# The cubic u^3 + p u^2 + q u + r, solved once over a small vocabulary that
-# `_spell` renders twice: on arrays of cells (`_NUMPY`) and on the Python
-# floats of one cell (`_FLOATS`).  WHERE(c, a, b) selects, ABS, MAX, MIN, SQRT
-# and COPYSIGN are what they say, QUOTIENT(a, b) divides the name a by the
-# name b, which may be 0, and SETTLED(new, x) ends a loop once no cell
-# changes.  Each word is one IEEE 754 operation or an exact select in either
-# spelling, so a grid has the bits of its cells taken one by one.
+# The cubic u^3 + p u^2 + q u + r, solved once over `model`'s kernel
+# vocabulary and spelled twice in `_cubic_roots`.
 #
 # The real root u1: with s = -1 where r > 0 (and 1 elsewhere), bracketed Newton
 # searches for a root v = s u > 0 of g(v) = v^3 + s p v^2 + q v - |r|, which is
@@ -245,80 +241,24 @@ im2 = WHERE(real, 0.0, half)
 re3 = WHERE(real, WHERE(big != 0.0, c / big, 0.0), -0.5 * b)
 im3 = WHERE(real, 0.0, -half)
 """
-# Each spelling's words, with {0}, {1}, {2} for the arguments.  A spelling
-# that is not a call is bracketed, so it binds as one operand where it stands;
-# SETTLED stands alone, as an `if` test
-_NUMPY = {
-    "WHERE": "np.where({0}, {1}, {2})", "ABS": "np.abs({0})",
-    "MAX": "np.maximum({0}, {1})", "MIN": "np.minimum({0}, {1})",
-    "SQRT": "np.sqrt({0})", "COPYSIGN": "np.copysign({0}, {1})",
-    "QUOTIENT": "({0} / {1})", "SETTLED": "not np.count_nonzero({0} != {1})",
-}
-# a conditional evaluates only the branch it selects, so no quotient that
-# WHERE leaves out runs; a slope of 0 gives the quotient IEEE 754 gives.  max
-# and min differ from np.maximum and np.minimum only on a NaN or on zeros of
-# both signs, and MAX and MIN in _CUBIC see neither
-_FLOATS = {
-    "WHERE": "({1} if {0} else {2})", "ABS": "abs({0})",
-    "MAX": "max({0}, {1})", "MIN": "min({0}, {1})",
-    "SQRT": "math.sqrt({0})", "COPYSIGN": "math.copysign({0}, {1})",
-    "QUOTIENT": "({0} / {1} if {1} else _over_zero({0}, {1}))", "SETTLED": "{0} == {1}",
-}
-
-
-def _spell(template: str, words: dict[str, str]) -> str:
-    """``template`` with each call of a word of ``words``, its arguments spelled
-    first, written out in its spelling; the lines stay the template's lines."""
-    call = re.compile(r"\b(%s)\(" % "|".join(words))
-    out = []
-    while match := call.search(template):
-        depth, args, start = 0, [], match.end()
-        for end in range(start, len(template)):  # to the call's closing bracket
-            ch = template[end]
-            if ch == "(":
-                depth += 1
-            elif ch == ")" and depth:
-                depth -= 1
-            elif ch in ",)" and not depth:
-                args.append(_spell(template[start:end].strip(), words))
-                start = end + 1
-                if ch == ")":
-                    break
-        out.append(template[:match.start()] + words[match[1]].format(*args))
-        template = template[end + 1:]
-    return "".join(out) + template
-
-
-def _over_zero(a: float, b: float) -> float:
-    """``a / b`` for a ``b`` of +/-0, as IEEE 754 has it: NaN if ``a`` is 0 or NaN,
-    else an infinity with the sign of the quotient."""
-    if a == 0.0 or a != a:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
-def _cubic_roots(p, q, r) -> np.ndarray:
-    """The three roots u of u^3 + p u^2 + q u + r for arrays of cells, shape S + (3,).
-
-    The real root comes first.  Real roots have an imaginary part of exactly +0.
-    """
-    with np.errstate(all="ignore"):  # a quotient that WHERE leaves out may be inf or NaN
-        _CUBIC  # replaced at import by _spell(_CUBIC, _NUMPY)
-    u = np.zeros(np.shape(u1) + (3,), dtype=complex)
-    u.real[..., 0] = u1
-    u.real[..., 1], u.imag[..., 1] = re2, im2
-    u.real[..., 2], u.imag[..., 2] = re3, im3
-    return u
-
-
-def _cubic_roots_s(p: float, q: float, r: float) -> tuple[complex, complex, complex]:
-    """:func:`_cubic_roots` of one cell on Python floats, with its bits."""
-    _CUBIC  # replaced at import by _spell(_CUBIC, _FLOATS)
+def _cubic_roots(p, q, r):
+    """The three roots u of u^3 + p u^2 + q u + r, the real root first: three
+    complex for floats, shape S + (3,) for arrays of shape S, with the floats'
+    bits.  Real roots have an imaginary part of exactly +0."""
+    if isinstance(p, np.ndarray):
+        with np.errstate(all="ignore"):  # a quotient that WHERE leaves out may be inf or NaN
+            _NUMPY  # _CUBIC, spelled at import
+        u = np.zeros(np.shape(u1) + (3,), dtype=complex)
+        u.real[..., 0] = u1
+        u.real[..., 1], u.imag[..., 1] = re2, im2
+        u.real[..., 2], u.imag[..., 2] = re3, im3
+        return u
+    _FLOATS  # _CUBIC, spelled at import
     return complex(u1, 0.0), complex(re2, im2), complex(re3, im3)
 
 
-_cubic_roots = _splice(_cubic_roots, "_CUBIC", _spell(_CUBIC, _NUMPY))
-_cubic_roots_s = _splice(_cubic_roots_s, "_CUBIC", _spell(_CUBIC, _FLOATS))
+_cubic_roots = _splice(_cubic_roots, _NUMPY=_spell(_CUBIC, _NUMPY),
+                       _FLOATS=_spell(_CUBIC, _FLOATS))
 
 
 def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
@@ -353,7 +293,7 @@ def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
         p, q, r = map(float, coeffs)
         if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(r)):
             raise ValueError("characteristic coefficients must be finite")
-        u = np.array(_cubic_roots_s(p, q, r))
+        u = np.array(_cubic_roots(p, q, r))
     s = np.sqrt(u)
     roots = np.empty(s.shape[:-1] + (6,), dtype=complex)
     roots[..., 0::2], roots[..., 1::2] = s, -s

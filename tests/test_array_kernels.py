@@ -42,8 +42,12 @@ def test_array_pass_equals_scalar_calls(grid):
     for i, params in enumerate(scalar):
         one = triangular_points(params)
         assert type(one.exists) is bool and one.exists == pts.exists[i]
+        # the cell as 0-d arrays, shape (), takes the numpy spelling
+        zero_d = triangular_points(Params(*map(np.array, grid[i])))
+        assert zero_d.exists.shape == () and zero_d.exists == one.exists
         for field in ("a1_aux", "b1_aux", "x_eq", "z_plus"):
             assert _bits(getattr(one, field)) == _bits(getattr(pts, field)[i]), field
+            assert _bits(getattr(one, field)) == _bits(getattr(zero_d, field)), field
 
     ok = pts.exists
     if not ok.any():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from robe3bp import Classification, Params, char_coeffs, classify, triangular_points
-from robe3bp import cli
+from robe3bp import cli, equilibria, stability
 from robe3bp.cli import main
 from conftest import FROZEN, acceptance_grid, any_cell, fold_k
 
@@ -98,6 +98,16 @@ def test_stability_canonical(capsys):
     npt.assert_allclose(rep["max_real_part"], FROZEN["lambda_plus"], rtol=1e-9)
     roots = [complex(rep[f"root{i}_re"], rep[f"root{i}_im"]) for i in range(1, 7)]
     assert sum(abs(z.imag) < 1e-9 and z.real > 0 for z in roots) == 1
+
+
+def test_stability_finds_the_point_once(monkeypatch, capsys):
+    # the coefficients come from the point the command has already found
+    calls = []
+    counted = lambda params: calls.append(params) or equilibria.triangular_points(params)
+    monkeypatch.setattr(cli, "triangular_points", counted)
+    monkeypatch.setattr(stability, "triangular_points", counted)
+    assert main(["stability", *CANONICAL_ARGS]) == 0
+    assert len(calls) == 1
 
 
 def test_stability_no_equilibrium_exit_2(capsys):

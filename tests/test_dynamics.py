@@ -965,7 +965,7 @@ def test_splice_without_source_names_the_missing_file(monkeypatch):
     # a .pyc-only install: linecache finds no lines for the def to splice
     monkeypatch.setattr(model.linecache, "getlines", lambda *args: [])
     with pytest.raises(ImportError, match=r"model needs its \.py source to build _grad_s"):
-        model._splice(model._grad_s, "_SLOPE", model._SLOPE)
+        model._splice(model._grad_s, _SLOPE=model._SLOPE)
 
 
 def test_jacobi_conservation_random_bounded():

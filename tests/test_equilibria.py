@@ -87,7 +87,7 @@ def _region_ok(params):
     return 2.0 * params.k / params.n_sq + params.mu > 0.0
 
 
-def test_existence_report_canonical(canonical):
+def test_canonical_cell_has_points_inside_the_region(canonical):
     assert triangular_points(canonical).exists
     assert canonical.k < 0 and _region_ok(canonical)
     # 2k/n^2 + mu ~ 0.0806 and the radicand ~ 2.0787
@@ -96,13 +96,13 @@ def test_existence_report_canonical(canonical):
     npt.assert_allclose(FROZEN["radicand"], 2.0787, atol=1e-4)
 
 
-def test_existence_report_boundary_k_zero():
+def test_k_zero_has_no_points_and_no_aux():
     pts = triangular_points(Params(mu=0.1, k=0.0))
     assert not pts.exists
     assert pts.a1_aux is None and pts.b1_aux is None
 
 
-def test_existence_report_region_failure():
+def test_cell_outside_the_region_has_no_points():
     params = Params(mu=0.1, k=-0.4, a1_oblate=0.0)
     assert not triangular_points(params).exists
     assert params.k < 0 and not _region_ok(params)

@@ -34,8 +34,8 @@ from robe3bp import (
     unstable_direction,
 )
 from robe3bp.model import PotentialHessian
-from robe3bp import stability
-from robe3bp.stability import _cubic_roots_s
+from robe3bp import equilibria, model, stability
+from robe3bp.stability import _cubic_roots
 from conftest import FROZEN, acceptance_grid, min_weight_match, whole_region_cells
 
 
@@ -397,7 +397,7 @@ def _check_cubic_contract(exact, real, pair, counted=True):
     # 1e-120 of their largest term: f(u) is exact as far as 16 eps can tell
     with mpmath.workdps(120):
         p, q, r = (mpmath.mpf(c) for c in coeffs)
-        for z in _cubic_roots_s(*coeffs):
+        for z in _cubic_roots(*coeffs):
             u = mpmath.mpc(z.real, z.imag)
             size = abs(u)
             scale = size**3 + abs(p) * size**2 + abs(q) * size + abs(r)
@@ -522,25 +522,34 @@ def test_quotient_by_zero_on_floats_is_ieee(a, b):
 
 
 def test_float_spelling_is_rendered_without_numpy():
-    # the cubic is written once, in _CUBIC; each spelling's generated lines
-    # show in inspect.getsource, under a filename of their own
-    names = {}
-    for func, words, indent in ((_cubic_roots_s, stability._FLOATS, "    "),
-                                (stability._cubic_roots, stability._NUMPY, "        ")):
-        assert func.__code__.co_filename == f"<robe3bp robe3bp.stability.{func.__name__}>"
+    # the cubic and the pair are each written once, in _CUBIC and _POINTS; both
+    # spellings' generated lines show in inspect.getsource of the one function
+    # they are spliced into, under a filename of its own
+    for func, template, indents in (
+            (stability._cubic_roots, stability._CUBIC, (" " * 4, " " * 12)),
+            (equilibria.triangular_points, equilibria._POINTS, (" " * 8, " " * 12))):
+        assert func.__code__.co_filename == f"<robe3bp {func.__module__}.{func.__name__}>"
         source = inspect.getsource(func)
-        assert textwrap.indent(stability._spell(stability._CUBIC, words), indent) in source
-        names[func] = {node.id for node in ast.walk(ast.parse(source))
-                       if isinstance(node, ast.Name)}
-        assert not names[func] & set(words)  # every word of the vocabulary spelled out
-    assert "    s = (-1.0 if r > 0.0 else 1.0)\n" in inspect.getsource(_cubic_roots_s)
-    assert not names[_cubic_roots_s] & {"np", "_where"}  # no numpy attribute, no numpy select
-    assert "np" in names[stability._cubic_roots]
+        for words, indent in zip((model._FLOATS, model._NUMPY), indents):
+            block = model._spell(template, words)
+            assert textwrap.indent(block, indent) in source
+            names = {node.id for node in ast.walk(ast.parse(block))
+                     if isinstance(node, ast.Name)}
+            if words is model._FLOATS:  # no numpy attribute, no numpy select
+                assert not names & {"np", "_where", "_cube_root"}
+            else:
+                assert "np" in names
+        names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+        assert not names & set(model._NUMPY)  # every word of the vocabulary spelled out
+    assert not hasattr(model, "_where") and not hasattr(stability, "_cubic_roots_s")
+    assert "    s = (-1.0 if r > 0.0 else 1.0)\n" in inspect.getsource(_cubic_roots)
+    assert "        b1 = math.pow(" in inspect.getsource(triangular_points)
 
 
-def test_pyc_only_install_fails_at_the_cubic_splice(tmp_path):
-    # model keeps its .py and splices _grad_s; stability is a .pyc alone, so
-    # the cubic has no source to be spliced from
+def test_pyc_only_install_fails_at_the_first_linear_splice(tmp_path):
+    # model keeps its .py and splices _grad_s; the other modules are a .pyc
+    # alone, so triangular_points, the first splice outside model, has no
+    # source to be spliced from
     package = tmp_path / "robe3bp"
     shutil.copytree(Path(stability.__file__).parent, package,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -552,5 +561,6 @@ def test_pyc_only_install_fails_at_the_cubic_splice(tmp_path):
                             env={**os.environ, "PYTHONPATH": str(tmp_path)},
                             capture_output=True, text=True)
     assert result.returncode == 1
-    assert ("ImportError: robe3bp.stability needs its .py source to build _cubic_roots\n"
-            in result.stderr)
+    assert result.stderr.count("Traceback") == 1  # one exception, no chained OSError
+    assert result.stderr.endswith(
+        "\nImportError: robe3bp.equilibria needs its .py source to build triangular_points\n")
