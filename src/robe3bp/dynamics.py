@@ -17,9 +17,9 @@ each component divided by abs_tol + rel_tol max(|y|, |y_new|).  ``_STAGES``,
 ``_E5`` and ``_BHH`` are the one copy of the tableau and ``model._SLOPE`` the
 one spelling of the gradient.  At import, ``_step_source`` writes the step
 out from them on plain Python floats, one statement per component and each
-weight as its float literal, and ``model._splice`` puts it into
-``integrate``'s loop in place of ``_STEP``, under a filename kept in
-``linecache``, so tracebacks and ``inspect.getsource(integrate)`` show the
+weight as its float literal, and ``model._kernel`` compiles it into
+``_dop853``, the step loop of ``integrate``, under a filename kept in
+``linecache``, so tracebacks and ``inspect.getsource(_dop853)`` show the
 generated lines.  Stage 2 reads
 
     x2 = x + h * (0.05260015195876773 * vx)
@@ -105,8 +105,8 @@ from itertools import chain, compress
 import numpy as np
 
 from .errors import ConvergenceError, NoGrowthError, SingularityError
-from .model import (_AT_SECOND_PRIMARY, _SLOPE, COLLISION_R2, Params, _grad_s, _omega_s,
-                    _splice)
+from .model import (_AT_SECOND_PRIMARY, _SLOPE, COLLISION_R2, Params, _grad_s, _kernel,
+                    _omega_s)
 from .equilibria import triangular_points
 from .stability import unstable_direction
 
@@ -292,9 +292,6 @@ def _step_source() -> str:
     return "\n".join(lines)
 
 
-_STEP = _step_source()
-
-
 def _first_step(s, f0, mu, k, n_sq, n, abs_tol, rel_tol, t_end):
     """The first step tried from ``s`` with slope ``f0``: DOP853's starting rule
     (HINIT, order 8), with sk = abs_tol + rel_tol |y| per component.
@@ -343,39 +340,21 @@ def _first_step(s, f0, mu, k, n_sq, n, abs_tol, rel_tol, t_end):
     return t_end if t_end < h else h
 
 
-def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the equations of motion from ``state0`` over [0, cfg.t_end].
-
-    Every accepted step emits one sample; the trajectory therefore holds
-    ``steps + 1`` rows including the initial state.  Raises
-    :class:`ConvergenceError` on step-size underflow and
-    :class:`SingularityError` where a stage lands where r2^3 rounds to 0.
-    """
-    mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
+# The step loop of `integrate`, from s with slope (vx, vy, vz, ax, ay, az) and
+# first step h; each try is `_step_source()` in place of _STEP.  It appends each
+# accepted step to times and states and returns (steps, rejections, status).
+_LOOP = """\
+def _dop853(s, ax, ay, az, h, mu, k, n_sq, n, abs_tol, rel_tol, t_end, times, states):
+    x, y, z, vx, vy, vz = s
     # the factors model._SLOPE names, formed as _rhs and _grad_s form them
     n2, k2, mk2 = 2.0 * n, 2.0 * k, -2.0 * k
     collision_sq = COLLISION_R2 * COLLISION_R2
     escape_sq = ESCAPE_RADIUS * ESCAPE_RADIUS
-    abs_tol, rel_tol, t_end = cfg.abs_tol, cfg.rel_tol, cfg.t_end
     sqrt, inf = math.sqrt, math.inf
-
-    t = 0.0
-    s = x, y, z, vx, vy, vz = tuple(state0.vector().tolist())
-    times, states = [t], [s]
-    dx2 = x + mu - 1.0
-    if dx2 * dx2 + y * y + z * z < collision_sq:
-        status = "collision"
-    elif x * x + y * y + z * z > escape_sq:
-        status = "escape"
-    else:
-        status = None
+    t, status = 0.0, None
     steps = rejections = 0
     rejected = False  # whether the last try was rejected
     h_acc = err_acc = 1.0  # the last accepted step and its err, at least 0.01, from step 2 on
-
-    if status is None:
-        ax, ay, az = _rhs(*s, mu, k, n_sq, n)[3:]
-        h = _first_step(s, (vx, vy, vz, ax, ay, az), mu, k, n_sq, n, abs_tol, rel_tol, t_end)
     # A float division raises exactly where its divisor is 0, and in the loop
     # only a stage's r2^3 can be: the second primary, as _grad_s reports it.
     try:
@@ -392,7 +371,8 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
                     "smallest step, 1e-14 * max(1, t)"
                 )
 
-            _STEP  # replaced at import by stages 2-13, the error estimates and err: _step_source()
+            # stages 2-13, the error estimates and err
+            _STEP
 
             # 0.9 err^(-1/8), the eighth root as three sqrt without libm pow: an
             # inf err gives f = 0, and err 0, where 0.9 / 0.0 would raise, gives 6
@@ -426,6 +406,34 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
             h *= 6.0 if f > 6.0 else f if f > 0.333 else 0.333
     except ZeroDivisionError:
         raise SingularityError(_AT_SECOND_PRIMARY) from None
+    return steps, rejections, status
+"""
+_dop853 = _kernel(globals(), _LOOP, _STEP=_step_source())
+
+
+def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate the equations of motion from ``state0`` over [0, cfg.t_end].
+
+    Every accepted step emits one sample; the trajectory therefore holds
+    ``steps + 1`` rows including the initial state.  Raises
+    :class:`ConvergenceError` on step-size underflow and
+    :class:`SingularityError` where a stage lands where r2^3 rounds to 0.
+    """
+    mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
+    s = tuple(state0.vector().tolist())
+    x, y, z = s[:3]
+    times, states = [0.0], [s]
+    steps = rejections = 0
+    dx2 = x + mu - 1.0
+    if dx2 * dx2 + y * y + z * z < COLLISION_R2 * COLLISION_R2:
+        status = "collision"
+    elif x * x + y * y + z * z > ESCAPE_RADIUS * ESCAPE_RADIUS:
+        status = "escape"
+    else:
+        f0 = _rhs(*s, mu, k, n_sq, n)
+        h = _first_step(s, f0, mu, k, n_sq, n, cfg.abs_tol, cfg.rel_tol, cfg.t_end)
+        steps, rejections, status = _dop853(s, *f0[3:], h, mu, k, n_sq, n, cfg.abs_tol,
+                                            cfg.rel_tol, cfg.t_end, times, states)
 
     states = np.fromiter(chain.from_iterable(states), float, 6 * len(states)).reshape(-1, 6)
     # C of every row at once; only a start at r2 = 0 raises (each later row's slope had r2^3 != 0)
@@ -439,9 +447,6 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
         rejections=rejections,
         status=status or "completed",
     )
-
-
-integrate = _splice(integrate, _STEP=_STEP)
 
 
 def growth_rate(traj: Trajectory, eq_point) -> float:

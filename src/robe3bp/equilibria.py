@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
-from .model import (_FLOATS, _NUMPY, COLLISION_R2, Params, _require, _spell, _splice,
+from .model import (_FLOATS, _NUMPY, COLLISION_R2, Params, _kernel, _require, _spell,
                     grad_omega, hessian_omega, radii)
 from .model import _cube_root  # CBRT in the numpy spelling of _POINTS
 
@@ -66,9 +66,10 @@ class TriangularPoints:
         return np.array([self.x_eq, 0.0, z])
 
 
-# The pair, written once over `model`'s kernel vocabulary and spelled twice in
-# `triangular_points`.  A k >= 0 is NaN before it divides, so a1 and b1 are
-# NaN there and a float k = 0 raises no ZeroDivisionError.
+# The pair, written once over `model`'s kernel vocabulary and spelled twice, into
+# the kernels `_points_numpy` and `_points_floats` of `triangular_points`.  A
+# k >= 0 is NaN before it divides, so a1 and b1 are NaN there and a float k = 0
+# raises no ZeroDivisionError.
 _POINTS = """\
 x = 2.0 * k / n_sq
 a1 = WHERE(k < 0.0, x + mu - 1.0, math.nan)
@@ -78,6 +79,10 @@ exists = radicand > 0.0
 z = SQRT(WHERE(exists, radicand, math.nan))
 x = WHERE(exists, x, math.nan)
 """
+_POINTS_DEF = "def _points_{}(mu, k, n_sq):\n    _POINTS\n    return exists, a1, b1, x, z\n"
+_points_numpy, _points_floats = (
+    _kernel(globals(), _POINTS_DEF.format(name), _POINTS=_spell(_POINTS, words))
+    for name, words in (("numpy", _NUMPY), ("floats", _FLOATS)))
 
 
 def triangular_points(params: Params) -> TriangularPoints:
@@ -93,19 +98,15 @@ def triangular_points(params: Params) -> TriangularPoints:
     mu, k, n_sq = params.mu, params.k, params.n_sq
     if isinstance(k, np.ndarray):
         with np.errstate(all="ignore"):  # as with Python floats: inf on overflow
-            _NUMPY  # _POINTS, spelled at import
+            exists, a1, b1, x, z = _points_numpy(mu, k, n_sq)
     else:
-        _FLOATS  # _POINTS, spelled at import
+        exists, a1, b1, x, z = _points_floats(mu, k, n_sq)
         a1, b1, x, z = (None if v != v else v for v in (a1, b1, x, z))
     _require(b1 != math.inf, k, "b1 = (-mu/2k)^(1/3) overflows for k={}")
     _require((k >= 0.0) | (k <= -sys.float_info.min), k,
              "buoyancy parameter k={} is a negative subnormal float; k < 0 must be normal")
     _require(a1 != -math.inf, k, "a1 = 2k/n^2 + mu - 1 overflows for k={}")
     return TriangularPoints(exists, a1, b1, x, z)
-
-
-triangular_points = _splice(triangular_points, _NUMPY=_spell(_POINTS, _NUMPY),
-                            _FLOATS=_spell(_POINTS, _FLOATS))
 
 
 _REFINE_TOL = 1e-12  # on |grad_omega|_inf

@@ -12,7 +12,6 @@ trajectories stop once r2 falls below ``COLLISION_R2``.
 from __future__ import annotations
 
 import contextlib
-import inspect
 import linecache
 import math
 import re
@@ -168,27 +167,26 @@ def _omega_s(x, y, z, mu: float, k: float, n_sq: float):
     return 0.5 * n_sq * (x * x + y * y) - k * r1_sq + mu / r2
 
 
-def _splice(func, **blocks):
-    """The module-level def ``func`` recompiled with each statement ``name`` of
-    ``blocks`` replaced by the lines of ``blocks[name]``.
+def _kernel(namespace: dict, source: str, **blocks):
+    """The function that ``source``, the text of one def, defines in ``namespace``
+    (a module's globals), with each line that is just a name of ``blocks``
+    replaced by the lines of ``blocks[name]``, indented as that line.
 
-    The new source is compiled under the filename ``<robe3bp module.name>`` and
-    kept in ``linecache``, so tracebacks and ``inspect.getsource`` show the
-    generated lines.  ``func``'s module must ship its source, or ``ImportError``.
+    The text is compiled under the filename ``<robe3bp module.name>`` and kept
+    in ``linecache``, so tracebacks and ``inspect.getsource`` show the
+    generated lines; it needs no ``.py`` file.
     """
-    try:
-        lines, _ = inspect.getsourcelines(func)
-    except OSError:  # a .pyc-only install
-        raise ImportError(f"{func.__module__} needs its .py source to build {func.__name__}"
-                          ) from None
+    lines = source.splitlines(keepends=True)
     for marker, block in blocks.items():
-        [i] = [i for i, line in enumerate(lines) if line.split("#")[0].strip() == marker]
+        [i] = [i for i, line in enumerate(lines) if line.strip() == marker]
         indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
         lines[i:i + 1] = [indent + line + "\n" if line else "\n" for line in block.splitlines()]
-    filename = f"<robe3bp {func.__module__}.{func.__qualname__}>"
+    name = re.match(r"def (\w+)\(", source)[1]
+    filename = f"<robe3bp {namespace['__name__']}.{name}>"
     linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
-    exec(compile("".join(lines), filename, "exec"), func.__globals__)
-    return func.__globals__[func.__name__]
+    scope = {}
+    exec(compile("".join(lines), filename, "exec"), namespace, scope)
+    return scope[name]
 
 
 # The linear layer's kernels are written once, each as a template over a small
@@ -260,9 +258,10 @@ def _cube_root(values):
 
 
 # The slope of stage {j} at (x{j}, y{j}, z{j}): the gradient of Omega, plus the
-# Coriolis terms {cx} and {cy} in `dynamics.integrate`'s step.  This is the one
-# spelling of the gradient: `_grad_s` below and every slope of the step are
-# spliced from it.  2.0 * k * (x + mu) is k2 * dx1 with k2 = 2.0 * k, bit for bit.
+# Coriolis terms {cx} and {cy} in the step of `dynamics._dop853`.  This is the one
+# spelling of the gradient: the kernel `_grad_s` below and every slope of the
+# step are compiled from it.  2.0 * k * (x + mu) is k2 * dx1 with k2 = 2.0 * k,
+# bit for bit.
 _SLOPE = """\
 dx1 = x{j} + mu
 dx2 = dx1 - 1.0
@@ -273,17 +272,16 @@ ay{j} = n_sq * y{j} - k2 * y{j} - c3 * y{j}{cy}
 az{j} = mk2 * z{j} - c3 * z{j}
 """
 
-
+# the gradient at (x, y, z): _SLOPE with j = "" and no Coriolis terms
+_grad_s = _kernel(globals(), """\
 def _grad_s(x, y, z, mu, k, n_sq):
     k2, mk2, sqrt = 2.0 * k, -2.0 * k, math.sqrt
     try:
-        _SLOPE  # with j = "" and no Coriolis terms
+        _SLOPE
     except ZeroDivisionError:  # r2^3 rounds to 0
         raise SingularityError(_AT_SECOND_PRIMARY) from None
     return ax, ay, az
-
-
-_grad_s = _splice(_grad_s, _SLOPE=_SLOPE.format(j="", cx="", cy=""))
+""", _SLOPE=_SLOPE.format(j="", cx="", cy=""))
 
 
 def omega(pos, params: Params) -> float:

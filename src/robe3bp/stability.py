@@ -33,14 +33,14 @@ certificate, not a tolerance on the computed roots, gives the verdict there.
 The roots come from the cubic in u = lambda^2, solved in real arithmetic
 (:func:`solve_characteristic`): bracketed Newton on one real root, deflation
 to a quadratic, and the quadratic by the cancellation-free formula.  The
-solver is one template, ``_CUBIC``, spelled at import into the two branches of
-``_cubic_roots``: numpy for arrays of cells, Python floats for one cell.  The
+solver is one template, ``_CUBIC``, spelled at import into two kernels:
+``_cubic_numpy`` for arrays of cells, ``_cubic_floats`` for one cell.  The
 root path makes no LAPACK or BLAS call and no complex product or quotient,
 which numpy's vector loops may fuse into one rounding, so the roots' bits
 follow neither numpy's SIMD dispatch level nor the BLAS kernel, and a grid has
-the bits of its cells taken one by one.  Complex sqrt is the C library's ``csqrt``, which IEEE 754
-does not require to round correctly, so another libm may round the pair's
-square roots differently.
+the bits of its cells taken one by one.  Complex sqrt is the C library's
+``csqrt``, which IEEE 754 does not require to round correctly, so another
+libm may round the pair's square roots differently.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructureError
-from .model import (_FLOATS, _NUMPY, Params, PotentialHessian, _errstate, _require, _spell,
-                    _splice, hessian_omega)
+from .model import (_FLOATS, _NUMPY, Params, PotentialHessian, _errstate, _kernel, _require,
+                    _spell, hessian_omega)
 from .model import _over_zero  # QUOTIENT by 0 in the float spelling of _CUBIC
 from .equilibria import triangular_points
 
@@ -182,7 +182,9 @@ def _cubic_compensated(x, p, q, r):
 
 
 # The cubic u^3 + p u^2 + q u + r, solved once over `model`'s kernel
-# vocabulary and spelled twice in `_cubic_roots`.
+# vocabulary and spelled twice, into the kernels `_cubic_numpy` and
+# `_cubic_floats` of `solve_characteristic`.  They return the real root u1 and
+# the real and imaginary parts of the other two, (u1, re2, im2, re3, im3).
 #
 # The real root u1: with s = -1 where r > 0 (and 1 elsewhere), bracketed Newton
 # searches for a root v = s u > 0 of g(v) = v^3 + s p v^2 + q v - |r|, which is
@@ -241,24 +243,10 @@ im2 = WHERE(real, 0.0, half)
 re3 = WHERE(real, WHERE(big != 0.0, c / big, 0.0), -0.5 * b)
 im3 = WHERE(real, 0.0, -half)
 """
-def _cubic_roots(p, q, r):
-    """The three roots u of u^3 + p u^2 + q u + r, the real root first: three
-    complex for floats, shape S + (3,) for arrays of shape S, with the floats'
-    bits.  Real roots have an imaginary part of exactly +0."""
-    if isinstance(p, np.ndarray):
-        with np.errstate(all="ignore"):  # a quotient that WHERE leaves out may be inf or NaN
-            _NUMPY  # _CUBIC, spelled at import
-        u = np.zeros(np.shape(u1) + (3,), dtype=complex)
-        u.real[..., 0] = u1
-        u.real[..., 1], u.imag[..., 1] = re2, im2
-        u.real[..., 2], u.imag[..., 2] = re3, im3
-        return u
-    _FLOATS  # _CUBIC, spelled at import
-    return complex(u1, 0.0), complex(re2, im2), complex(re3, im3)
-
-
-_cubic_roots = _splice(_cubic_roots, _NUMPY=_spell(_CUBIC, _NUMPY),
-                       _FLOATS=_spell(_CUBIC, _FLOATS))
+_CUBIC_DEF = "def _cubic_{}(p, q, r):\n    _CUBIC\n    return u1, re2, im2, re3, im3\n"
+_cubic_numpy, _cubic_floats = (
+    _kernel(globals(), _CUBIC_DEF.format(name), _CUBIC=_spell(_CUBIC, words))
+    for name, words in (("numpy", _NUMPY), ("floats", _FLOATS)))
 
 
 def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
@@ -288,12 +276,18 @@ def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
         p, q, r = (np.asarray(c, dtype=float) for c in coeffs)
         if not (np.isfinite(p) & np.isfinite(q) & np.isfinite(r)).all():
             raise ValueError("characteristic coefficients must be finite")
-        u = _cubic_roots(p, q, r)
+        with np.errstate(all="ignore"):  # a quotient that WHERE leaves out may be inf or NaN
+            u1, re2, im2, re3, im3 = _cubic_numpy(p, q, r)
+        u = np.zeros(np.shape(u1) + (3,), dtype=complex)
+        u.real[..., 0] = u1
+        u.real[..., 1], u.imag[..., 1] = re2, im2
+        u.real[..., 2], u.imag[..., 2] = re3, im3
     else:
         p, q, r = map(float, coeffs)
         if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(r)):
             raise ValueError("characteristic coefficients must be finite")
-        u = np.array(_cubic_roots(p, q, r))
+        u1, re2, im2, re3, im3 = _cubic_floats(p, q, r)
+        u = np.array((complex(u1, 0.0), complex(re2, im2), complex(re3, im3)))
     s = np.sqrt(u)
     roots = np.empty(s.shape[:-1] + (6,), dtype=complex)
     roots[..., 0::2], roots[..., 1::2] = s, -s

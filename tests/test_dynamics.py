@@ -911,9 +911,9 @@ def test_step_sizes_follow_dop853s_rules(vec, tol, t_end):
 
 
 def test_generated_code_shows_in_source_and_tracebacks(canonical):
-    # integrate's step and _grad_s are spliced from model._SLOPE at import,
+    # the step loop's try and _grad_s are compiled from model._SLOPE at import,
     # under filenames kept in linecache
-    source = inspect.getsource(integrate)
+    source = inspect.getsource(dynamics._dop853)
     assert "            ax13 = n_sq * x13 - k2 * dx1 - c3 * dx2 + n2 * vy13\n" in source
     stage_2 = dynamics.__doc__.split("Stage 2 reads\n\n")[1].split("\n\n")[0]
     assert textwrap.indent(textwrap.dedent(stage_2), " " * 12) + "\n" in source
@@ -923,7 +923,7 @@ def test_generated_code_shows_in_source_and_tracebacks(canonical):
     with pytest.raises(ConvergenceError) as info:
         integrate(unstable_seed(params, 1e-8), params, IntegratorConfig(t_end=5.0))
     shown = "".join(traceback.format_exception(info.type, info.value, info.tb))
-    assert '"<robe3bp robe3bp.dynamics.integrate>"' in shown
+    assert '"<robe3bp robe3bp.dynamics._dop853>"' in shown
     assert "\n    raise ConvergenceError(\n" in shown
     # a generated line that divides by r2^3 = 0: a stage-2 point on the second
     # primary, and _grad_s there; the ZeroDivisionError is the context
@@ -934,7 +934,7 @@ def test_generated_code_shows_in_source_and_tracebacks(canonical):
                   _LAX)
     with pytest.raises(SingularityError) as in_grad:
         grad_omega((1.0 - canonical.mu, 1e-110, 0.0), canonical)
-    for info, name in ((in_step, "dynamics.integrate"), (in_grad, "model._grad_s")):
+    for info, name in ((in_step, "dynamics._dop853"), (in_grad, "model._grad_s")):
         frame = traceback.extract_tb(info.value.__context__.__traceback__)[-1]
         assert frame.filename == f"<robe3bp robe3bp.{name}>"
         assert frame.line == "c3 = mu / (r2_sq * sqrt(r2_sq))"
@@ -944,7 +944,7 @@ def test_step_loop_has_no_power_and_calls_only_sqrt_and_append():
     # the loop's arithmetic is operators and sqrt: no float power, which calls
     # libm pow, and no call but sqrt and the samples' append, apart from those
     # that build the error a raise reports
-    loops = [node for node in ast.walk(ast.parse(inspect.getsource(integrate)))
+    loops = [node for node in ast.walk(ast.parse(inspect.getsource(dynamics._dop853)))
              if isinstance(node, ast.While)]
     assert len(loops) == 1
     raised = {id(node) for top in ast.walk(loops[0]) if isinstance(top, ast.Raise)
@@ -959,13 +959,6 @@ def test_step_loop_has_no_power_and_calls_only_sqrt_and_append():
                     or isinstance(func, ast.Attribute) and func.attr == "append"):
                 calls.append(ast.unparse(node))
     assert powers == [] and calls == []
-
-
-def test_splice_without_source_names_the_missing_file(monkeypatch):
-    # a .pyc-only install: linecache finds no lines for the def to splice
-    monkeypatch.setattr(model.linecache, "getlines", lambda *args: [])
-    with pytest.raises(ImportError, match=r"model needs its \.py source to build _grad_s"):
-        model._splice(model._grad_s, _SLOPE=model._SLOPE)
 
 
 def test_jacobi_conservation_random_bounded():

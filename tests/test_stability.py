@@ -35,7 +35,6 @@ from robe3bp import (
 )
 from robe3bp.model import PotentialHessian
 from robe3bp import equilibria, model, stability
-from robe3bp.stability import _cubic_roots
 from conftest import FROZEN, acceptance_grid, min_weight_match, whole_region_cells
 
 
@@ -397,7 +396,8 @@ def _check_cubic_contract(exact, real, pair, counted=True):
     # 1e-120 of their largest term: f(u) is exact as far as 16 eps can tell
     with mpmath.workdps(120):
         p, q, r = (mpmath.mpf(c) for c in coeffs)
-        for z in _cubic_roots(*coeffs):
+        u1, re2, im2, re3, im3 = stability._cubic_floats(*coeffs)
+        for z in (complex(u1, 0.0), complex(re2, im2), complex(re3, im3)):
             u = mpmath.mpc(z.real, z.imag)
             size = abs(u)
             scale = size**3 + abs(p) * size**2 + abs(q) * size + abs(r)
@@ -522,45 +522,65 @@ def test_quotient_by_zero_on_floats_is_ieee(a, b):
 
 
 def test_float_spelling_is_rendered_without_numpy():
-    # the cubic and the pair are each written once, in _CUBIC and _POINTS; both
-    # spellings' generated lines show in inspect.getsource of the one function
-    # they are spliced into, under a filename of its own
-    for func, template, indents in (
-            (stability._cubic_roots, stability._CUBIC, (" " * 4, " " * 12)),
-            (equilibria.triangular_points, equilibria._POINTS, (" " * 8, " " * 12))):
-        assert func.__code__.co_filename == f"<robe3bp {func.__module__}.{func.__name__}>"
-        source = inspect.getsource(func)
-        for words, indent in zip((model._FLOATS, model._NUMPY), indents):
+    # the cubic and the pair are each written once, in _CUBIC and _POINTS, and
+    # spelled twice; each spelling's generated lines show in inspect.getsource
+    # of its kernel, under a filename of its own
+    for module, template, prefix in ((stability, stability._CUBIC, "_cubic"),
+                                     (equilibria, equilibria._POINTS, "_points")):
+        for words, spelling in ((model._FLOATS, "floats"), (model._NUMPY, "numpy")):
+            func = getattr(module, f"{prefix}_{spelling}")
+            assert func.__code__.co_filename == f"<robe3bp {func.__module__}.{func.__name__}>"
+            source = inspect.getsource(func)
             block = model._spell(template, words)
-            assert textwrap.indent(block, indent) in source
+            assert textwrap.indent(block, " " * 4) in source
             names = {node.id for node in ast.walk(ast.parse(block))
                      if isinstance(node, ast.Name)}
             if words is model._FLOATS:  # no numpy attribute, no numpy select
                 assert not names & {"np", "_where", "_cube_root"}
             else:
                 assert "np" in names
-        names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
-        assert not names & set(model._NUMPY)  # every word of the vocabulary spelled out
+            names = {node.id for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.Name)}
+            assert not names & set(model._NUMPY)  # every word of the vocabulary spelled out
     assert not hasattr(model, "_where") and not hasattr(stability, "_cubic_roots_s")
-    assert "    s = (-1.0 if r > 0.0 else 1.0)\n" in inspect.getsource(_cubic_roots)
-    assert "        b1 = math.pow(" in inspect.getsource(triangular_points)
+    assert not hasattr(stability, "_cubic_roots")
+    assert "    s = (-1.0 if r > 0.0 else 1.0)\n" in inspect.getsource(stability._cubic_floats)
+    assert "    b1 = math.pow(" in inspect.getsource(equilibria._points_floats)
 
 
-def test_pyc_only_install_fails_at_the_first_linear_splice(tmp_path):
-    # model keeps its .py and splices _grad_s; the other modules are a .pyc
-    # alone, so triangular_points, the first splice outside model, has no
-    # source to be spliced from
-    package = tmp_path / "robe3bp"
-    shutil.copytree(Path(stability.__file__).parent, package,
+# run a command of the package found first on sys.path, after checking that
+# robe3bp.cli was loaded from a file that ends as argv[1] says
+_RUN_CLI = """\
+import sys
+import robe3bp.cli
+assert robe3bp.cli.__file__.endswith(sys.argv[1]), robe3bp.cli.__file__
+sys.exit(robe3bp.cli.main(sys.argv[2:]))
+"""
+
+
+def test_bytecode_only_install_runs(tmp_path):
+    # every generated kernel is compiled from template text, not from the
+    # package's .py files: a copy that holds only bytecode (compileall -b, each
+    # .py removed) imports, and writes the bytes the source tree writes
+    source_root = Path(stability.__file__).parents[1]
+    package = tmp_path / "bytecode" / "robe3bp"
+    shutil.copytree(source_root / "robe3bp", package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     assert compileall.compile_dir(package, legacy=True, quiet=1)
     for path in package.glob("*.py"):
-        if path.name != "model.py":
-            path.unlink()
-    result = subprocess.run([sys.executable, "-c", "import robe3bp"], cwd=tmp_path,
-                            env={**os.environ, "PYTHONPATH": str(tmp_path)},
-                            capture_output=True, text=True)
-    assert result.returncode == 1
-    assert result.stderr.count("Traceback") == 1  # one exception, no chained OSError
-    assert result.stderr.endswith(
-        "\nImportError: robe3bp.equilibria needs its .py source to build triangular_points\n")
+        path.unlink()
+    point = ["--mu", "0.1", "--k", "-0.01", "--a1", "0.02"]
+    for argv in (["locate", *point, "--format", "csv"], ["stability", *point, "--format", "csv"],
+                 ["integrate", *point, "--from-equilibrium", "--offset", "1e-8"]):
+        written = []
+        for root, suffix in ((package.parent, "cli.pyc"), (source_root, "cli.py")):
+            workdir = tmp_path / f"{argv[0]}-{suffix}"
+            workdir.mkdir()  # the integrate summary names its relative output file
+            result = subprocess.run(
+                [sys.executable, "-c", _RUN_CLI, suffix, *argv, "--output", "out.csv"],
+                cwd=workdir, env={**os.environ, "PYTHONPATH": str(root)},
+                capture_output=True)
+            assert result.returncode == 0 and result.stderr == b"", (argv, result.stderr)
+            written.append((result.stdout, (workdir / "out.csv").read_bytes()))
+        assert written[0] == written[1], argv
+        assert written[0][1]  # a CSV was written
