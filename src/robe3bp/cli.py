@@ -105,7 +105,7 @@ def _report_text(report: dict, fmt: str) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Write ``text`` to stdout, or to the file ``path`` in place.
+    """Write ``text`` to stdout if ``path`` is None, else to the file ``path`` in place.
 
     A report is ASCII (JSON escapes the rest; CSV and SVG hold numbers and
     fixed words), so its bytes are the same in any locale.  An existing file
@@ -119,7 +119,7 @@ def _emit(text: str, path: str | None) -> None:
     ``open(path, "w")`` left it.  Devices, FIFOs and terminals are only
     written: ``O_TRUNC`` does nothing there and ``ftruncate`` fails.
     """
-    if not path:
+    if path is None:
         sys.stdout.write(text)
         return
     data = text.encode()
@@ -364,7 +364,7 @@ def _sweep(ns, _):
         text = _csv_text(SWEEP_COLUMNS, [next(found) if e else label + _SWEEP_NO_POINT_TAIL
                                          for label, e in zip(labels, exists)])
     outputs = [(text, ns.output)]
-    if ns.svg_region:
+    if ns.svg_region is not None:
         cells = list(zip(mu.tolist(), (2 * k / params.n_sq).tolist(), exists))
         outputs.append((_region_svg(cells), ns.svg_region))
     return EX_OK, outputs

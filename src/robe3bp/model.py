@@ -196,9 +196,12 @@ def _kernel(namespace: dict, source: str, **blocks):
 # root pow(x, 1/3), QUOTIENT(a, b) divides the name a by the name b, which may
 # be 0, and SETTLED(new, x) ends a loop once no cell changes.  Each word is
 # one IEEE 754 operation, libm's pow or an exact select in either spelling,
-# so a grid has the bits of its cells taken one by one.  A spelling that is
-# not a call is bracketed, so it binds as one operand where it stands;
-# SETTLED stands alone, as an `if` test.  {0}, {1}, {2} are the arguments.
+# so a grid has the bits of its cells taken one by one.  The one exception, a
+# QUOTIENT by 0, is not finite (+/-inf or NaN on arrays, NaN on floats), and
+# `stability._CUBIC` reads it only through tests that any such value fails.  A
+# spelling that is not a call is bracketed, so it binds as one operand where
+# it stands; SETTLED stands alone, as an `if` test.  {0}, {1}, {2} are the
+# arguments.
 _NUMPY = {
     "WHERE": "np.where({0}, {1}, {2})", "ABS": "np.abs({0})",
     "MAX": "np.maximum({0}, {1})", "MIN": "np.minimum({0}, {1})",
@@ -206,7 +209,7 @@ _NUMPY = {
     "QUOTIENT": "({0} / {1})", "SETTLED": "not np.count_nonzero({0} != {1})",
 }
 # a conditional evaluates only the branch it selects, so no quotient that
-# WHERE leaves out runs; a slope of 0 gives the quotient IEEE 754 gives.  max
+# WHERE leaves out runs, and a QUOTIENT by 0 is NaN, not ZeroDivisionError.  max
 # and min differ from np.maximum and np.minimum only on a NaN or on zeros of
 # both signs, and MAX and MIN in `stability._CUBIC` see neither
 _FLOATS = {
@@ -214,7 +217,7 @@ _FLOATS = {
     "MAX": "max({0}, {1})", "MIN": "min({0}, {1})",
     "SQRT": "math.sqrt({0})", "COPYSIGN": "math.copysign({0}, {1})",
     "CBRT": "math.pow({0}, 1.0 / 3.0)",
-    "QUOTIENT": "({0} / {1} if {1} else _over_zero({0}, {1}))", "SETTLED": "{0} == {1}",
+    "QUOTIENT": "({0} / {1} if {1} else math.nan)", "SETTLED": "{0} == {1}",
 }
 
 
@@ -239,14 +242,6 @@ def _spell(template: str, words: dict[str, str]) -> str:
         out.append(template[:match.start()] + words[match[1]].format(*args))
         template = template[end + 1:]
     return "".join(out) + template
-
-
-def _over_zero(a: float, b: float) -> float:
-    """``a / b`` for a ``b`` of +/-0, as IEEE 754 has it: NaN if ``a`` is 0 or NaN,
-    else an infinity with the sign of the quotient."""
-    if a == 0.0 or a != a:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _cube_root(values):

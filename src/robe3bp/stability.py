@@ -55,7 +55,6 @@ import numpy as np
 from .errors import StructureError
 from .model import (_FLOATS, _NUMPY, Params, PotentialHessian, _errstate, _kernel, _require,
                     _spell, hessian_omega)
-from .model import _over_zero  # QUOTIENT by 0 in the float spelling of _CUBIC
 from .equilibria import triangular_points
 
 __all__ = [

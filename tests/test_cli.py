@@ -431,6 +431,26 @@ def test_unwritable_output_exits_1(capsys):
     assert "robe3bp: error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--mu", "0.1", "--k=-0.01", "--from-equilibrium", "--t-end", "0.1",
+     "--output", ""],
+    ["integrate", "--config", "{tmp}/empty_output.cfg"],
+    ["locate", *CANONICAL_ARGS, "--output="],
+    ["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.02:-0.01:2", "--output", "{tmp}/m.csv",
+     "--svg-region", ""],
+])
+def test_empty_output_path_is_an_io_failure(argv, tmp_path, capsys):
+    # an empty path is not stdout: it fails to open as any path that cannot be
+    # opened fails, and no report (integrate's JSON summary included) is printed
+    (tmp_path / "empty_output.cfg").write_text(
+        "output =\nmu = 0.1\nk = -0.01\nfrom_equilibrium = true\nt_end = 0.1\n")
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("robe3bp: error: i/o failure: ")
+
+
 # --------------------------------------------------------------------------
 # --output rewrites an existing file in place
 

@@ -1,6 +1,8 @@
 import ast
 import compileall
+import dis
 import inspect
+import linecache
 import math
 import os
 import shutil
@@ -489,14 +491,34 @@ def _check_one_cell(coeffs):
             assert same.tobytes() == roots.tobytes(), (wrap, coeffs)
 
 
-def test_edge_cubics_one_cell_is_its_grid_row(monkeypatch):
-    divided = []
-    over_zero = stability._over_zero
-    monkeypatch.setattr(stability, "_over_zero",
-                        lambda a, b: divided.append((a, b)) or over_zero(a, b))
+def _zero_slopes(coeffs):
+    """The g of each Newton quotient g / slope by a slope of 0 that
+    `_cubic_floats` reaches on ``coeffs``, seen by a line tracer."""
+    code, seen = stability._cubic_floats.__code__, []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        line = linecache.getline(code.co_filename, frame.f_lineno).strip()
+        if event == "line" and line.startswith("step = ") and frame.f_locals["slope"] == 0.0:
+            seen.append(frame.f_locals["g"])
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        stability._cubic_floats(*coeffs)
+    finally:
+        sys.settrace(old)
+    return seen
+
+
+def test_edge_cubics_one_cell_is_its_grid_row():
     for coeffs in _EDGE_CUBICS:
         _check_one_cell(coeffs)
-    assert divided  # a Newton quotient by a slope of 0 was taken on floats
+    # a Newton quotient by a slope of 0 is taken on floats: (0, 0, 0) starts at
+    # x = hi = 0, where g and the slope are both 0
+    assert _zero_slopes(_EDGE_CUBICS[0])[:1] == [0.0]
 
 
 _edge_floats = st.one_of(
@@ -512,13 +534,31 @@ def test_one_cell_cubic_is_its_grid_row(p, q, r):
     _check_one_cell((p, q, r))
 
 
+# the lines of _CUBIC that read a Newton quotient: the step, the loop's select
+# of the next iterate, and the select of the compensated step
+_STEP_LINES = "\n".join(dict.fromkeys(
+    line.strip() for line in stability._CUBIC.splitlines() if "step" in line))
+
+
 @pytest.mark.parametrize("b", [0.0, -0.0])
 @pytest.mark.parametrize("a", [1.0, -1.0, 5e-324, 1e308, 0.0, -0.0, math.inf, -math.inf, math.nan])
 def test_quotient_by_zero_on_floats_is_ieee(a, b):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        want = np.float64(a) / np.float64(b)
-    got = stability._over_zero(a, b)
-    assert math.isnan(got) if math.isnan(want) else got == want
+    # g / slope by a slope of 0 is NaN on floats, where IEEE 754 (numpy) may
+    # give an infinity, but _CUBIC reads the step only through tests that fail
+    # on both: the loop bisects and u1 keeps x, with the bits of the numpy
+    # spelling
+    for lo, x, hi in [(0.0, 0.0, 0.0), (0.0, 0.5, 1.0), (0.0, 1.0, 1.0), (1.0, 3.0, 3.0),
+                      (5e-324, 5e-324, 1e308)]:
+        cell = {"g": a, "slope": b, "lo": lo, "x": x, "hi": hi, "s": -1.0}
+        floats = dict(cell, math=math)
+        exec(model._spell(_STEP_LINES, model._FLOATS), floats)
+        arrays = dict({name: np.array([v]) for name, v in cell.items()}, np=np)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exec(model._spell(_STEP_LINES, model._NUMPY), arrays)
+        assert not math.isfinite(floats["step"]) and not np.isfinite(arrays["step"]).any()
+        assert (floats["new"], floats["u1"]) == (lo + 0.5 * (hi - lo), -x)
+        for name in ("new", "u1"):
+            assert np.array([floats[name]]).tobytes() == arrays[name].tobytes(), (name, x)
 
 
 def test_float_spelling_is_rendered_without_numpy():
@@ -546,6 +586,25 @@ def test_float_spelling_is_rendered_without_numpy():
     assert not hasattr(stability, "_cubic_roots")
     assert "    s = (-1.0 if r > 0.0 else 1.0)\n" in inspect.getsource(stability._cubic_floats)
     assert "    b1 = math.pow(" in inspect.getsource(equilibria._points_floats)
+
+
+# what the float kernels of the linear layer may call: builtins and math
+# functions that round correctly or are exact, and the compensated helpers,
+# which are + - * / themselves; math.pow is CBRT, libm's cube root
+_FLOAT_KERNEL_CALLS = {"abs", "max", "min", "math.sqrt", "math.copysign",
+                       "_two_product", "_two_sum", "_cubic_compensated", "math.pow"}
+
+
+def test_float_kernels_call_only_math_builtins_and_compensated_helpers():
+    # no power runs (2.0 ** -40 is folded into a constant when compiled), and no
+    # call but those of the list, in the kernels and in the helpers they call
+    for func in (equilibria._points_floats, stability._cubic_floats, stability._two_product,
+                 stability._two_sum, stability._cubic_compensated):
+        powers = [ins for ins in dis.get_instructions(func) if ins.opname == "BINARY_POWER"
+                  or ins.opname == "BINARY_OP" and ins.argrepr == "**"]
+        calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(inspect.getsource(func)))
+                 if isinstance(node, ast.Call)}
+        assert powers == [] and calls <= _FLOAT_KERNEL_CALLS, (func.__name__, calls)
 
 
 # run a command of the package found first on sys.path, after checking that
