@@ -14,8 +14,10 @@ Exit codes: 0 success, 2 no equilibrium, 64 usage error, 1 runtime or
 integration failure (also a trajectory that starts beyond the escape radius,
 and a request too large for memory, such as a ``sweep`` grid numpy cannot
 allocate).
-One flag table per command builds its parser and reads its config file;
-``main`` alone writes what a command returns and maps exceptions to exit codes.
+One flag table per command builds its parser, reads its config file and
+parses a line of its flags spelled in full; argparse parses every other line
+(abbreviations, ``--config``, help and usage errors).  ``main`` alone writes
+what a command returns and maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -94,7 +96,16 @@ def _csv_text(header, lines) -> str:
     return ",".join(header) + "\n" + "".join(lines)
 
 
-def _json_text(obj) -> str:
+# the C encoder, which ``indent`` turns off, with separators that put each item
+# of a flat object on its own line as ``indent=2`` does
+_FLAT_JSON = json.JSONEncoder(separators=(",\n  ", ": ")).encode
+
+
+def _json_text(obj: dict) -> str:
+    """``json.dumps(obj, indent=2)`` and a newline; a flat non-empty object (no
+    dict, list or tuple value) is written by the C encoder, in the same bytes."""
+    if obj and not any(isinstance(v, (dict, list, tuple)) for v in obj.values()):
+        return "{\n  " + _FLAT_JSON(obj)[1:-1] + "\n}\n"
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -414,9 +425,24 @@ _COMMANDS = {
     }),
 }
 
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 _CONFIG_KEYS = {dest for _, flags in _COMMANDS.values() for dest in flags}
-_VALUE_FLAGS = {"--" + dest.replace("_", "-") for _, flags in _COMMANDS.values()
+_VALUE_FLAGS = {_flag(dest) for _, flags in _COMMANDS.values()
                 for dest, spec in flags.items() if "action" not in spec}
+# per command: its flags by full spelling; the Namespace items a parse starts
+# from, in argparse's order with its defaults (a switch's is False); and the
+# dests it requires
+_EXACT = {name: ({_flag(dest): (dest, spec) for dest, spec in flags.items()},
+                 {"command": name,
+                  **{dest: spec.get("default", False if "action" in spec else None)
+                     for dest, spec in flags.items()},
+                  "config": None},
+                 {dest for dest, spec in flags.items() if spec.get("required")})
+          for name, (_, flags) in _COMMANDS.items()}
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -446,7 +472,7 @@ def _build_parser() -> _Parser:
     for name, (command, flags) in _COMMANDS.items():
         p = parser.commands[name] = sub.add_parser(name, help=command.__doc__)
         for dest, spec in flags.items():
-            p.add_argument("--" + dest.replace("_", "-"), **spec)
+            p.add_argument(_flag(dest), **spec)
         p.add_argument("--config", help="key=value file of flags; command-line flags win")
     return parser
 
@@ -475,7 +501,7 @@ def _config_tokens(path: str, flags: dict) -> list[str]:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if dest not in flags:
             continue  # key applies to another command
-        flag = "--" + dest.replace("_", "-")
+        flag = _flag(dest)
         if flags[dest].get("action") != "store_true":
             tokens.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):
@@ -498,23 +524,76 @@ def _may_name_config(tok: str) -> bool:
     return len(flag) > 2 and "--config".startswith(flag)
 
 
+def _parse_exact(command: str, args: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives for ``args`` if each token is one of the
+    command's flags spelled in full, else None.
+
+    A flag is ``--flag=value``, ``--flag value`` with a value that does not
+    start with ``-``, or a switch alone.  Each value goes through its flag's
+    type and choices, a later occurrence wins, and the other flags keep their
+    defaults.  Anything else (an abbreviation, ``--config``, help, ``--``, a
+    foreign or unknown flag, a switch with a value, a missing value or
+    required flag, a value its type or choices refuse) gives None, and
+    argparse parses the line.  The tokens are all read before any value is
+    converted, so a type's other errors (a grid too large for memory) are
+    raised where argparse raises them.
+    """
+    spellings, defaults, required = _EXACT[command]
+    given, i = [], 0
+    while i < len(args):
+        flag, sep, text = args[i].partition("=")
+        dest, spec = spellings.get(flag, (None, None))
+        if dest is None or text == "--":  # argparse reads a value of "--" as no value
+            return None
+        if "action" in spec:
+            if sep:
+                return None
+            text = None
+        elif not sep:
+            i += 1
+            if i == len(args) or args[i].startswith("-"):
+                return None
+            text = args[i]
+        given.append((dest, spec, text))
+        i += 1
+    values = dict(defaults)
+    for dest, spec, text in given:
+        if text is None:
+            values[dest] = True
+            continue
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    if not required.issubset(dest for dest, _, _ in given):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse the command line with the --config file's flags ahead of it.
 
-    A line that starts with a command is parsed by that command's parser
-    alone, as the two-level parser would hand it on, and what that parser
-    leaves over is reported by the top-level parser, as ``parse_args`` does.
-    Help, no arguments, an unknown command or an option before the command
-    take the two-level parse.
+    A line that starts with a command and holds only its flags spelled in
+    full is parsed from the flag table (``_parse_exact``).  Any other such
+    line is parsed by that command's parser alone, as the two-level parser
+    would hand it on, and what that parser leaves over is reported by the
+    top-level parser, as ``parse_args`` does.  Help, no arguments, an unknown
+    command or an option before the command take the two-level parse.
     """
-    parser = _build_parser()
     if not argv or argv[0] not in _COMMANDS:
-        return parser.parse_args(argv)
+        return _build_parser().parse_args(argv)
     command, args = argv[0], argv[1:]
+    ns = _parse_exact(command, args)
+    if ns is not None:
+        return ns
     if any(map(_may_name_config, args)):
         path = _build_config_parser(command).parse_known_args(args)[0].config
-        if path:
+        if path is not None:
             args = [*_config_tokens(path, _COMMANDS[command][1]), *args]
+    parser = _build_parser()
     ns = argparse.Namespace(command=command)
     extras = parser.commands[command].parse_known_args(args, ns)[1]
     if extras:

@@ -3,6 +3,7 @@ import csv
 import errno
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import threading
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from robe3bp import Classification, Params, char_coeffs, classify, triangular_points
 from robe3bp import cli, equilibria, stability
@@ -425,6 +426,16 @@ def test_config_file_missing(capsys):
     assert main(["locate", "--config", "/does/not/exist", *CANONICAL_ARGS]) == 64
 
 
+@pytest.mark.parametrize("spelling", [["--config", ""], ["--config="], ["--conf", ""]])
+def test_empty_config_path_is_a_missing_file(spelling, capsys):
+    # an empty path names no file: it fails as a missing file does, and is not
+    # read as a line without --config
+    assert main(["locate", *spelling, "--mu", "0.1", "--k", "-0.01"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("robe3bp: error: cannot read config file: ")
+
+
 def test_unwritable_output_exits_1(capsys):
     code = main(["locate", *CANONICAL_ARGS, "--output", "/no/such/dir/out.json"])
     assert code == 1
@@ -666,7 +677,7 @@ def _two_level_parse(argv):
     all of it: what ``cli._parse`` must match."""
     if argv and argv[0] in cli._COMMANDS and any(map(cli._may_name_config, argv[1:])):
         path = cli._build_config_parser(argv[0]).parse_known_args(argv[1:])[0].config
-        if path:
+        if path is not None:
             argv = [argv[0], *cli._config_tokens(path, cli._COMMANDS[argv[0]][1]), *argv[1:]]
     return cli._build_parser().parse_args(argv)
 
@@ -735,6 +746,7 @@ def _parse_cases():
             ("config-abbreviated", ["--conf=flags.cfg", *minimal]),
             ("config-unknown-key", ["--co", "bad.cfg"]),
             ("config-missing", ["--config", "missing.cfg"]),
+            ("config-empty-path", ["--config", "", *minimal]),
             ("config-without-path", ["--config"]),
             *((f"without-{minimal[i][2:]}", minimal[:i] + minimal[i + 2:])
               for i in range(0, len(minimal), 2)),
@@ -762,6 +774,68 @@ def _parse_cases():
 def test_parse_matches_the_two_level_parse(argv, tmp_path, monkeypatch, capsys):
     # a command's own parser gives the Namespace, exit code, stdout and stderr
     # of the parser that dispatches to it, usage errors and help included
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flags.cfg").write_text(_CONFIG)
+    (tmp_path / "bad.cfg").write_text("mu = 0.1\nnot_a_flag = 1\n")
+    expected = _parse_outcome(_two_level_parse, argv, capsys)
+    assert _parse_outcome(cli._parse, argv, capsys) == expected
+
+
+# values that each flag's type or choices take or refuse; no NaN, which no
+# two parses give equal
+_VALUE_POOL = {
+    float: ["0.1", "-0.01", "1e-8", "inf", "abc", ""],
+    cli._positive: ["5", "1e-9", "0", "-1", "x"],
+    cli._grid: ["0.1:0.2:2", "-0.02:-0.01:2", "0:0.1:1", "0.1:0.2:0", "0.2:0.1:2", "1:2"],
+    "choices": ["csv", "json", "xml", "-x", "--"],
+    None: ["out.csv", "", "-x", "--", "a=b"],
+}
+# tokens that are not a flag of the line's command spelled in full
+_NOISE = ["--bogus", "extra", "--", "-h", "--help", "--config", "--config=flags.cfg",
+          "--co", "bad.cfg", "--config=", "--config=missing.cfg", "-0.01", "-x", "--=1"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and a line of its flags, with negative values joined or not:
+    most spelled in full, some abbreviated, repeated, left out, given ``=1``
+    as a switch or a value its type or choices refuse, with foreign flags and
+    other tokens among them."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[name][1]
+    required = [d for d, spec in flags.items() if spec.get("required")]
+    dests = [d for d in required if draw(st.integers(0, 5))]
+    dests += draw(st.lists(st.sampled_from(list(flags)), max_size=4))
+    groups = []
+    for dest in dests:
+        flag, spec = cli._flag(dest), flags[dest]
+        if not draw(st.integers(0, 9)):
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        if "action" in spec:
+            groups.append([flag + draw(st.sampled_from(["", "", "", "=1"]))])
+            continue
+        value = draw(st.sampled_from(_VALUE_POOL["choices" if "choices" in spec
+                                                 else spec.get("type")]))
+        groups.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    foreign = [cli._flag(d) + "=1" for d in sorted(cli._CONFIG_KEYS - set(flags))]
+    if not draw(st.integers(0, 3)):
+        groups += [[tok] for tok in draw(st.lists(st.sampled_from(_NOISE + foreign),
+                                                  min_size=1, max_size=2))]
+    argv = [name, *itertools.chain.from_iterable(draw(st.permutations(groups)))]
+    return cli._join_negative_values(argv) if draw(st.booleans()) else argv
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_lines())
+@example(argv=["locate", "--mu=0.1", "--k=-0.01", "--output=--"])
+@example(argv=["integrate", "--mu", "0.1", "--k=-0.01", "--from-equilibrium=1"])
+@example(argv=["sweep", "--grid-mu=0.1:0.2:2", "--grid-k", "-0.02:-0.01:2"])
+@example(argv=["stability", "--mu", "0.1", "--k=-0.01", "--mu", "abc"])
+@example(argv=["locate", "--mu=0.1", "--k=-0.01", "--format=xml"])
+def test_parse_of_drawn_lines_matches_the_two_level_parse(argv, tmp_path, monkeypatch, capsys):
+    # the flag table's exact parse gives argparse's Namespace, attribute order
+    # included, on the lines it takes, and every other line is argparse's
     monkeypatch.chdir(tmp_path)
     (tmp_path / "flags.cfg").write_text(_CONFIG)
     (tmp_path / "bad.cfg").write_text("mu = 0.1\nnot_a_flag = 1\n")
@@ -900,6 +974,26 @@ def test_output_bytes_pinned(name, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(stdout).hexdigest() == stdout_digest
 
 
+@pytest.mark.parametrize("name, argv", [
+    # the verify workload's spelling of the integrate_offset pin
+    ("integrate_offset", ["integrate", "--mu=0.1", "--k=-0.01", "--a1=0.02",
+                          "--from-equilibrium", "--offset=1e-08", "--t-end=60"]),
+    ("sweep_readme_grid", _PINNED_OUTPUTS["sweep_readme_grid"][0]),
+])
+def test_exact_line_builds_no_parser(name, argv, tmp_path, monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("an argparse parser was built")
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    monkeypatch.setattr(cli, "_build_config_parser", refuse)
+    monkeypatch.chdir(tmp_path)  # the integrate summary names its relative output file
+    assert main([*argv, "--output", "out"]) == 0
+    _, file_digest, stdout_digest = _PINNED_OUTPUTS[name]
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == file_digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
+
 # numpy's dispatch targets above the x86-64 baseline, and the features whose
 # loops round differently: an FMA rounds a * b + c once, not twice
 _SIMD_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR X86_V3 AVX2 FMA3"
@@ -991,6 +1085,31 @@ def test_csv_output_is_what_a_csv_writer_writes(argv, tmp_path, capsys):
     assert numbers
     for field in numbers:
         assert format(float(field), ".17g") == field
+
+
+_FLAT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), st.text())
+
+
+@settings(max_examples=500)
+@given(st.dictionaries(st.text(), _FLAT_VALUES, min_size=1))
+@example({"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "zero": -0.0, "sub": 5e-324,
+          "text": 'q"b\\n\n\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600', "": 10 ** 30})
+def test_flat_json_is_json_dumps_indent_2(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {}, {"rows": []}, {"a": {}}, {"a": {"b": 1.5}}, {"t": (1, None)},
+    {"command": "sweep", "rows": [{"mu": 0.1, "x": None, "classification": ""}]},
+])
+def test_empty_and_nested_json_take_indent_2(obj, monkeypatch):
+    def refuse(_):
+        raise AssertionError("the flat writer was used")
+
+    monkeypatch.setattr(cli, "_FLAT_JSON", refuse)
+    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------

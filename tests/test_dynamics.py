@@ -568,7 +568,7 @@ def _assert_matches_reference(state0, params, cfg, tries=None):
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
-def test_integrate_matches_dp5_reference_on_pinned_runs(name):
+def test_integrate_matches_dop853_reference_on_pinned_runs(name):
     # these include rejected steps, an escape and a collision
     start, params, cfg = _PINNED_RUNS[name][:3]
     state0 = unstable_seed(params, 1e-8) if start is None else PhaseState(*start)
