@@ -576,28 +576,27 @@ def _parse_exact(command: str, args: list[str]) -> argparse.Namespace | None:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse the command line with the --config file's flags ahead of it.
 
-    A line that starts with a command and holds only its flags spelled in
-    full is parsed from the flag table (``_parse_exact``).  Any other such
-    line is parsed by that command's parser alone, as the two-level parser
-    would hand it on, and what that parser leaves over is reported by the
-    top-level parser, as ``parse_args`` does.  Help, no arguments, an unknown
-    command or an option before the command take the two-level parse.
+    There are two paths.  A line that starts with a command and holds only
+    its flags spelled in full is parsed from the flag table
+    (``_parse_exact``).  Every other line is parsed by the two-level parser,
+    with the tokens of a --config file put right after the command.  A value
+    of ``--`` given with ``=``, which argparse reads as no value, is then the
+    usage error of a flag given none.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return _build_parser().parse_args(argv)
-    command, args = argv[0], argv[1:]
-    ns = _parse_exact(command, args)
-    if ns is not None:
-        return ns
-    if any(map(_may_name_config, args)):
-        path = _build_config_parser(command).parse_known_args(args)[0].config
-        if path is not None:
-            args = [*_config_tokens(path, _COMMANDS[command][1]), *args]
+    if argv and argv[0] in _COMMANDS:
+        command, args = argv[0], argv[1:]
+        ns = _parse_exact(command, args)
+        if ns is not None:
+            return ns
+        if any(map(_may_name_config, args)):
+            path = _build_config_parser(command).parse_known_args(args)[0].config
+            if isinstance(path, str):  # not "--config=--", which the parse below reports
+                argv = [command, *_config_tokens(path, _COMMANDS[command][1]), *args]
     parser = _build_parser()
-    ns = argparse.Namespace(command=command)
-    extras = parser.commands[command].parse_known_args(args, ns)[1]
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    ns = parser.parse_args(argv)
+    for dest, value in vars(ns).items():
+        if isinstance(value, list):  # argparse hands "--flag=--" on as []
+            parser.commands[ns.command].error(f"argument {_flag(dest)}: expected one argument")
     return ns
 
 

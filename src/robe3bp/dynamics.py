@@ -420,7 +420,7 @@ def integrate(state0: PhaseState, params: Params, cfg: IntegratorConfig) -> Traj
     :class:`SingularityError` where a stage lands where r2^3 rounds to 0.
     """
     mu, k, n_sq, n = params.mu, params.k, params.n_sq, params.n
-    s = tuple(state0.vector().tolist())
+    s = tuple(state0.pos.tolist() + state0.vel.tolist())
     x, y, z = s[:3]
     times, states = [0.0], [s]
     steps = rejections = 0
@@ -507,6 +507,6 @@ def unstable_seed(params: Params, offset: float) -> PhaseState:
     """
     if not 0.0 < offset < math.inf:
         raise ValueError(f"offset must be positive and finite, got {offset}")
-    eq = equilibrium_state(params)
-    step = offset * unstable_direction(params)[1]
-    return PhaseState(pos=eq.pos + step[:3], vel=eq.vel + step[3:])
+    eq, mode = equilibrium_state(params), unstable_direction(params)[1]
+    seed = [e + offset * m for e, m in zip(eq.pos.tolist() + eq.vel.tolist(), mode.tolist())]
+    return PhaseState(pos=seed[:3], vel=seed[3:])

@@ -281,16 +281,16 @@ def solve_characteristic(coeffs: CharCoeffs) -> np.ndarray:
         u.real[..., 0] = u1
         u.real[..., 1], u.imag[..., 1] = re2, im2
         u.real[..., 2], u.imag[..., 2] = re3, im3
-    else:
-        p, q, r = map(float, coeffs)
-        if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(r)):
-            raise ValueError("characteristic coefficients must be finite")
-        u1, re2, im2, re3, im3 = _cubic_floats(p, q, r)
-        u = np.array((complex(u1, 0.0), complex(re2, im2), complex(re3, im3)))
-    s = np.sqrt(u)
-    roots = np.empty(s.shape[:-1] + (6,), dtype=complex)
-    roots[..., 0::2], roots[..., 1::2] = s, -s
-    return roots
+        s = np.sqrt(u)
+        roots = np.empty(s.shape[:-1] + (6,), dtype=complex)
+        roots[..., 0::2], roots[..., 1::2] = s, -s
+        return roots
+    p, q, r = map(float, coeffs)
+    if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(r)):
+        raise ValueError("characteristic coefficients must be finite")
+    u1, re2, im2, re3, im3 = _cubic_floats(p, q, r)
+    a, b, c = np.sqrt(np.array((complex(u1, 0.0), complex(re2, im2), complex(re3, im3)))).tolist()
+    return np.array([a, -a, b, -b, c, -c])
 
 
 def classify(coeffs: CharCoeffs) -> StabilityVerdict:
@@ -349,13 +349,13 @@ def linearization_matrix(hess: PotentialHessian, n_sq: float) -> np.ndarray:
     """
     if n_sq <= 0.0:
         raise ValueError(f"mean-motion squared must be positive, got {n_sq}")
-    n = math.sqrt(n_sq)
-    m = np.zeros((6, 6))
-    m[0:3, 3:6] = np.eye(3)
-    m[3:6, 0:3] = hess.matrix()
-    m[3, 4] = 2.0 * n
-    m[4, 3] = -2.0 * n
-    return m
+    n2 = 2.0 * math.sqrt(n_sq)
+    return np.array([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                     [hess.xx, hess.xy, hess.xz, 0.0, n2, 0.0],
+                     [hess.xy, hess.yy, hess.yz, -n2, 0.0, 0.0],
+                     [hess.xz, hess.yz, hess.zz, 0.0, 0.0, 0.0]])
 
 
 def unstable_direction(params: Params) -> tuple[float, np.ndarray]:
@@ -381,4 +381,5 @@ def unstable_direction(params: Params) -> tuple[float, np.ndarray]:
     v = [*xi, *(lam * c for c in xi)]
     top = max(v, key=abs)  # the first of the largest, as np.argmax
     v = [(c / top).real for c in v]
-    return lam.real, np.array(v) / math.hypot(*v)
+    norm = math.hypot(*v)
+    return lam.real, np.array([c / norm for c in v])

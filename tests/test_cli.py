@@ -674,12 +674,18 @@ def test_command_line_without_config_builds_no_config_parser(monkeypatch, capsys
 
 def _two_level_parse(argv):
     """The config file's flags ahead of the line, then the two-level parser on
-    all of it: what ``cli._parse`` must match."""
+    all of it, and a flag that argparse hands no value (``--flag=--``) refused
+    as one given none: what ``cli._parse`` must match."""
     if argv and argv[0] in cli._COMMANDS and any(map(cli._may_name_config, argv[1:])):
         path = cli._build_config_parser(argv[0]).parse_known_args(argv[1:])[0].config
-        if path is not None:
+        if isinstance(path, str):
             argv = [argv[0], *cli._config_tokens(path, cli._COMMANDS[argv[0]][1]), *argv[1:]]
-    return cli._build_parser().parse_args(argv)
+    ns = cli._build_parser().parse_args(argv)
+    for dest, value in vars(ns).items():
+        if isinstance(value, list):
+            cli._build_parser().commands[ns.command].error(
+                f"argument --{dest.replace('_', '-')}: expected one argument")
+    return ns
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -730,6 +736,7 @@ def _parse_cases():
     for name, (_, flags) in cli._COMMANDS.items():
         required = [d for d, spec in flags.items() if spec.get("required")]
         minimal = _flag_tokens({d: flags[d] for d in required}, joined=False)
+        joined = _flag_tokens({d: flags[d] for d in required}, joined=True)
         foreign = min(cli._CONFIG_KEYS - set(flags))  # a flag of another command
         cases += [(f"{name}-{case}", [name, *argv]) for case, argv in [
             ("joined", _flag_tokens(flags, joined=True)),
@@ -748,6 +755,9 @@ def _parse_cases():
             ("config-missing", ["--config", "missing.cfg"]),
             ("config-empty-path", ["--config", "", *minimal]),
             ("config-without-path", ["--config"]),
+            ("config-dashes", ["--config=--", *joined]),
+            ("first-value-dashes", [f"{minimal[0]}=--", *joined[1:]]),
+            ("output-dashes", [*joined, "--output=--"]),
             *((f"without-{minimal[i][2:]}", minimal[:i] + minimal[i + 2:])
               for i in range(0, len(minimal), 2)),
         ]]
@@ -841,6 +851,41 @@ def test_parse_of_drawn_lines_matches_the_two_level_parse(argv, tmp_path, monkey
     (tmp_path / "bad.cfg").write_text("mu = 0.1\nnot_a_flag = 1\n")
     expected = _parse_outcome(_two_level_parse, argv, capsys)
     assert _parse_outcome(cli._parse, argv, capsys) == expected
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_lines())
+def test_no_parse_hands_a_command_a_list(argv, tmp_path, monkeypatch, capsys):
+    # argparse turns a value of "--" given with "=" into []: no command sees it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flags.cfg").write_text(_CONFIG)
+    (tmp_path / "bad.cfg").write_text("mu = 0.1\nnot_a_flag = 1\n")
+    with contextlib.suppress(SystemExit, ValueError):
+        ns = cli._parse(argv)
+        assert not any(isinstance(value, list) for value in vars(ns).values())
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["locate", "--mu", "0.1", "--k=-0.01", "--output=--"], "--output"),
+    (["locate", "--mu=--", "--k=-0.01"], "--mu"),
+    (["stability", "--mu", "0.1", "--k=-0.01", "--format=--"], "--format"),
+    (["integrate", "--mu", "0.1", "--k=-0.01", "--from-equilibrium", "--t-end=--"], "--t-end"),
+    (["sweep", "--grid-mu=--", "--grid-k=-0.02:-0.01:2"], "--grid-mu"),
+    (["locate", "--mu", "0.1", "--k=-0.01", "--config=--"], "--config"),
+    (["locate", "--config", "dashes.cfg"], "--output"),
+])
+def test_value_of_dashes_is_a_usage_error(argv, flag, tmp_path, monkeypatch, capsys):
+    # as a flag given no value, and not a traceback from a command handed []
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dashes.cfg").write_text("mu = 0.1\nk = -0.01\noutput = --\n")
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.endswith(
+        f"robe3bp {argv[0]}: error: argument {flag}: expected one argument\n")
+    assert not any(p.name != "dashes.cfg" for p in tmp_path.iterdir())
 
 
 def test_leftover_arguments_are_reported_by_the_top_level_parser(capsys):

@@ -207,6 +207,25 @@ def test_linearization_pure_coriolis():
     assert min_weight_match(eig, expected) < 1e-6
 
 
+def test_linearization_matrix_is_the_block_assembly_bit_for_bit(canonical):
+    # the identity, Hessian and Coriolis blocks stored into zeros, with the
+    # signs of -0.0 and the subnormals of the Hessian kept
+    pts = triangular_points(canonical)
+    tiny = 5e-324
+    cases = [(hessian_omega(pts.point(+1), canonical), canonical.n_sq),
+             (PotentialHessian(-0.0, tiny, -tiny, -0.0, 2.5e-310, 0.0), 1e-320),
+             (PotentialHessian(1.0, -0.0, -3.0, tiny, -0.0, -tiny), 0.25)]
+    for hess, n_sq in cases:
+        block = np.zeros((6, 6))
+        block[0:3, 3:6] = np.eye(3)
+        block[3:6, 0:3] = hess.matrix()
+        block[3, 4] = 2.0 * math.sqrt(n_sq)
+        block[4, 3] = -2.0 * math.sqrt(n_sq)
+        m = linearization_matrix(hess, n_sq)
+        assert m.dtype == block.dtype and m.shape == (6, 6)
+        assert m.tobytes() == block.tobytes()
+
+
 def test_linearization_rejects_bad_n_sq():
     zero = PotentialHessian(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
