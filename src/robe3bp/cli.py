@@ -174,6 +174,9 @@ def _grid(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"count must be >= 1, got {count}")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"range must be ordered (MIN <= MAX), got {spec!r}")
+    # np.linspace warns on an infinite bound or span; a NaN bound reaches Params
+    if count > 1 and (math.isinf(lo) or math.isinf(hi - lo)):
+        raise argparse.ArgumentTypeError(f"MIN, MAX and MAX - MIN must be finite, got {spec!r}")
     return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
 
 

@@ -250,6 +250,8 @@ def test_integrate_overflow_ends_in_step_size_underflow(argv, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("robe3bp: error: step size underflow at t=0")
+    if "--tol" in argv:  # steps were tried, and none met the tolerance
+        assert "the error estimate stayed above the tolerance" in captured.err
 
 
 def test_step_size_underflow_before_the_first_try_names_the_starting_step(tmp_path, capsys):
@@ -597,13 +599,23 @@ def test_svg_region_output(tmp_path, capsys):
     (["stability", "--mu", "0.1", "--k=-0.01", "--a1", "1e150"], "n^6 overflows"),
     (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.01:-0.01:1", "--grid-a1",
       "1e200:1e200:1"], "n^6 overflows"),
+    (["sweep", "--grid-mu", "0:inf:2", "--grid-k=-0.1:-0.01:2"],
+     "argument --grid-mu: MIN, MAX and MAX - MIN must be finite, got '0:inf:2'"),
+    (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-inf:-0.01:2"],
+     "argument --grid-k: MIN, MAX and MAX - MIN must be finite, got '-inf:-0.01:2'"),
+    (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-1e308:1e308:3"],
+     "argument --grid-k: MIN, MAX and MAX - MIN must be finite, got '-1e308:1e308:3'"),
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
 def test_non_finite_inputs_exit_64(argv, message, capsys):
     assert main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("robe3bp: error:") and message in captured.err
+    if message.startswith("argument "):  # a grid spec argparse refuses, after its usage
+        assert captured.err.startswith(f"usage: robe3bp {argv[0]} ")
+        assert captured.err.endswith(f"\nrobe3bp {argv[0]}: error: {message}\n")
+    else:
+        assert captured.err.startswith("robe3bp: error:") and message in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -875,6 +887,7 @@ def test_no_parse_hands_a_command_a_list(argv, tmp_path, monkeypatch, capsys):
     (["sweep", "--grid-mu=--", "--grid-k=-0.02:-0.01:2"], "--grid-mu"),
     (["locate", "--mu", "0.1", "--k=-0.01", "--config=--"], "--config"),
     (["locate", "--config", "dashes.cfg"], "--output"),
+    (["locate", "--mu", "0.1", "--k=-0.01", "--format=--"], "--format"),
 ])
 def test_value_of_dashes_is_a_usage_error(argv, flag, tmp_path, monkeypatch, capsys):
     # as a flag given no value, and not a traceback from a command handed []
@@ -918,6 +931,9 @@ def _as_config(flags):
      "--t-end", "20"],
     ["sweep", "--grid-mu", "0.1:0.3:2", "--grid-k=-0.05:-0.01:2", "--grid-a1", "0:0.1:2",
      "--format", "json"],
+    # at a tolerance of 1e300 every scaled error estimate squares to 0
+    ["integrate", "--mu", "0.1", "--k=-0.01", "--tol", "1e300", "--from-equilibrium",
+     "--offset", "1e-8", "--t-end", "5"],
 ])
 def test_config_file_and_flags_give_identical_bytes(argv, tmp_path, capsys):
     command, *flags = argv
@@ -1206,7 +1222,7 @@ def bad_argv(draw):
     value = draw(_BAD_VALUE[flag])
     if flag in _GRID_OF and draw(st.booleans()):
         grids = {"grid-mu": "0.1:0.2:2", "grid-k": "-0.05:-0.01:2", "grid-a1": "0:0.1:2"}
-        grids[_GRID_OF[flag]] = f"{value}:{value}:1"
+        grids[_GRID_OF[flag]] = f"{value}:{value}:{draw(st.sampled_from([1, 2]))}"
         return ["sweep", *(f"--{name}={spec}" for name, spec in grids.items())]
     command = "integrate" if flag not in _GRID_OF else draw(
         st.sampled_from(["locate", "stability", "integrate"]))
