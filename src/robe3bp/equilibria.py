@@ -17,9 +17,9 @@ Its predicate b1^2 - a1^2 > 0 implies the region condition 2k/n^2 + mu > 0
 b1^2 <= 1 <= a1^2.  Each step survives rounding: a1 is rounded from the very
 sum that the region condition tests, and rounding is monotone.
 
-A k < 0 that the floats cannot carry through these formulas is an input
-error, never a cell without points: a negative subnormal k, a k so close to 0
-that b1 overflows, and one so far below 0 that a1 overflows.
+A k < 0 that the floats cannot carry is an input error, never a cell without
+points, for one of two reasons: k is negative and subnormal, or a1 overflows.
+b1 overflows only for a subnormal k: a normal k < 0 keeps mu/(2|k|) below 2.3e307.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def triangular_points(params: Params) -> TriangularPoints:
     one-cell case and gets floats, or ``None``, back.  a1 = 2k/n^2 + mu - 1 and
     b1 = (-mu/2k)^(1/3) are NaN (scalar: ``None``) where k >= 0, since b1 is
     undefined there; x = 2k/n^2 and z = (b1^2 - a1^2)^(1/2) are NaN (``None``)
-    where no point exists.  A negative subnormal k, or an overflowing b1 or a1,
-    is an input error (``ValueError``).
+    where no point exists.  Input errors (``ValueError``): a negative subnormal k,
+    and a k whose a1 overflows; a normal k < 0 keeps mu/(2|k|) below 2.3e307.
     """
     mu, k, n_sq = params.mu, params.k, params.n_sq
     if isinstance(k, np.ndarray):
@@ -102,7 +102,6 @@ def triangular_points(params: Params) -> TriangularPoints:
     else:
         exists, a1, b1, x, z = _points_floats(mu, k, n_sq)
         a1, b1, x, z = (None if v != v else v for v in (a1, b1, x, z))
-    _require(b1 != math.inf, k, "b1 = (-mu/2k)^(1/3) overflows for k={}")
     _require((k >= 0.0) | (k <= -sys.float_info.min), k,
              "buoyancy parameter k={} is a negative subnormal float; k < 0 must be normal")
     _require(a1 != -math.inf, k, "a1 = 2k/n^2 + mu - 1 overflows for k={}")

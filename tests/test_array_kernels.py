@@ -71,13 +71,13 @@ def test_array_pass_equals_scalar_calls(grid):
 @hypothesis.settings(max_examples=50, deadline=None)
 @hypothesis.given(st.lists(generic, min_size=1, max_size=8), st.integers(0, 8))
 def test_an_overflowing_cell_fails_the_whole_grid(grid, at):
-    # b1 = (-mu/2k)^(1/3) overflows for k = -1e-320: the cell is an input
-    # error, never a cell quietly marked as having no point
+    # b1 = (-mu/2k)^(1/3) overflows for k = -1e-320, a negative subnormal k:
+    # the cell is an input error, never a cell quietly marked as having no point
     grid.insert(min(at, len(grid)), (0.1, -1e-320, 0.0))
     mu, k, a1 = (np.array(column) for column in zip(*grid))
-    with pytest.raises(ValueError, match="overflows for k=-1e-320"):
+    with pytest.raises(ValueError, match="k=-1e-320 is a negative subnormal"):
         triangular_points(Params(mu=mu, k=k, a1_oblate=a1))
-    with pytest.raises(ValueError, match="overflows for k=-1e-320"):
+    with pytest.raises(ValueError, match="k=-1e-320 is a negative subnormal"):
         triangular_points(Params(mu=0.1, k=-1e-320))
 
 

@@ -585,10 +585,14 @@ def test_svg_region_output(tmp_path, capsys):
     (["locate", "--mu", "0.1", "--k", "nan"], "k must be finite"),
     (["locate", "--mu", "0.1", "--k", "-0.01", "--a1", "nan"], "must be finite"),
     (["locate", "--mu", "0.1", "--k", "-0.01", "--a1", "inf"], "must be finite"),
-    (["locate", "--mu", "0.1", "--k=-1e-320"], "overflows"),
-    (["stability", "--mu", "0.1", "--k=-1e-320"], "overflows"),
+    # b1 = (-mu/2k)^(1/3) overflows, which only a negative subnormal k reaches
+    pytest.param(["locate", "--mu", "0.1", "--k=-1e-320"], "k=-1e-320 is a negative subnormal",
+                 id="argv3-overflows"),
+    pytest.param(["stability", "--mu", "0.1", "--k=-1e-320"], "k=-1e-320 is a negative subnormal",
+                 id="argv4-overflows"),
     (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.3:nan:2"], "k must be finite"),
-    (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.01:-1e-320:2"], "overflows"),
+    pytest.param(["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-0.01:-1e-320:2"],
+                 "k=-1e-320 is a negative subnormal", id="argv6-overflows"),
     (["locate", "--mu", "0.1", "--k=-2e-309"], "k=-2e-309 is a negative subnormal"),
     (["stability", "--mu", "0.1", "--k=-2e-309"], "k=-2e-309 is a negative subnormal"),
     (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-2e-309:-2e-309:1"], "subnormal"),
@@ -605,6 +609,10 @@ def test_svg_region_output(tmp_path, capsys):
      "argument --grid-k: MIN, MAX and MAX - MIN must be finite, got '-inf:-0.01:2'"),
     (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-1e308:1e308:3"],
      "argument --grid-k: MIN, MAX and MAX - MIN must be finite, got '-1e308:1e308:3'"),
+    (["locate", "--mu", "0.9", "--k=-2.5e-309"], "k=-2.5e-309 is a negative subnormal"),
+    (["stability", "--mu", "0.5", "--k=-5e-324"], "k=-5e-324 is a negative subnormal"),
+    (["sweep", "--grid-mu", "0.1:0.2:2", "--grid-k=-5e-324:-5e-324:1"],
+     "k=-5e-324 is a negative subnormal"),
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
 def test_non_finite_inputs_exit_64(argv, message, capsys):

@@ -1,7 +1,12 @@
+import math
+import re
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robe3bp import equilibria
 from robe3bp import (
@@ -14,7 +19,7 @@ from robe3bp import (
     refine_equilibrium,
     triangular_points,
 )
-from conftest import FROZEN, acceptance_grid, any_cell
+from conftest import FROZEN, a1s, acceptance_grid, any_cell, generic, mus
 
 
 def test_aux_unit_distance_case():
@@ -34,8 +39,9 @@ def test_aux_canonical_values(canonical):
 
 
 def test_aux_rejects_overflowing_b1():
-    # -mu/2k = 5e318 overflows to inf, which once gave exists=True with z = inf
-    with pytest.raises(ValueError, match="overflows"):
+    # -mu/2k = 5e318 overflows to inf, which once gave exists=True with z = inf;
+    # only a negative subnormal k gets there, and it is refused as one
+    with pytest.raises(ValueError, match="k=-1e-320 is a negative subnormal"):
         triangular_points(Params(mu=0.1, k=-1e-320))
 
 
@@ -51,6 +57,27 @@ def test_rejects_k_the_floats_cannot_carry():
     # the smallest normal k < 0 keeps its point, and a positive subnormal k has none
     assert triangular_points(Params(mu=0.1, k=-2.2250738585072014e-308)).exists
     assert not triangular_points(Params(mu=0.1, k=5e-324)).exists
+
+
+@settings(max_examples=200, deadline=None)
+@given(mus, st.integers(1, 2**52 - 1), a1s, st.lists(generic, max_size=6), st.integers(0, 6))
+def test_every_negative_subnormal_k_is_refused_as_subnormal(mu, ulps, a1, grid, at):
+    # k = -ulps * 2^-1074 runs over every negative subnormal, with and without
+    # an overflowing b1 = (-mu/2k)^(1/3): the one refusal is its subnormality,
+    # as one cell and among normal cells
+    k = -ulps * math.ulp(0.0)
+    message = re.escape(f"k={k!r} is a negative subnormal")
+    with pytest.raises(ValueError, match=message):
+        triangular_points(Params(mu=mu, k=k, a1_oblate=a1))
+    grid.insert(at, (mu, k, a1))
+    mu_grid, k_grid, a1_grid = (np.array(column) for column in zip(*grid))
+    with pytest.raises(ValueError, match=message):
+        triangular_points(Params(mu=mu_grid, k=k_grid, a1_oblate=a1_grid))
+    # the smallest normal k < 0 keeps a finite b1, and its point wherever b1 > 1,
+    # since |a1| = 1 - mu + 2|k|/n^2 rounds to at most 1
+    pts = triangular_points(Params(mu=mu, k=-sys.float_info.min))
+    assert 0.0 < pts.b1_aux < math.inf
+    assert pts.exists or pts.b1_aux <= 1.0
 
 
 def test_triangular_points_canonical(canonical):

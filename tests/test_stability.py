@@ -36,7 +36,7 @@ from robe3bp import (
     unstable_direction,
 )
 from robe3bp.model import PotentialHessian
-from robe3bp import equilibria, model, stability
+from robe3bp import dynamics, equilibria, model, stability
 from conftest import FROZEN, acceptance_grid, min_weight_match, whole_region_cells
 
 
@@ -607,23 +607,79 @@ def test_float_spelling_is_rendered_without_numpy():
     assert "    b1 = math.pow(" in inspect.getsource(equilibria._points_floats)
 
 
-# what the float kernels of the linear layer may call: builtins and math
-# functions that round correctly or are exact, and the compensated helpers,
-# which are + - * / themselves; math.pow is CBRT, libm's cube root
-_FLOAT_KERNEL_CALLS = {"abs", "max", "min", "math.sqrt", "math.copysign",
-                       "_two_product", "_two_sum", "_cubic_compensated", "math.pow"}
+# What each float path may call, function by function.  None marks a call that
+# is exact (a comparison, sign, selection, conversion, container or check) or
+# rounds correctly as a basic operation does: real sqrt, and the helpers and
+# kernels audited here, which are + - * / and sqrt themselves (_cubic_numpy is
+# _CUBIC spelled for numpy, with the bits of _cubic_floats).  Any other call
+# is named by the lines it may stand on, by their start; the same call on
+# another line fails.  Operators are not calls: the complex products and
+# quotients in unstable_direction (lam * lam, c / top) are not audited here.
+_FLOAT_KERNEL_CALLS = {
+    # CBRT: libm pow(x, 1/3), off by up to 10 ulps
+    equilibria._points_floats: {"math.sqrt": None, "math.pow": ("b1 = math.pow(",)},
+    stability._cubic_floats: dict.fromkeys(("abs", "max", "min", "math.sqrt", "math.copysign",
+                                            "_two_product", "_cubic_compensated")),
+    stability._two_product: {},
+    stability._two_sum: {},
+    stability._cubic_compensated: dict.fromkeys(("_two_product", "_two_sum")),
+    dynamics._first_step: dict.fromkeys(("zip", "sqrt", "_rhs")),  # sqrt is math.sqrt
+    dynamics._rhs: dict.fromkeys(("_grad_s",)),
+    model._grad_s: dict.fromkeys(("sqrt", "SingularityError")),  # sqrt is math.sqrt
+    model.hessian_omega: dict.fromkeys(("float", "math.sqrt", "SingularityError",
+                                        "PotentialHessian")),
+    stability._closed_form: dict.fromkeys(("_require", "_errstate", "CharCoeffs")),
+    stability.linearization_matrix: dict.fromkeys(("ValueError", "math.sqrt", "np.array")),
+    stability.solve_characteristic: {
+        **dict.fromkeys(("any", "isinstance", "map", "complex", "ValueError", "math.isfinite",
+                         "np.ndim", "np.shape", "np.asarray", "np.isfinite", ".all",
+                         "np.errstate", "np.zeros", "np.empty", "np.array", ".tolist",
+                         "_cubic_numpy", "_cubic_floats")),
+        # the complex sqrt from u to lambda: libm csqrt, not required to round correctly
+        "np.sqrt": ("s = np.sqrt(u)", "a, b, c = np.sqrt("),
+    },
+    stability.unstable_direction: {
+        **dict.fromkeys(("max", ".tolist", "_closed_form", "hessian_omega",
+                         "linearization_matrix", "enumerate", "range", "np.array")),
+        "triangular_points": ("pts = triangular_points(",),  # b1 through libm pow
+        "solve_characteristic": ("lam = max(solve_characteristic(",),  # through csqrt
+        "math.hypot": ("norm = math.hypot(",),  # libm hypot
+    },
+}
+
+
+def _call_name(node: ast.Call) -> str:
+    """``f`` or ``m.f`` for a call of a name, ``.f`` for a method of another value."""
+    func = node.func
+    if isinstance(func, ast.Attribute) and not isinstance(func.value, (ast.Name, ast.Attribute)):
+        return "." + func.attr
+    return ast.unparse(func)
+
+
+def _instructions(code):
+    """The bytecode of ``code`` and of the comprehensions and lambdas within it."""
+    yield from dis.get_instructions(code)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            yield from _instructions(const)
 
 
 def test_float_kernels_call_only_math_builtins_and_compensated_helpers():
-    # no power runs (2.0 ** -40 is folded into a constant when compiled), and no
-    # call but those of the list, in the kernels and in the helpers they call
-    for func in (equilibria._points_floats, stability._cubic_floats, stability._two_product,
-                 stability._two_sum, stability._cubic_compensated):
-        powers = [ins for ins in dis.get_instructions(func) if ins.opname == "BINARY_POWER"
-                  or ins.opname == "BINARY_OP" and ins.argrepr == "**"]
-        calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(inspect.getsource(func)))
-                 if isinstance(node, ast.Call)}
-        assert powers == [] and calls <= _FLOAT_KERNEL_CALLS, (func.__name__, calls)
+    # no power runs (2.0 ** -40 is folded into a constant when compiled), also in
+    # a comprehension or lambda, and no call but those of the function's list,
+    # each inexact one on a line the list names
+    for func, allowed in _FLOAT_KERNEL_CALLS.items():
+        powers = [ins.argrepr for ins in _instructions(func.__code__)
+                  if ins.opname in ("BINARY_POWER", "INPLACE_POWER")  # Python 3.10
+                  or ins.opname == "BINARY_OP" and ins.argrepr in ("**", "**=")]
+        lines = inspect.getsource(func).splitlines()
+        stray = []
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.Call):
+                name, line = _call_name(node), lines[node.lineno - 1].strip()
+                if name not in allowed or allowed[name] and not line.startswith(allowed[name]):
+                    stray.append((name, line))
+        assert powers == [] and stray == [], (func.__name__, powers, stray)
 
 
 # run a command of the package found first on sys.path, after checking that
